@@ -4,6 +4,13 @@ Single-source paths run the Lindley waiting-time recursion through the
 kernel backend.  Two-source paths merge both arrival streams into one FCFS
 queue (ties broken toward source 1) and extract per-source peak-age traces.
 
+``replicate`` runs these steps on the raw sampled arrays and reduces them
+straight to means: it builds no per-path objects and re-checks nothing the
+sampler already guarantees.  ``simulate_fcfs``, ``paoi_trace_single``,
+``merge_arrivals``, ``simulate_two_source`` and ``paoi_trace_two_source``
+are inspection wrappers over the same private steps: they validate their
+input and return the per-update arrays as dataclasses.
+
 Conventions: the first arrival occurs at time T_1 (the first interarrival
 draw is the delay from time zero), and per-replication warmup discards the
 leading fraction of samples before averaging.
@@ -11,6 +18,8 @@ leading fraction of samples before averaging.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,10 +41,12 @@ class SystemParams:
     sources: int = 1
 
     def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ValidationError(f"lam must be > 0, got {self.lam}")
-        if not self.mu > 0:
-            raise ValidationError(f"mu must be > 0, got {self.mu}")
+        if not 0 < self.lam < math.inf:
+            raise ValidationError(f"lam must be finite and > 0, got {self.lam}")
+        if not 0 < self.mu < math.inf:
+            raise ValidationError(f"mu must be finite and > 0, got {self.mu}")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValidationError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
         if self.sources not in (1, 2):
@@ -93,6 +104,51 @@ class ReplicationSummary:
     paoi_rep_means: np.ndarray = field(repr=False, default=None)
 
 
+# The private steps below are shared by ``replicate`` and the public
+# wrappers; their float64 inputs are not checked.
+
+def _single_trace(t: np.ndarray, s: np.ndarray):
+    """(peaks, interarrivals, system times) of deliveries 2..n of a single-source path."""
+    t_tail = t[1:]
+    s_tail = s[1:]
+    return t_tail + s_tail, t_tail, s_tail
+
+
+def _source_trace(a: np.ndarray, s: np.ndarray):
+    """(peaks, interarrivals, system times) of deliveries 2..n of one merged source.
+
+    ``a`` and ``s`` are the source's arrival and system times in its own
+    order.  The system time is taken as finish minus arrival,
+    ``(a + s) - a``, which is not bitwise ``s``; report CSVs depend on it.
+    """
+    t_tail = np.diff(a)
+    s_tail = (a[1:] + s[1:]) - a[1:]
+    return t_tail + s_tail, t_tail, s_tail
+
+
+def _merge(a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merged arrival times and the permutation of ``concatenate([a1, a2])`` that sorts them.
+
+    The sort is stable and source 1 comes first in the concatenation, so
+    ties go to source 1 and each source keeps its own order.
+    """
+    times = np.concatenate([a1, a2])
+    order = np.argsort(times, kind="stable")
+    return times[order], order
+
+
+def _merged_system_times(merged: np.ndarray, services: np.ndarray) -> np.ndarray:
+    """System times of the FCFS queue fed by a non-empty merged arrival sequence."""
+    gaps = np.empty_like(merged)
+    gaps[0] = merged[0]
+    np.subtract(merged[1:], merged[:-1], out=gaps[1:])
+    return kernels.lindley_system_times(gaps, services)
+
+
+def _post_warmup(x: np.ndarray, fraction: float) -> np.ndarray:
+    return x[int(fraction * len(x)):]
+
+
 def _values(x) -> np.ndarray:
     if isinstance(x, SampleStream):
         x = x.values
@@ -142,12 +198,7 @@ def paoi_trace_single(result: QueueResult, interarrivals) -> PAoITrace:
         slack = 1e-9 * max(abs(result.arrival_times[-1]), 1.0)
         if not np.allclose(np.diff(result.arrival_times), t[1:], rtol=0.0, atol=slack):
             raise ValidationError("interarrival stream does not match the simulated path")
-    if len(result) < 2:
-        empty = np.empty(0, dtype=np.float64)
-        return PAoITrace(empty, empty, empty)
-    t_tail = t[1:]
-    s_tail = result.system_times[1:]
-    return PAoITrace(peaks=t_tail + s_tail, interarrivals=t_tail, system_times=s_tail)
+    return PAoITrace(*_single_trace(t, result.system_times))
 
 
 def merge_arrivals(arrivals_1: np.ndarray, arrivals_2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,10 +211,8 @@ def merge_arrivals(arrivals_1: np.ndarray, arrivals_2: np.ndarray) -> tuple[np.n
     a2 = np.asarray(arrivals_2, dtype=np.float64)
     if len(a1) + len(a2) == 0:
         raise ValidationError("both arrival streams are empty")
-    times = np.concatenate([a1, a2])
-    ids = np.concatenate([np.ones(len(a1), dtype=np.int64), np.full(len(a2), 2, dtype=np.int64)])
-    order = np.lexsort((ids, times))  # primary: time, secondary: source id
-    return times[order], ids[order]
+    merged, order = _merge(a1, a2)
+    return merged, np.where(order < len(a1), 1, 2)
 
 
 def simulate_two_source(
@@ -179,9 +228,9 @@ def simulate_two_source(
     ``service_spec`` (seeded); pass ``services`` explicitly to pin the
     draws, e.g. in tests.
     """
-    t1 = _values(interarrivals_1)
-    t2 = _values(interarrivals_2)
-    merged_times, ids = merge_arrivals(np.cumsum(t1), np.cumsum(t2))
+    merged_times, ids = merge_arrivals(
+        np.cumsum(_values(interarrivals_1)), np.cumsum(_values(interarrivals_2))
+    )
     n = len(merged_times)
     if services is None:
         if service_spec is None:
@@ -191,10 +240,7 @@ def simulate_two_source(
         x = _values(services)
         if len(x) != n:
             raise ValidationError(f"need {n} service times, got {len(x)}")
-    merged_t = np.empty(n, dtype=np.float64)
-    merged_t[0] = merged_times[0]
-    merged_t[1:] = np.diff(merged_times)
-    s = kernels.lindley_system_times(merged_t, x)
+    s = _merged_system_times(merged_times, x)
     return QueueResult(
         arrival_times=merged_times,
         service_times=x,
@@ -209,23 +255,11 @@ def paoi_trace_two_source(result: QueueResult) -> tuple[PAoITrace, PAoITrace]:
     """Per-source peak ages of a merged two-source path."""
     if result.source_ids is None:
         raise ValidationError("result does not carry source ids; not a two-source path")
-    traces = []
-    for sid in (1, 2):
-        mask = result.source_ids == sid
-        a = result.arrival_times[mask]
-        f = result.finish_times[mask]
-        if len(a) < 2:
-            empty = np.empty(0, dtype=np.float64)
-            traces.append(PAoITrace(empty, empty, empty))
-            continue
-        t_tail = np.diff(a)
-        s_tail = f[1:] - a[1:]
-        traces.append(PAoITrace(peaks=t_tail + s_tail, interarrivals=t_tail, system_times=s_tail))
-    return traces[0], traces[1]
-
-
-def _post_warmup(x: np.ndarray, fraction: float) -> np.ndarray:
-    return x[int(fraction * len(x)):]
+    from1 = result.source_ids == 1
+    return tuple(
+        PAoITrace(*_source_trace(result.arrival_times[mask], result.system_times[mask]))
+        for mask in (from1, ~from1)
+    )
 
 
 def replicate(
@@ -240,12 +274,20 @@ def replicate(
 
     Deterministic in ``master_seed``: replication r derives its stream
     seeds as (master_seed, r, role).  Unstable parameter sets still run but
-    are flagged (their means need not converge).
+    are flagged (their means need not converge).  Every source needs at
+    least one post-warmup peak, so n must be >= 2 per source.
     """
     if replications < 1:
         raise ValidationError(f"replications must be >= 1, got {replications}")
     if not 0.0 <= warmup_fraction <= 0.5:
         raise ValidationError(f"warmup fraction must be in [0, 0.5], got {warmup_fraction}")
+    # a source with k >= 2 updates has k - 1 peaks, and a warmup of at most
+    # half keeps at least one of them
+    if params.n < 2 * params.sources:
+        raise ValidationError(
+            f"n must be >= {2 * params.sources} for a {params.sources}-source replication "
+            f"(each source needs a post-warmup peak), got {params.n}"
+        )
     if not params.stable:
         warnings.warn(
             f"unstable configuration (load {params.load:.3f} >= 1); "
@@ -257,32 +299,34 @@ def replicate(
     paoi_means = np.empty(replications)
     system_means = np.empty(replications)
     src_means = np.empty((replications, 2)) if params.sources == 2 else None
+    n1 = (params.n + 1) // 2
+    n2 = params.n // 2
 
     for r in range(replications):
         if params.sources == 1:
             t = sample_stream(interarrival_spec, params.n,
-                              derive_seed(master_seed, r, ROLE_ARRIVAL_1))
+                              derive_seed(master_seed, r, ROLE_ARRIVAL_1)).values
             x = sample_stream(service_spec, params.n,
-                              derive_seed(master_seed, r, ROLE_SERVICE))
-            result = simulate_fcfs(t, x)
-            trace = paoi_trace_single(result, t)
-            peaks = _post_warmup(trace.peaks, warmup_fraction)
-            paoi_means[r] = peaks.mean()
+                              derive_seed(master_seed, r, ROLE_SERVICE)).values
+            s = kernels.lindley_system_times(t, x)
+            paoi_means[r] = _post_warmup(_single_trace(t, s)[0], warmup_fraction).mean()
         else:
-            n1 = (params.n + 1) // 2
-            n2 = params.n // 2
-            t1 = sample_stream(interarrival_spec, n1,
-                               derive_seed(master_seed, r, ROLE_ARRIVAL_1))
-            t2 = sample_stream(interarrival_spec, n2,
-                               derive_seed(master_seed, r, ROLE_ARRIVAL_2))
-            result = simulate_two_source(
-                t1, t2, service_spec, derive_seed(master_seed, r, ROLE_SERVICE)
-            )
-            tr1, tr2 = paoi_trace_two_source(result)
-            kept = [_post_warmup(tr.peaks, warmup_fraction) for tr in (tr1, tr2)]
+            a1 = np.cumsum(sample_stream(interarrival_spec, n1,
+                                         derive_seed(master_seed, r, ROLE_ARRIVAL_1)).values)
+            a2 = np.cumsum(sample_stream(interarrival_spec, n2,
+                                         derive_seed(master_seed, r, ROLE_ARRIVAL_2)).values)
+            x = sample_stream(service_spec, params.n,
+                              derive_seed(master_seed, r, ROLE_SERVICE)).values
+            merged, order = _merge(a1, a2)
+            s = _merged_system_times(merged, x)
+            from1 = order < n1
+            # compress selects what s[mask] does, several times faster on an
+            # interleaved mask
+            kept = [_post_warmup(_source_trace(a, s_src)[0], warmup_fraction)
+                    for a, s_src in ((a1, s.compress(from1)), (a2, s.compress(~from1)))]
             src_means[r] = [k.mean() for k in kept]
             paoi_means[r] = np.concatenate(kept).mean()
-        system_means[r] = _post_warmup(result.system_times, warmup_fraction).mean()
+        system_means[r] = _post_warmup(s, warmup_fraction).mean()
 
     if replications > 1:
         half_width = 1.96 * paoi_means.std(ddof=1) / np.sqrt(replications)

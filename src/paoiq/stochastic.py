@@ -61,8 +61,8 @@ class DistributionSpec:
 
 def make_exponential(rate: float) -> DistributionSpec:
     """Exponential law with the given rate; mean 1/rate, variance 1/rate^2."""
-    if not rate > 0:
-        raise ValidationError(f"exponential rate must be > 0, got {rate}")
+    if not 0 < rate < math.inf:
+        raise ValidationError(f"exponential rate must be finite and > 0, got {rate}")
     return DistributionSpec(
         kind="exponential",
         params=(("rate", float(rate)),),
@@ -78,8 +78,10 @@ def make_folded_normal(location: float, scale: float) -> DistributionSpec:
            + location*(1 - 2*Phi(-location/scale))
     variance = location^2 + scale^2 - mean^2
     """
-    if not scale > 0:
-        raise ValidationError(f"folded-normal scale must be > 0, got {scale}")
+    if not math.isfinite(location):
+        raise ValidationError(f"folded-normal location must be finite, got {location}")
+    if not 0 < scale < math.inf:
+        raise ValidationError(f"folded-normal scale must be finite and > 0, got {scale}")
     z = location / scale
     mean = scale * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * z * z) + location * (
         1.0 - 2.0 * _norm_cdf(-z)
@@ -95,8 +97,8 @@ def make_folded_normal(location: float, scale: float) -> DistributionSpec:
 
 def make_uniform_mean(mean: float) -> DistributionSpec:
     """Uniform on [0, 2*mean]; variance mean^2/3."""
-    if not mean > 0:
-        raise ValidationError(f"uniform mean must be > 0, got {mean}")
+    if not 0 < mean < math.inf:
+        raise ValidationError(f"uniform mean must be finite and > 0, got {mean}")
     return DistributionSpec(
         kind="uniform",
         params=(("mean", float(mean)),),
@@ -111,10 +113,10 @@ def make_pareto(shape: float, scale: float) -> DistributionSpec:
     Variance is finite only for shape > 2; below that the spec is flagged
     heavy-tailed and reports its variance as unavailable.
     """
-    if not shape > 1:
-        raise ValidationError(f"pareto shape must be > 1 for a finite mean, got {shape}")
-    if not scale > 0:
-        raise ValidationError(f"pareto scale must be > 0, got {scale}")
+    if not 1 < shape < math.inf:
+        raise ValidationError(f"pareto shape must be finite and > 1 (finite mean), got {shape}")
+    if not 0 < scale < math.inf:
+        raise ValidationError(f"pareto scale must be finite and > 0, got {scale}")
     mean = shape * scale / (shape - 1.0)
     if shape > 2:
         variance = scale**2 * shape / ((shape - 1.0) ** 2 * (shape - 2.0))

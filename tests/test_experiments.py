@@ -1,5 +1,6 @@
 """Sweep engine, error metric, report persistence, and the CLI surface."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -19,6 +20,15 @@ from paoiq.experiments import (
 )
 
 QUICK = dict(n=3000, replications=3, master_seed=9)
+
+# sha256 of the report CSV of each default grid at n=2e4, 5 replications,
+# master seed 0.  A refactor leaves these bytes unchanged; a deliberate
+# change to sampling or to the queue arithmetic updates them and says so in
+# CHANGES.md.
+GOLDEN_REPORT_SHA256 = {
+    "single": "f3df2cf2137ad29eeb0fbeae5b1e0603288abf1e7b2f1fef804f8231faefa835",
+    "two": "e0de1dd9798dd7be31ff27c9e890d514750bd6cbd90ba286c36d59e0dac1ffe6",
+}
 
 
 class TestErrorPercent:
@@ -110,6 +120,12 @@ class TestRunSweep:
         assert set(report.error_percents) == {"robust3"}
         assert len(report.rows) == 2
 
+    @pytest.mark.parametrize("scenario", sorted(GOLDEN_REPORT_SHA256))
+    def test_reduced_default_sweep_golden_bytes(self, scenario):
+        config = config_from_json({"scenario": scenario, "n": 20_000, "replications": 5})
+        text = report_to_csv_text(run_sweep(config))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_SHA256[scenario]
+
     def test_deterministic(self):
         config = SweepConfig(scenario="single", lambdas=(0.4, 0.8), **QUICK)
         assert report_to_csv_text(run_sweep(config)) == report_to_csv_text(run_sweep(config))
@@ -190,6 +206,19 @@ class TestCli:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"lam": 0.5}))
         assert main(["simulate", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("sources, n", [(1, 1), (2, 3)])
+    def test_simulate_short_path_exit_one(self, tmp_path, capsys, sources, n):
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps({
+            "sources": sources, "lam": 0.2, "mu": 1.0, "n": n, "replications": 3,
+            "interarrival": {"kind": "exponential", "rate": 0.2},
+            "service": {"kind": "exponential", "rate": 1.0},
+        }))
+        assert main(["simulate", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "post-warmup peak" in captured.err
 
     def test_sweep_and_report(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path)

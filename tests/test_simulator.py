@@ -1,11 +1,16 @@
 """FCFS simulation: Lindley recursion, merging, peak-age traces, replication."""
 
+import math
+
 import numpy as np
 import pytest
 
 from paoiq.errors import ValidationError
+from paoiq.experiments import family_spec
+from paoiq.seeding import ROLE_ARRIVAL_1, ROLE_ARRIVAL_2, ROLE_SERVICE, derive_seed
 from paoiq.simulator import (
     SystemParams,
+    merge_arrivals,
     paoi_trace_single,
     paoi_trace_two_source,
     replicate,
@@ -44,6 +49,21 @@ class TestSystemParams:
             SystemParams(1.0, 1.0, 0)
         with pytest.raises(ValidationError):
             SystemParams(1.0, 1.0, 10, sources=3)
+
+    @pytest.mark.parametrize("lam, mu, n", [
+        (math.inf, 1.0, 10),
+        (math.nan, 1.0, 10),
+        (0.5, math.inf, 10),
+        (0.5, math.nan, 10),
+        (0.5, 1.0, 2.5),
+        (0.5, 1.0, 10.0),
+    ])
+    def test_non_finite_rates_and_non_integer_n_rejected(self, lam, mu, n):
+        with pytest.raises(ValidationError):
+            SystemParams(lam, mu, n)
+
+    def test_numpy_integer_n_accepted(self):
+        assert SystemParams(0.5, 1.0, np.int64(10)).n == 10
 
     def test_stability(self):
         assert SystemParams(0.5, 1.0, 10).stable
@@ -136,6 +156,25 @@ class TestPaoiTraceSingle:
         res = simulate_fcfs([1.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValidationError):
             paoi_trace_single(res, [1.0, 2.0])
+
+
+class TestMergeArrivals:
+    def test_matches_lexsort_reference_with_ties(self):
+        # integer arrival times tie often, within and across sources
+        rng = np.random.default_rng(31)
+        cross_ties = 0
+        for _ in range(300):
+            a1 = np.cumsum(rng.integers(0, 3, int(rng.integers(0, 25)))).astype(np.float64)
+            a2 = np.cumsum(rng.integers(0, 3, int(rng.integers(1, 25)))).astype(np.float64)
+            times = np.concatenate([a1, a2])
+            ids = np.concatenate([np.ones(len(a1), dtype=np.int64),
+                                  np.full(len(a2), 2, dtype=np.int64)])
+            ref = np.lexsort((ids, times))  # primary: time, secondary: source id
+            merged, got_ids = merge_arrivals(a1, a2)
+            assert np.array_equal(merged, times[ref])
+            assert np.array_equal(got_ids, ids[ref])
+            cross_ties += len(np.intersect1d(a1, a2)) > 0
+        assert cross_ties > 100
 
 
 class TestTwoSource:
@@ -262,6 +301,20 @@ class TestReplicate:
         assert not summary.stable
         assert np.isfinite(summary.mean_paoi)
 
+    @pytest.mark.parametrize("sources, n", [(1, 1), (2, 2), (2, 3)])
+    def test_short_paths_rejected(self, sources, n):
+        with pytest.raises(ValidationError, match="post-warmup peak"):
+            replicate(SystemParams(0.2, 1.0, n, sources), make_exponential(0.2),
+                      make_exponential(1.0), replications=2)
+
+    @pytest.mark.parametrize("sources, n", [(1, 2), (2, 4)])
+    def test_shortest_paths_give_finite_means(self, sources, n):
+        summary = replicate(SystemParams(0.2, 1.0, n, sources), make_exponential(0.2),
+                            make_exponential(1.0), replications=2, warmup_fraction=0.5)
+        assert np.all(np.isfinite(summary.paoi_rep_means))
+        assert np.isfinite(summary.mean_system_time)
+        assert np.all(np.isfinite(summary.per_source_paoi or ()))
+
     def test_parameter_validation(self):
         params = SystemParams(0.5, 1.0, 100, 1)
         with pytest.raises(ValidationError):
@@ -269,3 +322,49 @@ class TestReplicate:
         with pytest.raises(ValidationError):
             replicate(params, make_exponential(0.5), make_exponential(1.0),
                       warmup_fraction=0.6)
+
+
+def rebuilt_through_wrappers(params, ia_spec, svc_spec, replications, warmup, master_seed):
+    """replicate()'s per-replication means, recomputed with the public wrappers."""
+    paoi, system, per_source = [], [], []
+    for r in range(replications):
+        def seed(role):
+            return derive_seed(master_seed, r, role)
+
+        if params.sources == 1:
+            t = sample_stream(ia_spec, params.n, seed(ROLE_ARRIVAL_1))
+            x = sample_stream(svc_spec, params.n, seed(ROLE_SERVICE))
+            res = simulate_fcfs(t, x)
+            peaks = paoi_trace_single(res, t).peaks
+            paoi.append(peaks[int(warmup * len(peaks)):].mean())
+        else:
+            t1 = sample_stream(ia_spec, (params.n + 1) // 2, seed(ROLE_ARRIVAL_1))
+            t2 = sample_stream(ia_spec, params.n // 2, seed(ROLE_ARRIVAL_2))
+            res = simulate_two_source(t1, t2, svc_spec, seed(ROLE_SERVICE))
+            kept = [tr.peaks[int(warmup * len(tr)):] for tr in paoi_trace_two_source(res)]
+            per_source.append([k.mean() for k in kept])
+            paoi.append(np.concatenate(kept).mean())
+        s = res.system_times
+        system.append(s[int(warmup * len(s)):].mean())
+    return np.array(paoi), np.array(system), np.array(per_source)
+
+
+class TestReplicateParity:
+    """replicate() and the inspection wrappers agree to the last bit."""
+
+    @pytest.mark.parametrize("warmup", [0.0, 0.5])
+    @pytest.mark.parametrize("family", ["exponential", "normal", "uniform"])
+    @pytest.mark.parametrize("sources", [1, 2])
+    def test_bitwise_equal_to_wrappers(self, sources, family, warmup):
+        lam = 0.6 / sources
+        params = SystemParams(lam, 1.0, 2_001, sources)  # odd n: uneven source split
+        ia_spec = family_spec(family, 1.0 / lam)
+        svc_spec = family_spec(family, 1.0)
+        summary = replicate(params, ia_spec, svc_spec, replications=3,
+                            warmup_fraction=warmup, master_seed=23)
+        paoi, system, per_source = rebuilt_through_wrappers(
+            params, ia_spec, svc_spec, 3, warmup, 23)
+        assert np.array_equal(summary.paoi_rep_means, paoi)
+        assert np.array_equal(summary.mean_system_time, float(system.mean()))
+        if sources == 2:
+            assert np.array_equal(summary.per_source_paoi, per_source.mean(axis=0))

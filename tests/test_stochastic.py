@@ -89,6 +89,21 @@ def test_pareto_invalid_shape():
         make_pareto(1.0, 1.0)
 
 
+@pytest.mark.parametrize("factory, args", [
+    (make_exponential, (math.inf,)),
+    (make_exponential, (math.nan,)),
+    (make_folded_normal, (math.inf, 1.0)),
+    (make_folded_normal, (math.nan, 1.0)),
+    (make_folded_normal, (1.0, math.inf)),
+    (make_uniform_mean, (math.inf,)),
+    (make_pareto, (math.inf, 1.0)),
+    (make_pareto, (3.0, math.inf)),
+])
+def test_non_finite_parameters_rejected(factory, args):
+    with pytest.raises(ValidationError, match="finite"):
+        factory(*args)
+
+
 def test_sample_stream_rejects_zero_count():
     with pytest.raises(ValidationError):
         sample_stream(make_exponential(1.0), 0, 1)
