@@ -32,6 +32,7 @@ from .errors import (
     NoSolutionError,
     SingularDesignError,
     ValidationError,
+    parsing,
 )
 from .robust_bounds import UncertaintyParams, bound_robust2_single, bound_robust3_two
 from .seeding import derive_seed
@@ -298,28 +299,21 @@ def write_theta_json(theta: CalibrationCoefficients, path, provenance: dict | No
 
 
 def read_theta_json(path) -> CalibrationCoefficients:
-    with open(path) as fh:
+    with open(path) as fh, parsing(f"theta file {path}"):
         doc = json.load(fh)
-    try:
         return CalibrationCoefficients(
             float(doc["theta0"]), float(doc["theta1"]), float(doc["theta2"]),
             doc["scenario"],
         )
-    except KeyError as exc:
-        raise ValidationError(f"theta file {path} is missing field {exc}") from exc
 
 
 def grid_from_config(doc: dict) -> list[tuple[float, DistributionSpec, DistributionSpec]]:
     """Parse the calibrate grid file: {"points": [{"lam", "interarrival", "service"}]}."""
-    try:
-        points = doc["points"]
-    except KeyError as exc:
-        raise ValidationError("calibration grid config needs a 'points' list") from exc
-    grid = []
-    for p in points:
-        grid.append((float(p["lam"]), spec_from_dict(p["interarrival"]),
-                     spec_from_dict(p["service"])))
-    return grid
+    if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
+        raise ValidationError("calibration grid config needs a 'points' list")
+    with parsing("calibration grid point"):
+        return [(float(p["lam"]), spec_from_dict(p["interarrival"]), spec_from_dict(p["service"]))
+                for p in doc["points"]]
 
 
 def _fmt(x: float) -> str:

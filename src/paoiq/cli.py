@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import calibration, experiments
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, parsing
 from .robust_bounds import (
     UncertaintyParams,
     bound_robust1_single,
@@ -43,14 +43,17 @@ def _fmt(x: float) -> str:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     doc = _load_json(args.config)
-    try:
+    with parsing("simulate config"):
         params = SystemParams(
             lam=float(doc["lam"]),
             mu=float(doc["mu"]),
@@ -59,15 +62,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         ia_spec = spec_from_dict(doc["interarrival"])
         svc_spec = spec_from_dict(doc["service"])
-    except KeyError as exc:
-        raise ValidationError(f"simulate config is missing field {exc}") from exc
-    seed = args.seed if args.seed is not None else int(doc.get("master_seed", 0))
+        replications = int(doc.get("replications", 50))
+        warmup = float(doc.get("warmup_fraction", 0.1))
+        seed = args.seed if args.seed is not None else int(doc.get("master_seed", 0))
     summary = replicate(
         params,
         ia_spec,
         svc_spec,
-        replications=int(doc.get("replications", 50)),
-        warmup_fraction=float(doc.get("warmup_fraction", 0.1)),
+        replications=replications,
+        warmup_fraction=warmup,
         master_seed=seed,
     )
     src1, src2 = summary.per_source_paoi or ("", "")
@@ -131,11 +134,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     if args.grid is not None:
         doc = _load_json(args.grid)
         grid = calibration.grid_from_config(doc)
-        mu = float(doc.get("mu", 1.0))
-        n = int(doc.get("n", 20_000))
-        replications = int(doc.get("replications", 10))
-        warmup = float(doc.get("warmup_fraction", 0.1))
-        master_seed = int(doc.get("master_seed", 0))
+        with parsing("calibration grid config"):
+            mu = float(doc.get("mu", 1.0))
+            n = int(doc.get("n", 20_000))
+            replications = int(doc.get("replications", 10))
+            warmup = float(doc.get("warmup_fraction", 0.1))
+            master_seed = int(doc.get("master_seed", 0))
         provenance = {"grid_file": args.grid}
     else:
         mu, n, replications, warmup, master_seed = 1.0, 20_000, 10, 0.1, 0

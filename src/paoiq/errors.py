@@ -4,6 +4,10 @@ The CLI maps these onto exit codes: validation problems exit 1, numeric
 failures exit 2, I/O errors exit 3.
 """
 
+from __future__ import annotations
+
+import contextlib
+
 
 class PaoiqError(Exception):
     """Base class for all errors raised by this package."""
@@ -31,3 +35,21 @@ class NoSolutionError(NumericError):
 
 class SingularDesignError(NumericError):
     """A regression design matrix is rank deficient."""
+
+
+@contextlib.contextmanager
+def parsing(what: str):
+    """Report malformed outside input parsed in the block as ValidationError.
+
+    A missing key, a wrong type or an unconvertible value raised while
+    reading ``what`` (a config document, a CSV file) becomes a
+    ValidationError naming it; ValidationErrors pass through unchanged.
+    """
+    try:
+        yield
+    except ValidationError:
+        raise
+    except KeyError as exc:
+        raise ValidationError(f"{what} is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc

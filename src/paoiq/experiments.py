@@ -23,7 +23,7 @@ from .calibration import (
     map_variability,
     read_theta_json,
 )
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, parsing
 from .robust_bounds import (
     UncertaintyParams,
     bound_robust1_single,
@@ -154,31 +154,33 @@ def config_from_json(doc: dict) -> SweepConfig:
         raise ValidationError(f"unknown sweep config fields: {sorted(unknown)}")
     if "scenario" not in doc:
         raise ValidationError("sweep config needs a 'scenario'")
-    theta = doc.get("theta", "builtin")
-    if theta == "builtin" or theta is None:
-        theta_coef = None
-    elif isinstance(theta, dict):
-        theta_coef = CalibrationCoefficients(
-            float(theta["theta0"]), float(theta["theta1"]), float(theta["theta2"]),
-            theta.get("scenario", doc["scenario"]),
+    with parsing("sweep config"):
+        theta = doc.get("theta", "builtin")
+        if theta == "builtin" or theta is None:
+            theta_coef = None
+        elif isinstance(theta, dict):
+            theta_coef = CalibrationCoefficients(
+                float(theta["theta0"]), float(theta["theta1"]), float(theta["theta2"]),
+                theta.get("scenario", doc["scenario"]),
+            )
+        elif isinstance(theta, str):
+            theta_coef = read_theta_json(theta)
+        else:
+            raise ValidationError(
+                f"theta must be 'builtin', an object, or a file path: {theta!r}")
+        return SweepConfig(
+            scenario=doc["scenario"],
+            mu=float(doc.get("mu", 1.0)),
+            lambdas=tuple(float(x) for x in doc.get("lambdas", ())),
+            interarrival_family=doc.get("interarrival_family", "exponential"),
+            service_family=doc.get("service_family", "exponential"),
+            n=int(doc.get("n", 100_000)),
+            replications=int(doc.get("replications", 50)),
+            warmup_fraction=float(doc.get("warmup_fraction", 0.1)),
+            master_seed=int(doc.get("master_seed", 0)),
+            theta=theta_coef,
+            methods=None if "methods" not in doc else tuple(doc["methods"]),
         )
-    elif isinstance(theta, str):
-        theta_coef = read_theta_json(theta)
-    else:
-        raise ValidationError(f"theta must be 'builtin', an object, or a file path: {theta!r}")
-    return SweepConfig(
-        scenario=doc["scenario"],
-        mu=float(doc.get("mu", 1.0)),
-        lambdas=tuple(float(x) for x in doc.get("lambdas", ())),
-        interarrival_family=doc.get("interarrival_family", "exponential"),
-        service_family=doc.get("service_family", "exponential"),
-        n=int(doc.get("n", 100_000)),
-        replications=int(doc.get("replications", 50)),
-        warmup_fraction=float(doc.get("warmup_fraction", 0.1)),
-        master_seed=int(doc.get("master_seed", 0)),
-        theta=theta_coef,
-        methods=None if "methods" not in doc else tuple(doc["methods"]),
-    )
 
 
 @dataclass(frozen=True)
@@ -324,18 +326,19 @@ def read_report_csv(path) -> SweepReport:
     if not lines or lines[0] != _REPORT_HEADER:
         raise ValidationError(f"{path} does not look like a sweep report")
     i = 1
-    while i < len(lines) and lines[i] != _SUMMARY_HEADER:
-        lam, sim_mean, sim_ci, method, bound, rel = lines[i].split(",")
-        report.rows.append(
-            SweepRow(float(lam), float(sim_mean), float(sim_ci), method,
-                     float(bound), float(rel))
-        )
-        i += 1
-    if i >= len(lines):
-        raise ValidationError(f"{path} is missing the summary block")
-    for line in lines[i + 1:]:
-        method, pct = line.split(",")
-        report.error_percents[method] = float(pct)
+    with parsing(f"sweep report {path}"):
+        while i < len(lines) and lines[i] != _SUMMARY_HEADER:
+            lam, sim_mean, sim_ci, method, bound, rel = lines[i].split(",")
+            report.rows.append(
+                SweepRow(float(lam), float(sim_mean), float(sim_ci), method,
+                         float(bound), float(rel))
+            )
+            i += 1
+        if i >= len(lines):
+            raise ValidationError(f"{path} is missing the summary block")
+        for line in lines[i + 1:]:
+            method, pct = line.split(",")
+            report.error_percents[method] = float(pct)
     return report
 
 

@@ -45,9 +45,9 @@ class UncertaintyParams:
     def __post_init__(self) -> None:
         if not 1.0 < self.alpha <= 2.0:
             raise ValidationError(f"alpha must be in (1, 2], got {self.alpha}")
-        if self.gamma_a < 0 or self.gamma_s < 0:
+        if not (0 <= self.gamma_a < math.inf and 0 <= self.gamma_s < math.inf):
             raise ValidationError(
-                f"variability parameters must be >= 0, got "
+                f"variability parameters must be finite and >= 0, got "
                 f"gamma_a={self.gamma_a}, gamma_s={self.gamma_s}"
             )
 
@@ -207,12 +207,14 @@ def kingman_bound(lam: float, mu: float, var_a: float | None, var_s: float | Non
     """Mean-variance bound on the expected system time:
     (lam/2) * (var_a + var_s) / (1 - rho) + 1/mu, for rho = lam/mu < 1.
     """
-    if not (lam > 0 and mu > 0):
-        raise ValidationError(f"rates must be positive, got lam={lam}, mu={mu}")
+    if not (0 < lam < math.inf and 0 < mu < math.inf):
+        raise ValidationError(f"rates must be finite and positive, got lam={lam}, mu={mu}")
     if var_a is None or var_s is None:
         raise ValidationError("kingman bound requires finite variances")
-    if var_a < 0 or var_s < 0:
-        raise ValidationError("variances must be >= 0")
+    if not (0 <= var_a < math.inf and 0 <= var_s < math.inf):
+        raise ValidationError(
+            f"variances must be finite and >= 0, got var_a={var_a}, var_s={var_s}"
+        )
     rho = lam / mu
     if rho >= 1.0:
         raise StabilityError(f"kingman bound requires lam < mu, got rho={rho}")

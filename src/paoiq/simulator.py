@@ -1,12 +1,13 @@
 """FCFS information-update queue simulation and peak-age extraction.
 
-Single-source paths run the Lindley waiting-time recursion through the
-kernel backend.  Two-source paths merge both arrival streams into one FCFS
+Single-source paths run the Lindley waiting-time recursion of
+``kernels.lindley_system_times``.  Two-source paths merge both arrival streams into one FCFS
 queue (ties broken toward source 1) and extract per-source peak-age traces.
 
 ``replicate`` runs these steps on the raw sampled arrays and reduces them
-straight to means: it builds no per-path objects and re-checks nothing the
-sampler already guarantees.  ``simulate_fcfs``, ``paoi_trace_single``,
+straight to means: it builds no per-path objects, re-checks nothing the
+sampler already guarantees, and samples and computes every replication in
+one workspace allocated per call.  ``simulate_fcfs``, ``paoi_trace_single``,
 ``merge_arrivals``, ``simulate_two_source`` and ``paoi_trace_two_source``
 are inspection wrappers over the same private steps: they validate their
 input and return the per-update arrays as dataclasses.
@@ -105,48 +106,59 @@ class ReplicationSummary:
 
 
 # The private steps below are shared by ``replicate`` and the public
-# wrappers; their float64 inputs are not checked.
+# wrappers; their float64 inputs are not checked.  With ``out`` given they
+# write into it and allocate nothing.
 
-def _single_trace(t: np.ndarray, s: np.ndarray):
-    """(peaks, interarrivals, system times) of deliveries 2..n of a single-source path."""
-    t_tail = t[1:]
-    s_tail = s[1:]
-    return t_tail + s_tail, t_tail, s_tail
+def _single_peaks(t: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Peak ages T_i + S_i of deliveries 2..n of a single-source path."""
+    return np.add(t[1:], s[1:], out=out)
 
 
-def _source_trace(a: np.ndarray, s: np.ndarray):
-    """(peaks, interarrivals, system times) of deliveries 2..n of one merged source.
+def _source_peaks(a: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Peak ages of deliveries 2..k of one merged source.
 
     ``a`` and ``s`` are the source's arrival and system times in its own
-    order.  The system time is taken as finish minus arrival,
+    order.  ``s[1:]`` is overwritten by finish minus arrival,
     ``(a + s) - a``, which is not bitwise ``s``; report CSVs depend on it.
     """
-    t_tail = np.diff(a)
-    s_tail = (a[1:] + s[1:]) - a[1:]
-    return t_tail + s_tail, t_tail, s_tail
+    a_tail = a[1:]
+    s_tail = s[1:]
+    np.add(a_tail, s_tail, out=s_tail)
+    np.subtract(s_tail, a_tail, out=s_tail)
+    peaks = np.subtract(a_tail, a[:-1], out=out)
+    return np.add(peaks, s_tail, out=peaks)
 
 
-def _merge(a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merged arrival times and the permutation of ``concatenate([a1, a2])`` that sorts them.
+def _merge(times: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Merged arrival times and the permutation of ``times`` that sorts them.
 
-    The sort is stable and source 1 comes first in the concatenation, so
-    ties go to source 1 and each source keeps its own order.
+    ``times`` holds source 1's arrival times followed by source 2's.  The
+    sort is stable, so ties go to source 1 and each source keeps its own
+    order.
     """
-    times = np.concatenate([a1, a2])
     order = np.argsort(times, kind="stable")
-    return times[order], order
+    # a permutation is never out of range, and mode="raise" would copy ``out``
+    return np.take(times, order, out=out, mode="clip"), order
 
 
-def _merged_system_times(merged: np.ndarray, services: np.ndarray) -> np.ndarray:
+def _merged_system_times(merged: np.ndarray, services: np.ndarray,
+                         gaps: np.ndarray | None = None,
+                         work: np.ndarray | None = None) -> np.ndarray:
     """System times of the FCFS queue fed by a non-empty merged arrival sequence."""
-    gaps = np.empty_like(merged)
+    if gaps is None:
+        gaps = np.empty_like(merged)
     gaps[0] = merged[0]
     np.subtract(merged[1:], merged[:-1], out=gaps[1:])
-    return kernels.lindley_system_times(gaps, services)
+    return kernels.lindley_system_times(gaps, services, work)
+
+
+def _kept(count: int, fraction: float) -> int:
+    """Index of the first post-warmup entry among ``count`` entries."""
+    return int(fraction * count)
 
 
 def _post_warmup(x: np.ndarray, fraction: float) -> np.ndarray:
-    return x[int(fraction * len(x)):]
+    return x[_kept(len(x), fraction):]
 
 
 def _values(x) -> np.ndarray:
@@ -198,7 +210,8 @@ def paoi_trace_single(result: QueueResult, interarrivals) -> PAoITrace:
         slack = 1e-9 * max(abs(result.arrival_times[-1]), 1.0)
         if not np.allclose(np.diff(result.arrival_times), t[1:], rtol=0.0, atol=slack):
             raise ValidationError("interarrival stream does not match the simulated path")
-    return PAoITrace(*_single_trace(t, result.system_times))
+    s = result.system_times
+    return PAoITrace(_single_peaks(t, s), t[1:], s[1:])
 
 
 def merge_arrivals(arrivals_1: np.ndarray, arrivals_2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +224,7 @@ def merge_arrivals(arrivals_1: np.ndarray, arrivals_2: np.ndarray) -> tuple[np.n
     a2 = np.asarray(arrivals_2, dtype=np.float64)
     if len(a1) + len(a2) == 0:
         raise ValidationError("both arrival streams are empty")
-    merged, order = _merge(a1, a2)
+    merged, order = _merge(np.concatenate([a1, a2]))
     return merged, np.where(order < len(a1), 1, 2)
 
 
@@ -256,10 +269,13 @@ def paoi_trace_two_source(result: QueueResult) -> tuple[PAoITrace, PAoITrace]:
     if result.source_ids is None:
         raise ValidationError("result does not carry source ids; not a two-source path")
     from1 = result.source_ids == 1
-    return tuple(
-        PAoITrace(*_source_trace(result.arrival_times[mask], result.system_times[mask]))
-        for mask in (from1, ~from1)
-    )
+    traces = []
+    for mask in (from1, ~from1):
+        a = result.arrival_times[mask]
+        s = result.system_times[mask]
+        peaks = _source_peaks(a, s)
+        traces.append(PAoITrace(peaks, np.diff(a), s[1:]))
+    return tuple(traces)
 
 
 def replicate(
@@ -296,37 +312,58 @@ def replicate(
             stacklevel=2,
         )
 
+    n = params.n
     paoi_means = np.empty(replications)
     system_means = np.empty(replications)
     src_means = np.empty((replications, 2)) if params.sources == 2 else None
-    n1 = (params.n + 1) // 2
-    n2 = params.n // 2
+    # one workspace for every replication; work[0] ends up holding the
+    # system times and work[1] the post-warmup peaks
+    work = np.empty((3, n))
+    x = np.empty(n)
 
-    for r in range(replications):
-        if params.sources == 1:
-            t = sample_stream(interarrival_spec, params.n,
-                              derive_seed(master_seed, r, ROLE_ARRIVAL_1)).values
-            x = sample_stream(service_spec, params.n,
-                              derive_seed(master_seed, r, ROLE_SERVICE)).values
-            s = kernels.lindley_system_times(t, x)
-            paoi_means[r] = _post_warmup(_single_trace(t, s)[0], warmup_fraction).mean()
-        else:
-            a1 = np.cumsum(sample_stream(interarrival_spec, n1,
-                                         derive_seed(master_seed, r, ROLE_ARRIVAL_1)).values)
-            a2 = np.cumsum(sample_stream(interarrival_spec, n2,
-                                         derive_seed(master_seed, r, ROLE_ARRIVAL_2)).values)
-            x = sample_stream(service_spec, params.n,
-                              derive_seed(master_seed, r, ROLE_SERVICE)).values
-            merged, order = _merge(a1, a2)
-            s = _merged_system_times(merged, x)
-            from1 = order < n1
-            # compress selects what s[mask] does, several times faster on an
-            # interleaved mask
-            kept = [_post_warmup(_source_trace(a, s_src)[0], warmup_fraction)
-                    for a, s_src in ((a1, s.compress(from1)), (a2, s.compress(~from1)))]
-            src_means[r] = [k.mean() for k in kept]
-            paoi_means[r] = np.concatenate(kept).mean()
-        system_means[r] = _post_warmup(s, warmup_fraction).mean()
+    if params.sources == 1:
+        t = np.empty(n)
+        w = _kept(n - 1, warmup_fraction)
+        peaks = work[1, :n - 1 - w]
+        for r in range(replications):
+            sample_stream(interarrival_spec, n, derive_seed(master_seed, r, ROLE_ARRIVAL_1),
+                          out=t)
+            sample_stream(service_spec, n, derive_seed(master_seed, r, ROLE_SERVICE), out=x)
+            s = kernels.lindley_system_times(t, x, work)
+            # peaks of the post-warmup deliveries only
+            _single_peaks(t[w:], s[w:], out=peaks)
+            paoi_means[r] = peaks.mean()
+            system_means[r] = _post_warmup(s, warmup_fraction).mean()
+    else:
+        n1, n2 = (n + 1) // 2, n // 2
+        # source 1's arrival times, then source 2's
+        times = np.empty(n)
+        a1, a2 = times[:n1], times[n1:]
+        # per-source system times in the same layout
+        by_source = np.empty(n)
+        s1, s2 = by_source[:n1], by_source[n1:]
+        gaps = np.empty(n)
+        w1 = _kept(n1 - 1, warmup_fraction)
+        w2 = _kept(n2 - 1, warmup_fraction)
+        k1 = n1 - 1 - w1
+        # both sources' post-warmup peaks side by side
+        peaks = work[1, :k1 + n2 - 1 - w2]
+        for r in range(replications):
+            for a, role in ((a1, ROLE_ARRIVAL_1), (a2, ROLE_ARRIVAL_2)):
+                draws = work[0, :len(a)]
+                sample_stream(interarrival_spec, len(a),
+                              derive_seed(master_seed, r, role), out=draws)
+                np.cumsum(draws, out=a)
+            sample_stream(service_spec, n, derive_seed(master_seed, r, ROLE_SERVICE), out=x)
+            merged, order = _merge(times, out=work[0])
+            s = _merged_system_times(merged, x, gaps, work)
+            # order[i] is the source-layout index of the i-th merged update
+            by_source[order] = s
+            _source_peaks(a1[w1:], s1[w1:], out=peaks[:k1])
+            _source_peaks(a2[w2:], s2[w2:], out=peaks[k1:])
+            src_means[r] = peaks[:k1].mean(), peaks[k1:].mean()
+            paoi_means[r] = peaks.mean()
+            system_means[r] = _post_warmup(s, warmup_fraction).mean()
 
     if replications > 1:
         half_width = 1.96 * paoi_means.std(ddof=1) / np.sqrt(replications)

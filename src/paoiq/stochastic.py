@@ -28,7 +28,7 @@ from .errors import ValidationError
 
 KINDS = ("exponential", "folded_normal", "uniform", "pareto")
 
-_TWO_53 = float(2**53)
+_TWO_M53 = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -167,27 +167,48 @@ class SampleStream:
         return len(self.values)
 
 
-def sample_stream(spec: DistributionSpec, count: int, seed: int) -> SampleStream:
-    """Draw ``count`` i.i.d. values from ``spec``, deterministic in (spec, seed, count)."""
+def sample_stream(spec: DistributionSpec, count: int, seed: int,
+                  out: np.ndarray | None = None) -> SampleStream:
+    """Draw ``count`` i.i.d. values from ``spec``, deterministic in (spec, seed, count).
+
+    ``out`` is an optional caller-owned float64 array of shape (count,); the
+    values are then written into it and the stream holds it as ``values``.
+    """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
+    if out is None:
+        out = np.empty(count)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == (count,)):
+        raise ValidationError(
+            f"out must be a float64 array of shape ({count},), got "
+            f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"
+        )
     rng = np.random.Generator(np.random.PCG64(seed))
-    # uniforms strictly inside (0, 1) so every transform below stays positive
-    u = rng.integers(1, 2**53, size=count).astype(np.float64) / _TWO_53
+    # uniforms strictly inside (0, 1) so every transform below stays positive;
+    # scaling by 2**-53 is exact, so this equals a division by 2**53
+    u = np.multiply(rng.integers(1, 2**53, size=count), _TWO_M53, out=out)
     p = dict(spec.params)
     if spec.kind == "exponential":
-        values = -np.log(u) / p["rate"]
+        # -log(u) / rate, with the sign moved onto the divisor (bitwise equal)
+        np.log(u, out=u)
+        np.divide(u, -p["rate"], out=u)
     elif spec.kind == "folded_normal":
-        values = np.abs(p["location"] + p["scale"] * ndtri(u))
+        ndtri(u, out=u)
+        np.multiply(p["scale"], u, out=u)
+        np.add(p["location"], u, out=u)
+        np.abs(u, out=u)
         # exact zero has measure zero but would break the positivity contract
-        values = np.maximum(values, np.finfo(np.float64).tiny)
+        np.maximum(u, np.finfo(np.float64).tiny, out=u)
     elif spec.kind == "uniform":
-        values = 2.0 * p["mean"] * u
+        np.multiply(2.0 * p["mean"], u, out=u)
     elif spec.kind == "pareto":
-        values = p["scale"] * u ** (-1.0 / p["shape"])
+        # in-place ``**=`` takes the same scalar-exponent path as ``u ** e``
+        u **= -1.0 / p["shape"]
+        np.multiply(p["scale"], u, out=u)
     else:  # pragma: no cover - specs are only built by the factories above
         raise ValidationError(f"unknown distribution kind {spec.kind!r}")
-    return SampleStream(values=values, seed=int(seed), spec=spec)
+    return SampleStream(values=u, seed=int(seed), spec=spec)
 
 
 def _norm_cdf(x: float) -> float:

@@ -220,6 +220,49 @@ class TestCli:
         assert captured.out == ""
         assert "post-warmup peak" in captured.err
 
+    @pytest.mark.parametrize("method, values", [
+        ("robust2", ["--gamma-a", "nan", "--gamma-s", "1", "--n", "100"]),
+        ("kingman", ["--var-a", "nan", "--var-s", "1"]),
+    ])
+    def test_bound_nan_parameter_exit_one(self, capsys, method, values):
+        assert main(["bound", "--method", method, "--lambda", "0.5", "--mu", "1", *values]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    SIM = {"lam": 0.5, "mu": 1.0, "n": 100,
+           "interarrival": {"kind": "exponential", "rate": 0.5},
+           "service": {"kind": "exponential", "rate": 1.0}}
+    REPORT = "lambda,sim_paoi_mean,sim_paoi_ci95,method,bound_paoi,rel_error\n"
+
+    @pytest.mark.parametrize("command, name, content", [
+        ("simulate", "sim.json", json.dumps({**SIM, "lam": "abc"})),
+        ("simulate", "sim.json", json.dumps([SIM])),
+        ("sweep", "sweep.json", json.dumps(7)),
+        ("calibrate", "grid.json", json.dumps(["points"])),
+        ("calibrate", "grid.json", json.dumps({"points": [{"lam": 0.5}]})),
+        ("sweep", "sweep.json", json.dumps({"scenario": "single", "theta": {"theta0": 1.0}})),
+        ("sweep", "sweep.json", json.dumps({"scenario": "single", "n": "many"})),
+        ("report", "report.csv", REPORT + "0.5,3\nmethod,error_percent\n"),
+        ("report", "report.csv", REPORT + "method,error_percent\nrobust2,abc\n"),
+    ], ids=["simulate-text-rate", "simulate-list", "sweep-number", "calibrate-list",
+            "calibrate-point-fields", "sweep-theta-fields", "sweep-text-n",
+            "report-short-row", "report-text-percent"])
+    def test_malformed_input_exit_one(self, tmp_path, capsys, command, name, content):
+        path = tmp_path / name
+        path.write_text(content)
+        flag = {"simulate": "--config", "sweep": "--config", "calibrate": "--grid",
+                "report": "--in"}[command]
+        argv = [command, flag, str(path)]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "r.csv")]
+        if command == "calibrate":
+            argv += ["--scenario", "single", "--out", str(tmp_path / "theta.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_sweep_and_report(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path)
         out_csv = tmp_path / "report.csv"

@@ -1,9 +1,11 @@
-"""Backend parity: the compiled kernels must agree with the NumPy fallback."""
+"""The NumPy kernels against plain-Python references."""
 
 import numpy as np
 import pytest
 
-from paoiq import _kernels_py, kernels
+import paoiq
+from paoiq import kernels
+from paoiq.errors import ValidationError
 
 
 def tuples(count, seed, two_source=False):
@@ -19,8 +21,35 @@ def tuples(count, seed, two_source=False):
         yield lam, mu, alpha, ga, gs, n
 
 
+def scalar_lindley(t, x):
+    """S_k = max(0, S_{k-1} - T_k) + X_k, one update at a time."""
+    out, s = [], 0.0
+    for tk, xk in zip(t, x):
+        s = max(0.0, s - tk) + xk
+        out.append(s)
+    return out
+
+
+def reference_max(f, grid):
+    """(max of f over grid, its smallest argmax)."""
+    return max(((f(m), m) for m in grid), key=lambda vm: (vm[0], -vm[1]))
+
+
+def f_single(lam, mu, alpha, ga, gs):
+    return lambda m: (m + 1) / mu - m / lam + gs * (m + 1) ** (1 / alpha) + ga * m ** (1 / alpha)
+
+
+def f_two(lam, mu, alpha, ga, gs):
+    def f(m):
+        if m == -0.5:
+            return 1 / mu + gs
+        return (2 * (m + 1) / mu - m / lam
+                + 2 * gs * (m + 1) ** (1 / alpha) + ga * m ** (1 / alpha))
+    return f
+
+
 def test_backend_reported():
-    assert kernels.BACKEND in ("cython", "python")
+    assert kernels.BACKEND == paoiq.BACKEND == "python"
 
 
 def test_lindley_parity():
@@ -29,35 +58,58 @@ def test_lindley_parity():
         n = int(rng.integers(1, 2000))
         t = rng.exponential(1.0, n)
         x = rng.exponential(0.9, n)
-        a = kernels.lindley_system_times(t, x)
-        b = _kernels_py.lindley_system_times(t, x)
-        assert np.allclose(a, b, rtol=1e-9, atol=1e-9)
+        assert np.allclose(kernels.lindley_system_times(t, x), scalar_lindley(t, x),
+                           rtol=1e-9, atol=1e-9)
 
 
 def test_exact_single_parity():
     for lam, mu, alpha, ga, gs, n in tuples(500, seed=2):
-        va, ma = kernels.exact_single_max(lam, mu, alpha, ga, gs, n)
-        vb, mb = _kernels_py.exact_single_max(lam, mu, alpha, ga, gs, n)
-        assert va == pytest.approx(vb, rel=1e-12)
-        assert ma == mb
+        value, m = kernels.exact_single_max(lam, mu, alpha, ga, gs, n)
+        f = f_single(lam, mu, alpha, ga, gs)
+        ref_value, ref_m = reference_max(f, range(n))
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        # pow may differ in its last ulp, so a near-tie may pick another m
+        assert m == ref_m or f(m) == pytest.approx(ref_value, rel=1e-12)
 
 
 def test_exact_two_parity():
     for lam, mu, alpha, ga, gs, n in tuples(500, seed=3, two_source=True):
-        va, ma = kernels.exact_two_max(lam, mu, alpha, ga, gs, n)
-        vb, mb = _kernels_py.exact_two_max(lam, mu, alpha, ga, gs, n)
-        assert va == pytest.approx(vb, rel=1e-12)
-        assert ma == mb
+        value, m = kernels.exact_two_max(lam, mu, alpha, ga, gs, n)
+        f = f_two(lam, mu, alpha, ga, gs)
+        ref_value, ref_m = reference_max(f, [0.5 * k - 0.5 for k in range(n)])
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        assert m == ref_m or f(m) == pytest.approx(ref_value, rel=1e-12)
 
 
 def test_lindley_single_element():
-    for impl in (kernels, _kernels_py):
-        out = impl.lindley_system_times(np.array([2.0]), np.array([0.7]))
-        assert out.tolist() == [0.7]
+    out = kernels.lindley_system_times(np.array([2.0]), np.array([0.7]))
+    assert out.tolist() == [0.7]
 
 
 def test_exact_single_tie_breaks_to_smallest_m():
-    # gammas zero and lam == mu make f constant; both backends must report m=0
-    for impl in (kernels, _kernels_py):
-        _, m = impl.exact_single_max(1.0, 1.0, 2.0, 0.0, 0.0, 50)
-        assert m == 0
+    # gammas zero and lam == mu make f constant, so m = 0 must be reported
+    _, m = kernels.exact_single_max(1.0, 1.0, 2.0, 0.0, 0.0, 50)
+    assert m == 0
+
+
+def test_lindley_work_matches_allocating_call():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 1000):
+        t = rng.exponential(1.0, n)
+        x = rng.exponential(0.9, n)
+        work = np.full((3, n), np.nan)  # stale contents must not leak in
+        out = kernels.lindley_system_times(t, x, work=work)
+        assert np.shares_memory(out, work)
+        assert np.array_equal(out, kernels.lindley_system_times(t, x))
+
+
+@pytest.mark.parametrize("work", [
+    np.empty((2, 10)),
+    np.empty((3, 11)),
+    np.empty((3, 10), dtype=np.float32),
+    np.empty(30),
+    [[0.0] * 10] * 3,
+], ids=["rows", "length", "float32", "flat", "list"])
+def test_lindley_work_rejects_wrong_shape_or_dtype(work):
+    with pytest.raises(ValidationError, match="work must be"):
+        kernels.lindley_system_times(np.ones(10), np.ones(10), work=work)

@@ -73,6 +73,14 @@ class TestUncertaintyParams:
         with pytest.raises(ValidationError):
             UncertaintyParams(2.0, 0.0, -0.1)
 
+    @pytest.mark.parametrize("alpha, gamma_a, gamma_s", [
+        (math.nan, 1.0, 1.0), (2.0, math.nan, 1.0), (2.0, 1.0, math.nan),
+        (2.0, math.inf, 1.0), (2.0, 1.0, math.inf),
+    ])
+    def test_non_finite_rejected(self, alpha, gamma_a, gamma_s):
+        with pytest.raises(ValidationError):
+            UncertaintyParams(alpha, gamma_a, gamma_s)
+
 
 class TestExactSingle:
     def test_deterministic_light_load(self):
@@ -207,6 +215,14 @@ class TestKingman:
     def test_rejects_unavailable_variance(self):
         with pytest.raises(ValidationError):
             kingman_bound(0.5, 1.0, None, 1.0)
+
+    @pytest.mark.parametrize("lam, mu, var_a, var_s", [
+        (0.5, 1.0, math.nan, 1.0), (0.5, 1.0, 1.0, math.nan), (0.5, 1.0, math.inf, 1.0),
+        (math.nan, 1.0, 1.0, 1.0), (0.5, math.nan, 1.0, 1.0), (0.5, math.inf, 1.0, 1.0),
+    ])
+    def test_non_finite_rejected(self, lam, mu, var_a, var_s):
+        with pytest.raises(ValidationError):
+            kingman_bound(lam, mu, var_a, var_s)
 
 
 class TestPaoiConversion:

@@ -17,7 +17,7 @@ from paoiq.simulator import (
     simulate_fcfs,
     simulate_two_source,
 )
-from paoiq.stochastic import make_exponential, sample_stream
+from paoiq.stochastic import make_exponential, make_pareto, sample_stream
 
 
 def brute_force_system_times(t, x):
@@ -352,14 +352,20 @@ def rebuilt_through_wrappers(params, ia_spec, svc_spec, replications, warmup, ma
 class TestReplicateParity:
     """replicate() and the inspection wrappers agree to the last bit."""
 
+    @staticmethod
+    def spec(family, mean):
+        if family == "pareto":
+            return make_pareto(2.5, mean * 1.5 / 2.5)  # shape 2.5, given mean
+        return family_spec(family, mean)
+
     @pytest.mark.parametrize("warmup", [0.0, 0.5])
-    @pytest.mark.parametrize("family", ["exponential", "normal", "uniform"])
+    @pytest.mark.parametrize("family", ["exponential", "normal", "uniform", "pareto"])
     @pytest.mark.parametrize("sources", [1, 2])
     def test_bitwise_equal_to_wrappers(self, sources, family, warmup):
         lam = 0.6 / sources
         params = SystemParams(lam, 1.0, 2_001, sources)  # odd n: uneven source split
-        ia_spec = family_spec(family, 1.0 / lam)
-        svc_spec = family_spec(family, 1.0)
+        ia_spec = self.spec(family, 1.0 / lam)
+        svc_spec = self.spec(family, 1.0)
         summary = replicate(params, ia_spec, svc_spec, replications=3,
                             warmup_fraction=warmup, master_seed=23)
         paoi, system, per_source = rebuilt_through_wrappers(

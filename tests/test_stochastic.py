@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from paoiq.errors import ValidationError
 from paoiq.stochastic import (
@@ -120,6 +121,55 @@ def test_sample_stream_deterministic():
     assert np.array_equal(a.values, b.values)
     c = sample_stream(make_exponential(1.0), 10_000, 43)
     assert not np.array_equal(a.values, c.values)
+
+
+SAMPLED_FAMILIES = [
+    make_exponential(0.5),
+    make_folded_normal(1.0, 0.5),
+    make_uniform_mean(1.5),
+    make_pareto(2.5, 1.0),
+]
+
+
+def reference_stream(spec, count, seed):
+    """The sampling contract written out with allocating NumPy expressions."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u = rng.integers(1, 2**53, size=count).astype(np.float64) / float(2**53)
+    p = dict(spec.params)
+    if spec.kind == "exponential":
+        return -np.log(u) / p["rate"]
+    if spec.kind == "folded_normal":
+        values = np.abs(p["location"] + p["scale"] * ndtri(u))
+        return np.maximum(values, np.finfo(np.float64).tiny)
+    if spec.kind == "uniform":
+        return 2.0 * p["mean"] * u
+    return p["scale"] * u ** (-1.0 / p["shape"])
+
+
+@pytest.mark.parametrize("spec", SAMPLED_FAMILIES, ids=lambda s: s.kind)
+def test_sample_stream_bitwise_contract(spec):
+    for count, seed in ((1, 0), (10_000, 42)):
+        assert np.array_equal(sample_stream(spec, count, seed).values,
+                              reference_stream(spec, count, seed))
+
+
+@pytest.mark.parametrize("spec", SAMPLED_FAMILIES, ids=lambda s: s.kind)
+def test_sample_stream_out_matches_allocating_call(spec):
+    out = np.full(10_000, np.nan)
+    stream = sample_stream(spec, 10_000, 42, out=out)
+    assert stream.values is out
+    assert np.array_equal(out, sample_stream(spec, 10_000, 42).values)
+
+
+@pytest.mark.parametrize("out", [
+    np.empty(9),
+    np.empty(10, dtype=np.float32),
+    np.empty((10, 1)),
+    [0.0] * 10,
+], ids=["length", "float32", "2d", "list"])
+def test_sample_stream_out_rejects_wrong_shape_or_dtype(out):
+    with pytest.raises(ValidationError, match="out must be"):
+        sample_stream(make_exponential(1.0), 10, 0, out=out)
 
 
 @pytest.mark.parametrize(
