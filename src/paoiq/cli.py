@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``simulate``, ``bound``, ``calibrate``, ``sweep``, ``report``.
-Exit codes: 0 success, 1 validation error, 2 runtime/numeric error,
-3 I/O error.
+Exit codes: 0 success, 1 validation or usage error, 2 runtime/numeric
+error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import math
 import sys
 
 from . import calibration, experiments
-from .errors import NumericError, ValidationError, parsing
+from .errors import NumericError, ValidationError, json_int, parsing
 from .robust_bounds import (
+    METHODS,
     UncertaintyParams,
     bound_robust1_single,
     bound_robust2_single,
@@ -27,8 +28,6 @@ from .robust_bounds import (
 )
 from .simulator import SystemParams, replicate
 from .stochastic import spec_from_dict
-
-_BOUND_METHODS = ("kingman", "robust1", "robust2", "robust3", "exact_single", "exact_two")
 
 # Default calibration grids: per-source rates as fractions of mu, crossed
 # with every pairing of the three sweep families.
@@ -57,14 +56,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         params = SystemParams(
             lam=float(doc["lam"]),
             mu=float(doc["mu"]),
-            n=int(doc.get("n", 100_000)),
-            sources=int(doc.get("sources", 1)),
+            n=json_int(doc.get("n", 100_000), "n"),
+            sources=json_int(doc.get("sources", 1), "sources"),
         )
         ia_spec = spec_from_dict(doc["interarrival"])
         svc_spec = spec_from_dict(doc["service"])
-        replications = int(doc.get("replications", 50))
+        replications = json_int(doc.get("replications", 50), "replications")
         warmup = float(doc.get("warmup_fraction", 0.1))
-        seed = args.seed if args.seed is not None else int(doc.get("master_seed", 0))
+        seed = (args.seed if args.seed is not None
+                else json_int(doc.get("master_seed", 0), "master_seed"))
     summary = replicate(
         params,
         ia_spec,
@@ -88,8 +88,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     method = args.method.replace("-", "_")
-    if method not in _BOUND_METHODS:
-        raise ValidationError(f"unknown method {args.method!r}; expected one of {_BOUND_METHODS}")
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {args.method!r}; expected one of {METHODS}")
     if method == "kingman":
         if args.var_a is None or args.var_s is None:
             raise ValidationError("kingman needs --var-a and --var-s")
@@ -136,10 +136,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         grid = calibration.grid_from_config(doc)
         with parsing("calibration grid config"):
             mu = float(doc.get("mu", 1.0))
-            n = int(doc.get("n", 20_000))
-            replications = int(doc.get("replications", 10))
+            n = json_int(doc.get("n", 20_000), "n")
+            replications = json_int(doc.get("replications", 10), "replications")
             warmup = float(doc.get("warmup_fraction", 0.1))
-            master_seed = int(doc.get("master_seed", 0))
+            master_seed = json_int(doc.get("master_seed", 0), "master_seed")
         provenance = {"grid_file": args.grid}
     else:
         mu, n, replications, warmup, master_seed = 1.0, 20_000, 10, 0.1, 0
@@ -180,8 +180,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like other invalid input; 2 is for numeric errors."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="paoiq",
         description="Peak age-of-information: FCFS simulation vs robust worst-case bounds.",
     )

@@ -53,3 +53,14 @@ def parsing(what: str):
         raise ValidationError(f"{what} is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
+def json_int(value, name: str) -> int:
+    """A count read from outside input: only an integer (not a bool) passes.
+
+    ``int()`` would truncate 2.7 to 2 and accept "10"; a malformed count
+    raises ValidationError instead, as ``SystemParams`` does for ``n``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return value

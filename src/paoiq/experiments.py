@@ -23,7 +23,7 @@ from .calibration import (
     map_variability,
     read_theta_json,
 )
-from .errors import NumericError, ValidationError, parsing
+from .errors import NumericError, ValidationError, json_int, parsing
 from .robust_bounds import (
     UncertaintyParams,
     bound_robust1_single,
@@ -174,10 +174,10 @@ def config_from_json(doc: dict) -> SweepConfig:
             lambdas=tuple(float(x) for x in doc.get("lambdas", ())),
             interarrival_family=doc.get("interarrival_family", "exponential"),
             service_family=doc.get("service_family", "exponential"),
-            n=int(doc.get("n", 100_000)),
-            replications=int(doc.get("replications", 50)),
+            n=json_int(doc.get("n", 100_000), "n"),
+            replications=json_int(doc.get("replications", 50), "replications"),
             warmup_fraction=float(doc.get("warmup_fraction", 0.1)),
-            master_seed=int(doc.get("master_seed", 0)),
+            master_seed=json_int(doc.get("master_seed", 0), "master_seed"),
             theta=theta_coef,
             methods=None if "methods" not in doc else tuple(doc["methods"]),
         )

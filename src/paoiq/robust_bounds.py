@@ -2,24 +2,23 @@
 
 The uncertainty model constrains normalized partial sums of service and
 interarrival times by variability parameters (gamma_s, gamma_a) and a tail
-coefficient alpha in (1, 2].  Available methods:
+coefficient alpha in (1, 2].  With k = 1 or 2 symmetric sources the worst
+case is the max of
 
-* ``exact_single`` - exact worst case for one source, enumerated over the
-  integer grid m = 0..n-1 of
-  f(m) = (m+1)/mu - m/lam + gamma_s*(m+1)^(1/alpha) + gamma_a*m^(1/alpha);
+    f(m) = k(m+1)/mu - m/lam + k*gamma_s*(m+1)^(1/alpha) + gamma_a*m^(1/alpha)
+
+over the grid m = 0, 1/k, ..., n/k - 1, plus for k = 2 the empty window
+m = -1/2 where f = 1/mu + gamma_s.  Available methods:
+
+* ``exact_single`` / ``exact_two`` - that max by enumeration (k = 1 / 2);
+* ``robust2`` / ``robust3``        - closed forms equal to it, an argmax
+  over a few candidates around the continuous stationary point l;
 * ``robust1``      - closed-form relaxation, n-independent, tight at high load;
-* ``robust2``      - closed form equal to exact_single via a three-candidate
-  argmax around the continuous stationary point l;
-* ``exact_two``    - two-symmetric-source worst case on the half-integer grid
-  m = -1/2, 0, 1/2, ..., n/2-1 of
-  f(m) = 2(m+1)/mu - m/lam + 2*gamma_s*(m+1)^(1/alpha) + gamma_a*m^(1/alpha),
-  with f(-1/2) = 1/mu + gamma_s (empty interarrival sum);
-* ``robust3``      - closed form equal to exact_two via five half-integer
-  candidates;
 * ``kingman``      - classical mean-variance bound on the expected system time.
 
 System-time bounds convert to peak-age bounds by adding the mean
-interarrival time (``paoi_from_system_bound``).
+interarrival time (``paoi_from_system_bound``).  A bound that is not finite
+raises NumericError.
 """
 
 from __future__ import annotations
@@ -28,10 +27,14 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .errors import StabilityError, ValidationError
+from .errors import NumericError, StabilityError, ValidationError
 from .simulator import SystemParams
 
 METHODS = ("exact_single", "robust1", "robust2", "exact_two", "robust3", "kingman")
+
+# Enumeration allocates about 31 bytes per grid point; this keeps one under
+# about 0.3 GB.
+MAX_ENUMERATION_N = 10**7
 
 
 @dataclass(frozen=True)
@@ -62,20 +65,22 @@ class BoundResult:
     sys: SystemParams | None = None
     unc: UncertaintyParams | None = None
 
-
-def f_single(m: float, lam: float, mu: float, alpha: float,
-             gamma_a: float, gamma_s: float) -> float:
-    ia = 1.0 / alpha
-    return (m + 1.0) / mu - m / lam + gamma_s * (m + 1.0) ** ia + gamma_a * m**ia
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise NumericError(f"{self.method} bound is not finite: {self.value}")
 
 
-def f_two(m: float, lam: float, mu: float, alpha: float,
-          gamma_a: float, gamma_s: float) -> float:
+def f(m: float, k: int, lam: float, mu: float, alpha: float,
+      gamma_a: float, gamma_s: float) -> float:
+    """Worst-case system time of a window of m interarrivals with k sources:
+    k(m+1)/mu - m/lam + k*gamma_s*(m+1)^(1/alpha) + gamma_a*m^(1/alpha),
+    and 1/mu + gamma_s at the two-source empty window m = -1/2.
+    """
     if m == -0.5:
         return 1.0 / mu + gamma_s
     ia = 1.0 / alpha
-    return (2.0 * (m + 1.0) / mu - m / lam
-            + 2.0 * gamma_s * (m + 1.0) ** ia + gamma_a * m**ia)
+    return (k * (m + 1.0) / mu - m / lam
+            + k * gamma_s * (m + 1.0) ** ia + gamma_a * m**ia)
 
 
 def worst_case_exact_single(sys: SystemParams, unc: UncertaintyParams) -> BoundResult:
@@ -85,10 +90,7 @@ def worst_case_exact_single(sys: SystemParams, unc: UncertaintyParams) -> BoundR
     maximum simply moves to m = n-1.
     """
     _require_sources(sys, 1)
-    value, m_star = kernels.exact_single_max(
-        sys.lam, sys.mu, unc.alpha, unc.gamma_a, unc.gamma_s, sys.n
-    )
-    return BoundResult(float(value), "exact_single", float(m_star), sys, unc)
+    return _enumerate(sys, unc, "exact_single")
 
 
 def bound_robust1_single(sys: SystemParams, unc: UncertaintyParams) -> BoundResult:
@@ -99,50 +101,24 @@ def bound_robust1_single(sys: SystemParams, unc: UncertaintyParams) -> BoundResu
             + 1/lam
     """
     _require_sources(sys, 1)
-    _require_stable_single(sys)
+    _require_stable(sys)
     a = unc.alpha
     beta = a / (a - 1.0)
     drift = 1.0 / sys.lam - 1.0 / sys.mu
-    value = ((a - 1.0) / a**beta * (unc.gamma_s + unc.gamma_a) ** beta
-             / drift ** (1.0 / (a - 1.0)) + 1.0 / sys.lam)
+    try:
+        value = ((a - 1.0) / a**beta * (unc.gamma_s + unc.gamma_a) ** beta
+                 / drift ** (1.0 / (a - 1.0)) + 1.0 / sys.lam)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # alpha near 1 sends both exponents past the float range
+        raise NumericError(f"robust1 bound out of float range: {exc}") from exc
     return BoundResult(value, "robust1", None, sys, unc)
 
 
 def bound_robust2_single(sys: SystemParams, unc: UncertaintyParams) -> BoundResult:
-    """Single-source worst case via the three-candidate closed form.
-
-    The concave continuation of f has its stationary point between l-1 and
-    l, where l = (alpha*(1/lam-1/mu)/(gamma_a+gamma_s))^(alpha/(1-alpha)),
-    so the integer argmax lies in {floor(l)-1, floor(l), floor(l)+1}
-    intersected with [0, n-1]; if the domain ends before that window, f is
-    still increasing and the endpoint n-1 wins.  Degenerate deterministic
-    inputs (gamma_a + gamma_s = 0) fall back to plain enumeration.
-    """
+    """Single-source worst case via the three-candidate closed form
+    (see ``_closed_form``, k = 1)."""
     _require_sources(sys, 1)
-    _require_stable_single(sys)
-    lam, mu, n = sys.lam, sys.mu, sys.n
-    a, ga, gs = unc.alpha, unc.gamma_a, unc.gamma_s
-
-    if ga + gs == 0.0:
-        value, m_star = kernels.exact_single_max(lam, mu, a, ga, gs, n)
-        return BoundResult(max(float(value), 0.0), "robust2", float(m_star), sys, unc)
-
-    try:
-        l = (a * (1.0 / lam - 1.0 / mu) / (ga + gs)) ** (a / (1.0 - a))
-    except OverflowError:
-        # the exponent blows up as alpha -> 1; an out-of-range l means the
-        # stationary point sits far past any finite domain
-        l = math.inf
-    if not math.isfinite(l) or l >= n:
-        # stationary point at or beyond the domain end (n-1 <= floor(l)-1):
-        # f still increases on [0, n-1], the endpoint wins
-        m_star = n - 1
-    else:
-        fl = math.floor(l)
-        candidates = [m for m in (fl - 1, fl, fl + 1) if 0 <= m <= n - 1]
-        m_star = max(candidates, key=lambda m: (f_single(m, lam, mu, a, ga, gs), -m))
-    value = max(f_single(m_star, lam, mu, a, ga, gs), 0.0)
-    return BoundResult(value, "robust2", float(m_star), sys, unc)
+    return _closed_form(sys, unc, "robust2")
 
 
 def worst_case_exact_two(sys: SystemParams, unc: UncertaintyParams) -> BoundResult:
@@ -152,55 +128,14 @@ def worst_case_exact_two(sys: SystemParams, unc: UncertaintyParams) -> BoundResu
     (empty interarrival sum) and evaluates to 1/mu + gamma_s exactly.
     """
     _require_sources(sys, 2)
-    value, m_star = kernels.exact_two_max(
-        sys.lam, sys.mu, unc.alpha, unc.gamma_a, unc.gamma_s, sys.n
-    )
-    return BoundResult(float(value), "exact_two", float(m_star), sys, unc)
+    return _enumerate(sys, unc, "exact_two")
 
 
 def bound_robust3_two(sys: SystemParams, unc: UncertaintyParams) -> BoundResult:
-    """Two-source worst case via the five-candidate closed form.
-
-    Candidates are the half-integers {floor(l)-1, floor(l)-1/2, floor(l),
-    floor(l)+1/2, floor(l)+1} capped to [0, n/2-1], with
-    l = (alpha*(1/lam-2/mu)/(gamma_a+2*gamma_s))^(alpha/(1-alpha)); the
-    boundary value f(-1/2) = 1/mu + gamma_s always competes.  n = 1 has only
-    the boundary point.  Degenerate gamma_a + 2*gamma_s = 0 falls back to
-    enumeration.
-    """
+    """Two-source worst case via the five-candidate closed form
+    (see ``_closed_form``, k = 2)."""
     _require_sources(sys, 2)
-    if not 2.0 * sys.lam < sys.mu:
-        raise StabilityError(
-            f"two-source bound requires 2*lam < mu, got lam={sys.lam}, mu={sys.mu}"
-        )
-    lam, mu, n = sys.lam, sys.mu, sys.n
-    a, ga, gs = unc.alpha, unc.gamma_a, unc.gamma_s
-    boundary = f_two(-0.5, lam, mu, a, ga, gs)
-
-    if ga + 2.0 * gs == 0.0:
-        value, m_star = kernels.exact_two_max(lam, mu, a, ga, gs, n)
-        return BoundResult(max(float(value), 0.0), "robust3", float(m_star), sys, unc)
-
-    m_top = 0.5 * n - 1.0  # largest half-integer grid point
-    if n == 1:
-        return BoundResult(max(boundary, 0.0), "robust3", -0.5, sys, unc)
-
-    try:
-        l = (a * (1.0 / lam - 2.0 / mu) / (ga + 2.0 * gs)) ** (a / (1.0 - a))
-    except OverflowError:
-        l = math.inf
-    if not math.isfinite(l) or l >= 0.5 * n:
-        # stationary point at or past the top of the grid: f increases there
-        candidates = [m_top]
-    else:
-        fl = math.floor(l)
-        candidates = [m for m in (fl - 1.0, fl - 0.5, float(fl), fl + 0.5, fl + 1.0)
-                      if 0.0 <= m <= m_top]
-    best_m = max(candidates, key=lambda m: (f_two(m, lam, mu, a, ga, gs), -m))
-    best = f_two(best_m, lam, mu, a, ga, gs)
-    if boundary >= best:
-        best, best_m = boundary, -0.5
-    return BoundResult(max(best, 0.0), "robust3", best_m, sys, unc)
+    return _closed_form(sys, unc, "robust3")
 
 
 def kingman_bound(lam: float, mu: float, var_a: float | None, var_s: float | None) -> BoundResult:
@@ -226,7 +161,10 @@ def paoi_from_system_bound(bound: BoundResult, lam: float) -> float:
     """Peak-age value of a system-time bound: bound + mean interarrival time."""
     if not lam > 0:
         raise ValidationError(f"lam must be > 0, got {lam}")
-    return bound.value + 1.0 / lam
+    paoi = bound.value + 1.0 / lam
+    if not math.isfinite(paoi):
+        raise NumericError(f"peak-age bound is not finite: {paoi}")
+    return paoi
 
 
 def _require_sources(sys: SystemParams, expected: int) -> None:
@@ -236,8 +174,58 @@ def _require_sources(sys: SystemParams, expected: int) -> None:
         )
 
 
-def _require_stable_single(sys: SystemParams) -> None:
-    if not sys.lam < sys.mu:
+def _require_stable(sys: SystemParams) -> None:
+    if not sys.stable:
         raise StabilityError(
-            f"single-source bound requires lam < mu, got lam={sys.lam}, mu={sys.mu}"
+            f"bound requires load < 1, got load={sys.load} "
+            f"(lam={sys.lam}, mu={sys.mu}, sources={sys.sources})"
         )
+
+
+def _enumerate(sys: SystemParams, unc: UncertaintyParams, method: str) -> BoundResult:
+    """Exact worst case over the k-source grid, by the enumeration kernels."""
+    if sys.n > MAX_ENUMERATION_N:
+        raise ValidationError(
+            f"enumeration is capped at n <= {MAX_ENUMERATION_N}, got n={sys.n}"
+        )
+    kernel = kernels.exact_single_max if sys.sources == 1 else kernels.exact_two_max
+    value, m_star = kernel(sys.lam, sys.mu, unc.alpha, unc.gamma_a, unc.gamma_s, sys.n)
+    return BoundResult(float(value), method, float(m_star), sys, unc)
+
+
+def _closed_form(sys: SystemParams, unc: UncertaintyParams, method: str) -> BoundResult:
+    """The k-source worst case from a few candidates around the stationary point.
+
+    The concave continuation of f has its stationary point within one unit
+    of l = (alpha*(1/lam-k/mu)/(gamma_a+k*gamma_s))^(alpha/(1-alpha)), so the
+    grid argmax lies among floor(l) + j/k, j = -k..k, capped to [0, n/k-1];
+    if l is at or past the grid's end, f still increases there and the top
+    point n/k-1 wins.  For k = 2 the empty window m = -1/2 always competes.
+    Ties go to the smallest m.  Deterministic inputs (gamma_a + gamma_s = 0)
+    fall back to enumeration.
+    """
+    _require_stable(sys)
+    k, lam, mu, n = sys.sources, sys.lam, sys.mu, sys.n
+    a, ga, gs = unc.alpha, unc.gamma_a, unc.gamma_s
+    g = ga + k * gs
+    if g == 0.0:
+        return _enumerate(sys, unc, method)
+
+    top = n / k - 1.0
+    try:
+        l = (a * (1.0 / lam - k / mu) / g) ** (a / (1.0 - a))
+    except (OverflowError, ZeroDivisionError):
+        # the exponent blows up as alpha -> 1, and a base that underflows to 0
+        # raises: either way the stationary point lies past any finite grid
+        l = math.inf
+    if n == 1 or not l < n / k:
+        # a one-point grid, or f still increasing at its end: the top point wins
+        best = (f(top, k, lam, mu, a, ga, gs), -top)
+    else:
+        fl = math.floor(l)
+        best = max((f(m, k, lam, mu, a, ga, gs), -m)
+                   for j in range(-k, k + 1) if 0.0 <= (m := fl + j / k) <= top)
+    if k == 2:
+        best = max(best, (f(-0.5, k, lam, mu, a, ga, gs), 0.5))
+    value, neg_m = best
+    return BoundResult(max(value, 0.0), method, -neg_m, sys, unc)

@@ -230,10 +230,57 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("values", [
+        ["--method", "robust1", "--alpha", "1.001", "--gamma-a", "5", "--gamma-s", "5"],
+        ["--method", "robust1", "--lambda", "0.9", "--alpha", "1.001",
+         "--gamma-a", "0.5", "--gamma-s", "0.4"],
+        ["--method", "robust2", "--lambda", "0.2", "--gamma-a", "1e308", "--gamma-s", "1e308"],
+        ["--method", "robust3", "--lambda", "0.2", "--gamma-a", "1e308", "--gamma-s", "1e308"],
+        ["--method", "exact_single", "--lambda", "0.2", "--gamma-a", "1e308",
+         "--gamma-s", "1e308", "--n", "100"],
+        ["--method", "robust1", "--lambda", "0.2", "--gamma-a", "1e308", "--gamma-s", "1e308"],
+    ], ids=["robust1-overflow", "robust1-underflow", "robust2-huge-gammas",
+            "robust3-huge-gammas", "exact-single-huge-gammas", "robust1-huge-gammas"])
+    def test_bound_out_of_float_range_exit_two(self, capsys, values):
+        # the last option given wins, so --lambda may override this default
+        argv = ["bound", "--lambda", "0.5", "--mu", "1", *values]
+        with np.errstate(over="ignore"):
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: ")
+
+    def test_bound_enumeration_cap_exit_one(self, capsys):
+        from paoiq.robust_bounds import MAX_ENUMERATION_N
+
+        assert main(["bound", "--method", "exact_two", "--lambda", "0.2", "--mu", "1",
+                     "--n", str(MAX_ENUMERATION_N + 1)]) == 1
+        assert "capped" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--method", "robust2", "--lambda", "abc", "--mu", "1"],
+        ["bound", "--method", "robust2", "--lambda", "0.5", "--mu", "1", "--bogus", "1"],
+        ["bound", "--method", "robust2", "--mu", "1"],
+    ], ids=["bad-value", "unknown-flag", "missing-required"])
+    def test_usage_error_exit_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage: " in err and "Traceback" not in err
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--help"])
+        assert exc.value.code == 0
+        assert "--method" in capsys.readouterr().out
+
     SIM = {"lam": 0.5, "mu": 1.0, "n": 100,
            "interarrival": {"kind": "exponential", "rate": 0.5},
            "service": {"kind": "exponential", "rate": 1.0}}
     REPORT = "lambda,sim_paoi_mean,sim_paoi_ci95,method,bound_paoi,rel_error\n"
+    GRID = {"points": [{"lam": 0.5, "interarrival": {"kind": "exponential", "rate": 0.5},
+                        "service": {"kind": "exponential", "rate": 1.0}}]}
 
     @pytest.mark.parametrize("command, name, content", [
         ("simulate", "sim.json", json.dumps({**SIM, "lam": "abc"})),
@@ -245,9 +292,21 @@ class TestCli:
         ("sweep", "sweep.json", json.dumps({"scenario": "single", "n": "many"})),
         ("report", "report.csv", REPORT + "0.5,3\nmethod,error_percent\n"),
         ("report", "report.csv", REPORT + "method,error_percent\nrobust2,abc\n"),
+        ("simulate", "sim.json", json.dumps({**SIM, "n": 2000.7})),
+        ("simulate", "sim.json", json.dumps({**SIM, "sources": 1.9})),
+        ("simulate", "sim.json", json.dumps({**SIM, "replications": 2.7})),
+        ("simulate", "sim.json", json.dumps({**SIM, "master_seed": True})),
+        ("sweep", "sweep.json", json.dumps({"scenario": "single", "n": 3000.9})),
+        ("sweep", "sweep.json", json.dumps({"scenario": "single", "replications": 2.5})),
+        ("sweep", "sweep.json", json.dumps({"scenario": "single", "master_seed": 1.7})),
+        ("calibrate", "grid.json", json.dumps({**GRID, "n": 2.5})),
+        ("calibrate", "grid.json", json.dumps({**GRID, "replications": "10"})),
     ], ids=["simulate-text-rate", "simulate-list", "sweep-number", "calibrate-list",
             "calibrate-point-fields", "sweep-theta-fields", "sweep-text-n",
-            "report-short-row", "report-text-percent"])
+            "report-short-row", "report-text-percent",
+            "simulate-float-n", "simulate-float-sources", "simulate-float-replications",
+            "simulate-bool-seed", "sweep-float-n", "sweep-float-replications",
+            "sweep-float-seed", "calibrate-float-n", "calibrate-text-replications"])
     def test_malformed_input_exit_one(self, tmp_path, capsys, command, name, content):
         path = tmp_path / name
         path.write_text(content)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from paoiq.errors import StabilityError, ValidationError
+from paoiq.errors import NumericError, StabilityError, ValidationError
 from paoiq.robust_bounds import (
+    MAX_ENUMERATION_N,
+    BoundResult,
     UncertaintyParams,
     bound_robust1_single,
     bound_robust2_single,
@@ -234,6 +236,62 @@ class TestPaoiConversion:
         from paoiq.robust_bounds import BoundResult
 
         assert paoi_from_system_bound(BoundResult(0.0, "robust2"), 1.0) == pytest.approx(1.0)
+
+
+class TestNumericLimits:
+    @pytest.mark.parametrize("sysp, unc", [
+        # (gamma_s + gamma_a)^(alpha/(alpha-1)) overflows
+        (SystemParams(0.5, 1.0, 100, 1), UncertaintyParams(1.001, 5.0, 5.0)),
+        # (1/lam - 1/mu)^(1/(alpha-1)) underflows to 0 and divides
+        (SystemParams(0.9, 1.0, 100, 1), UncertaintyParams(1.001, 0.5, 0.4)),
+    ])
+    def test_robust1_out_of_range_is_numeric_error(self, sysp, unc):
+        with pytest.raises(NumericError):
+            bound_robust1_single(sysp, unc)
+
+    @pytest.mark.parametrize("bound, sources", [
+        (worst_case_exact_single, 1), (bound_robust1_single, 1), (bound_robust2_single, 1),
+        (worst_case_exact_two, 2), (bound_robust3_two, 2),
+    ])
+    def test_infinite_worst_case_is_numeric_error(self, bound, sources):
+        unc = UncertaintyParams(2.0, 1e308, 1e308)
+        with pytest.raises(NumericError), np.errstate(over="ignore"):
+            bound(SystemParams(0.2, 1.0, 100, sources), unc)
+
+    def test_non_finite_values_rejected(self):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(NumericError):
+                BoundResult(value, "robust2")
+        with pytest.raises(NumericError):
+            kingman_bound(0.5, 1.0, 1e308, 1e308)
+        with pytest.raises(NumericError):
+            paoi_from_system_bound(BoundResult(1.7e308, "robust2"), 1e-308)
+
+    @pytest.mark.parametrize("sources", [1, 2])
+    def test_underflowing_stationary_point_takes_the_top_point(self, sources):
+        # alpha*(1/lam - k/mu)/(gamma_a + k*gamma_s) underflows to 0, so l is
+        # past the grid; the closed form must still equal enumeration
+        sysp = SystemParams(0.5e307 / sources, 1e307, 100, sources)
+        unc = UncertaintyParams(1.5, 1e20, 1e20)
+        exact = (worst_case_exact_single if sources == 1 else worst_case_exact_two)(sysp, unc)
+        closed = (bound_robust2_single if sources == 1 else bound_robust3_two)(sysp, unc)
+        assert closed.value == pytest.approx(exact.value, rel=1e-12)
+        assert closed.m_star == exact.m_star == 100 / sources - 1
+
+    @pytest.mark.parametrize("bound, sources, gamma", [
+        (worst_case_exact_single, 1, 1.0), (worst_case_exact_two, 2, 1.0),
+        (bound_robust2_single, 1, 0.0), (bound_robust3_two, 2, 0.0),
+    ])
+    def test_enumeration_size_capped(self, bound, sources, gamma):
+        sysp = SystemParams(0.2, 1.0, MAX_ENUMERATION_N + 1, sources)
+        with pytest.raises(ValidationError, match="capped"):
+            bound(sysp, UncertaintyParams(2.0, gamma, gamma))
+
+    def test_closed_forms_need_no_enumeration_cap(self):
+        unc = UncertaintyParams(2.0, 1.0, 1.0)
+        for bound, sources in ((bound_robust2_single, 1), (bound_robust3_two, 2)):
+            res = bound(SystemParams(0.2, 1.0, MAX_ENUMERATION_N + 1, sources), unc)
+            assert math.isfinite(res.value)
 
 
 class TestProperties:
