@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import calibration, experiments
 from .errors import NumericError, ValidationError, json_int, parsing
 from .robust_bounds import (
@@ -90,22 +92,25 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     method = args.method.replace("-", "_")
     if method not in METHODS:
         raise ValidationError(f"unknown method {args.method!r}; expected one of {METHODS}")
-    if method == "kingman":
-        if args.var_a is None or args.var_s is None:
-            raise ValidationError("kingman needs --var-a and --var-s")
-        result = kingman_bound(args.lam, args.mu, args.var_a, args.var_s)
-    else:
-        unc = UncertaintyParams(args.alpha, args.gamma_a, args.gamma_s)
-        sources = 2 if method in ("exact_two", "robust3") else 1
-        sys_params = SystemParams(args.lam, args.mu, args.n, sources)
-        fn = {
-            "robust1": bound_robust1_single,
-            "robust2": bound_robust2_single,
-            "robust3": bound_robust3_two,
-            "exact_single": worst_case_exact_single,
-            "exact_two": worst_case_exact_two,
-        }[method]
-        result = fn(sys_params, unc)
+    # an enumeration that overflows ends in NumericError, so NumPy's
+    # overflow warnings would only repeat it, with a source path
+    with np.errstate(all="ignore"):
+        if method == "kingman":
+            if args.var_a is None or args.var_s is None:
+                raise ValidationError("kingman needs --var-a and --var-s")
+            result = kingman_bound(args.lam, args.mu, args.var_a, args.var_s)
+        else:
+            unc = UncertaintyParams(args.alpha, args.gamma_a, args.gamma_s)
+            sources = 2 if method in ("exact_two", "robust3") else 1
+            sys_params = SystemParams(args.lam, args.mu, args.n, sources)
+            fn = {
+                "robust1": bound_robust1_single,
+                "robust2": bound_robust2_single,
+                "robust3": bound_robust3_two,
+                "exact_single": worst_case_exact_single,
+                "exact_two": worst_case_exact_two,
+            }[method]
+            result = fn(sys_params, unc)
     paoi = paoi_from_system_bound(result, args.lam)
     print("method,lambda,mu,alpha,gamma_a,gamma_s,n,system_bound,paoi_bound")
     print(",".join([

@@ -25,7 +25,12 @@ def lindley_system_times(interarrivals: np.ndarray, services: np.ndarray,
 
     ``work`` is an optional caller-owned float64 array of shape (3, n); the
     result is then written to ``work[0]`` and returned as that view, so a
-    caller that reuses ``work`` allocates nothing here.
+    caller that reuses ``work`` allocates nothing here.  The inputs may
+    alias the rows that hold their own cumulative sums: ``services`` may be
+    ``work[0]`` and ``interarrivals`` may be ``work[1]`` (both are read only
+    by the in-place ``cumsum``, which gives the same bits as the
+    out-of-place call and allocates no temporary).  No other overlap with
+    ``work`` is allowed.
     """
     x = np.asarray(services, dtype=np.float64)
     t = np.asarray(interarrivals, dtype=np.float64)

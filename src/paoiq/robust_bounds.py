@@ -105,13 +105,29 @@ def bound_robust1_single(sys: SystemParams, unc: UncertaintyParams) -> BoundResu
     a = unc.alpha
     beta = a / (a - 1.0)
     drift = 1.0 / sys.lam - 1.0 / sys.mu
+    g = unc.gamma_s + unc.gamma_a
     try:
-        value = ((a - 1.0) / a**beta * (unc.gamma_s + unc.gamma_a) ** beta
+        value = ((a - 1.0) / a**beta * g**beta
                  / drift ** (1.0 / (a - 1.0)) + 1.0 / sys.lam)
-    except (OverflowError, ZeroDivisionError) as exc:
-        # alpha near 1 sends both exponents past the float range
-        raise NumericError(f"robust1 bound out of float range: {exc}") from exc
+    except (OverflowError, ZeroDivisionError):
+        # alpha near 1 sends both powers past the float range even where
+        # their ratio, and so the bound, is small: take the ratio in logs
+        value = _robust1_term_in_logs(a, beta, g, drift) + 1.0 / sys.lam
     return BoundResult(value, "robust1", None, sys, unc)
+
+
+def _robust1_term_in_logs(a: float, beta: float, g: float, drift: float) -> float:
+    """(a-1)/a^beta * g^beta / drift^(1/(a-1)) for g >= 0, drift > 0, through logs."""
+    if g == 0.0:
+        return 0.0
+    log_term = (math.log(a - 1.0) - beta * math.log(a) + beta * math.log(g)
+                - math.log(drift) / (a - 1.0))
+    try:
+        return math.exp(log_term)
+    except OverflowError as exc:
+        raise NumericError(
+            f"robust1 bound out of float range: its first term is exp({log_term:.6g})"
+        ) from exc
 
 
 def bound_robust2_single(sys: SystemParams, unc: UncertaintyParams) -> BoundResult:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Stream roles used by the simulator when deriving per-replication seeds.
 ROLE_ARRIVAL_1 = 0
 ROLE_SERVICE = 1
@@ -23,6 +25,6 @@ ROLE_ARRIVAL_2 = 2
 def derive_seed(master: int, *key: int) -> int:
     """Derive a 64-bit child seed from a master seed and an integer key path."""
     if master < 0:
-        raise ValueError("seeds must be non-negative")
+        raise ValidationError(f"seeds must be non-negative, got {master}")
     ss = np.random.SeedSequence(entropy=(int(master), *(int(k) for k in key)))
     return int(ss.generate_state(1, np.uint64)[0])

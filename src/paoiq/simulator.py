@@ -60,7 +60,8 @@ class SystemParams:
 
     @property
     def stable(self) -> bool:
-        return self.load < 1.0
+        # ``load`` inlined: bounds check this on every call
+        return self.sources * self.lam / self.mu < 1.0
 
 
 @dataclass
@@ -316,10 +317,13 @@ def replicate(
     paoi_means = np.empty(replications)
     system_means = np.empty(replications)
     src_means = np.empty((replications, 2)) if params.sources == 2 else None
-    # one workspace for every replication; work[0] ends up holding the
-    # system times and work[1] the post-warmup peaks
+    # one workspace for every replication: services are sampled into
+    # work[0] and, for two sources, the arrivals merged into work[2] and
+    # their gaps into work[1], the aliasing ``kernels.lindley_system_times``
+    # allows; it leaves the system times in work[0], and work[1] then holds
+    # the post-warmup peaks
     work = np.empty((3, n))
-    x = np.empty(n)
+    x = work[0]
 
     if params.sources == 1:
         t = np.empty(n)
@@ -342,7 +346,6 @@ def replicate(
         # per-source system times in the same layout
         by_source = np.empty(n)
         s1, s2 = by_source[:n1], by_source[n1:]
-        gaps = np.empty(n)
         w1 = _kept(n1 - 1, warmup_fraction)
         w2 = _kept(n2 - 1, warmup_fraction)
         k1 = n1 - 1 - w1
@@ -355,8 +358,8 @@ def replicate(
                               derive_seed(master_seed, r, role), out=draws)
                 np.cumsum(draws, out=a)
             sample_stream(service_spec, n, derive_seed(master_seed, r, ROLE_SERVICE), out=x)
-            merged, order = _merge(times, out=work[0])
-            s = _merged_system_times(merged, x, gaps, work)
+            merged, order = _merge(times, out=work[2])
+            s = _merged_system_times(merged, x, work[1], work)
             # order[i] is the source-layout index of the i-th merged update
             by_source[order] = s
             _source_peaks(a1[w1:], s1[w1:], out=peaks[:k1])

@@ -14,15 +14,20 @@ Sampling is inverse-transform from PCG64 uniforms drawn on the open
 interval via ``integers(1, 2**53) * 2**-53``, so streams are reproducible
 for a fixed (spec, seed, count) and every sampled value is strictly
 positive.
+
+SciPy is loaded only for folded-normal streams: ``make_folded_normal``
+imports ``scipy.special`` (for ``ndtri``), so a process that samples only
+the other families never pays for it, and one that does pays while it
+builds its specs, not while it samples.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ValidationError
 
@@ -39,6 +44,14 @@ class DistributionSpec:
     params: tuple[tuple[str, float], ...]
     mean: float
     variance: float | None  # None when infinite (heavy-tailed Pareto)
+
+    def __post_init__(self) -> None:
+        if not 0 < self.mean < math.inf or not (
+                self.variance is None or math.isfinite(self.variance)):
+            raise ValidationError(
+                f"{self.kind} spec with {dict(self.params)} needs a finite mean > 0 and a "
+                f"finite variance, got mean={self.mean}, variance={self.variance}"
+            )
 
     @property
     def heavy_tailed(self) -> bool:
@@ -59,16 +72,30 @@ class DistributionSpec:
         return {"kind": self.kind, **dict(self.params)}
 
 
+@contextlib.contextmanager
+def _moments_in_range(kind: str, **params: float):
+    """Report moments that leave the float range as ValidationError.
+
+    A parameter finite on its own can still overflow a power or underflow
+    a divisor to zero while the factories compute the moments.
+    """
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{kind} moments leave the float range for {params}") from exc
+
+
 def make_exponential(rate: float) -> DistributionSpec:
     """Exponential law with the given rate; mean 1/rate, variance 1/rate^2."""
     if not 0 < rate < math.inf:
         raise ValidationError(f"exponential rate must be finite and > 0, got {rate}")
-    return DistributionSpec(
-        kind="exponential",
-        params=(("rate", float(rate)),),
-        mean=1.0 / rate,
-        variance=1.0 / rate**2,
-    )
+    with _moments_in_range("exponential", rate=rate):
+        return DistributionSpec(
+            kind="exponential",
+            params=(("rate", float(rate)),),
+            mean=1.0 / rate,
+            variance=1.0 / rate**2,
+        )
 
 
 def make_folded_normal(location: float, scale: float) -> DistributionSpec:
@@ -77,16 +104,21 @@ def make_folded_normal(location: float, scale: float) -> DistributionSpec:
     mean = scale*sqrt(2/pi)*exp(-location^2/(2 scale^2))
            + location*(1 - 2*Phi(-location/scale))
     variance = location^2 + scale^2 - mean^2
+
+    Loads ``scipy.special``, which sampling this family needs.
     """
     if not math.isfinite(location):
         raise ValidationError(f"folded-normal location must be finite, got {location}")
     if not 0 < scale < math.inf:
         raise ValidationError(f"folded-normal scale must be finite and > 0, got {scale}")
+    import scipy.special  # noqa: F401  (see the module docstring)
+
     z = location / scale
     mean = scale * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * z * z) + location * (
         1.0 - 2.0 * _norm_cdf(-z)
     )
-    variance = location**2 + scale**2 - mean**2
+    with _moments_in_range("folded_normal", location=location, scale=scale):
+        variance = location**2 + scale**2 - mean**2
     return DistributionSpec(
         kind="folded_normal",
         params=(("location", float(location)), ("scale", float(scale))),
@@ -99,11 +131,13 @@ def make_uniform_mean(mean: float) -> DistributionSpec:
     """Uniform on [0, 2*mean]; variance mean^2/3."""
     if not 0 < mean < math.inf:
         raise ValidationError(f"uniform mean must be finite and > 0, got {mean}")
+    with _moments_in_range("uniform", mean=mean):
+        variance = mean**2 / 3.0
     return DistributionSpec(
         kind="uniform",
         params=(("mean", float(mean)),),
         mean=float(mean),
-        variance=mean**2 / 3.0,
+        variance=variance,
     )
 
 
@@ -119,7 +153,8 @@ def make_pareto(shape: float, scale: float) -> DistributionSpec:
         raise ValidationError(f"pareto scale must be finite and > 0, got {scale}")
     mean = shape * scale / (shape - 1.0)
     if shape > 2:
-        variance = scale**2 * shape / ((shape - 1.0) ** 2 * (shape - 2.0))
+        with _moments_in_range("pareto", shape=shape, scale=scale):
+            variance = scale**2 * shape / ((shape - 1.0) ** 2 * (shape - 2.0))
     else:
         variance = None
     return DistributionSpec(
@@ -194,6 +229,9 @@ def sample_stream(spec: DistributionSpec, count: int, seed: int,
         np.log(u, out=u)
         np.divide(u, -p["rate"], out=u)
     elif spec.kind == "folded_normal":
+        # already loaded by make_folded_normal, unless the spec was built directly
+        from scipy.special import ndtri
+
         ndtri(u, out=u)
         np.multiply(p["scale"], u, out=u)
         np.add(p["location"], u, out=u)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,24 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("numeric error: ")
 
+    def test_bound_overflow_prints_no_numpy_warning(self, capsys):
+        argv = ["bound", "--method", "exact_single", "--lambda", "0.2", "--mu", "1",
+                "--gamma-a", "1e308", "--gamma-s", "1e308", "--n", "100"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NumPy warning would escape main
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ")
+        assert "RuntimeWarning" not in err
+
+    def test_bound_robust1_small_bound_past_float_powers(self, capsys):
+        # (1/lam - 1/mu)^(1/(alpha-1)) = 4^1000 overflows, yet the bound is 1/lam
+        assert main(["bound", "--method", "robust1", "--lambda", "0.2", "--mu", "1",
+                     "--alpha", "1.001"]) == 0
+        fields = capsys.readouterr().out.strip().split("\n")[1].split(",")
+        assert float(fields[7]) == 5.0
+        assert float(fields[8]) == 10.0
+
     def test_bound_enumeration_cap_exit_one(self, capsys):
         from paoiq.robust_bounds import MAX_ENUMERATION_N
 
@@ -301,12 +320,16 @@ class TestCli:
         ("sweep", "sweep.json", json.dumps({"scenario": "single", "master_seed": 1.7})),
         ("calibrate", "grid.json", json.dumps({**GRID, "n": 2.5})),
         ("calibrate", "grid.json", json.dumps({**GRID, "replications": "10"})),
+        ("simulate", "sim.json", json.dumps({**SIM, "master_seed": -1})),
+        ("simulate", "sim.json", json.dumps(
+            {**SIM, "service": {"kind": "exponential", "rate": 1e308}})),
     ], ids=["simulate-text-rate", "simulate-list", "sweep-number", "calibrate-list",
             "calibrate-point-fields", "sweep-theta-fields", "sweep-text-n",
             "report-short-row", "report-text-percent",
             "simulate-float-n", "simulate-float-sources", "simulate-float-replications",
             "simulate-bool-seed", "sweep-float-n", "sweep-float-replications",
-            "sweep-float-seed", "calibrate-float-n", "calibrate-text-replications"])
+            "sweep-float-seed", "calibrate-float-n", "calibrate-text-replications",
+            "simulate-negative-seed", "simulate-huge-rate"])
     def test_malformed_input_exit_one(self, tmp_path, capsys, command, name, content):
         path = tmp_path / name
         path.write_text(content)

@@ -103,6 +103,19 @@ def test_lindley_work_matches_allocating_call():
         assert np.array_equal(out, kernels.lindley_system_times(t, x))
 
 
+def test_lindley_inputs_may_alias_their_cumsum_rows():
+    # the layout of ``replicate``: services in work[0], interarrivals in work[1]
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 1000):
+        t = rng.exponential(1.0, n)
+        x = rng.exponential(0.9, n)
+        work = np.full((3, n), np.nan)
+        work[0], work[1] = x, t
+        out = kernels.lindley_system_times(work[1], work[0], work)
+        assert np.shares_memory(out, work)
+        assert np.array_equal(out, kernels.lindley_system_times(t, x))
+
+
 @pytest.mark.parametrize("work", [
     np.empty((2, 10)),
     np.empty((3, 11)),

@@ -249,6 +249,22 @@ class TestNumericLimits:
         with pytest.raises(NumericError):
             bound_robust1_single(sysp, unc)
 
+    @pytest.mark.parametrize("lam, gamma, expected", [
+        # 4^1000 overflows; no variability leaves exactly 1/lam
+        (0.2, 0.0, 5.0),
+        # 4^1000 overflows and the first term is about 1e-605, below the
+        # float range: 1/lam
+        (0.2, 0.5, 5.0),
+        # 0.25^1000 underflows and divides by zero, while the first term is
+        # (a-1)/a^beta * 0.25^1001/0.25^1000, about 9.2e-5
+        (0.8, 0.125, 1.25 + 0.001 / 1.001 ** 1001 * 0.25),
+    ])
+    def test_robust1_small_bound_past_float_powers(self, lam, gamma, expected):
+        sysp, unc = SystemParams(lam, 1.0, 100, 1), UncertaintyParams(1.001, gamma, gamma)
+        res = bound_robust1_single(sysp, unc)
+        assert res.value == pytest.approx(expected, rel=1e-12)
+        assert res.value >= worst_case_exact_single(sysp, unc).value
+
     @pytest.mark.parametrize("bound, sources", [
         (worst_case_exact_single, 1), (bound_robust1_single, 1), (bound_robust2_single, 1),
         (worst_case_exact_two, 2), (bound_robust3_two, 2),

@@ -1,12 +1,18 @@
 """Distribution specs: analytic moments, sampling contracts, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import paoiq
 from paoiq.errors import ValidationError
+from paoiq.seeding import derive_seed
 from paoiq.stochastic import (
     make_exponential,
     make_folded_normal,
@@ -105,6 +111,24 @@ def test_non_finite_parameters_rejected(factory, args):
         factory(*args)
 
 
+@pytest.mark.parametrize("factory, args", [
+    (make_exponential, (1e308,)),
+    (make_exponential, (1e-300,)),
+    (make_uniform_mean, (1e308,)),
+    (make_folded_normal, (1e308, 1.0)),
+    (make_pareto, (2.5, 1e308)),
+    (make_pareto, (1.0000001, 1e308)),
+    (derive_seed, (-1,)),
+], ids=["exponential-huge-rate", "exponential-tiny-rate", "uniform-huge-mean",
+        "folded-normal-huge-location", "pareto-huge-scale", "pareto-infinite-mean",
+        "negative-seed"])
+def test_out_of_range_parameters_rejected(factory, args):
+    # finite parameters whose moments leave the float range, and a seed
+    # SeedSequence refuses, are invalid input, not arithmetic failures
+    with pytest.raises(ValidationError):
+        factory(*args)
+
+
 def test_sample_stream_rejects_zero_count():
     with pytest.raises(ValidationError):
         sample_stream(make_exponential(1.0), 0, 1)
@@ -151,6 +175,45 @@ def test_sample_stream_bitwise_contract(spec):
     for count, seed in ((1, 0), (10_000, 42)):
         assert np.array_equal(sample_stream(spec, count, seed).values,
                               reference_stream(spec, count, seed))
+
+
+# Run in a fresh interpreter: sys.argv[1] is "factory", or the repr of a
+# folded-normal spec to rebuild directly, without make_folded_normal.
+LAZY_SCIPY_SCRIPT = """
+import sys
+from paoiq import (DistributionSpec, SystemParams, make_exponential,
+                   make_folded_normal, replicate, sample_stream)
+
+for sources in (1, 2):
+    replicate(SystemParams(0.2, 1.0, 1000, sources), make_exponential(0.2),
+              make_exponential(1.0), replications=2)
+print("scipy.special" in sys.modules)
+if sys.argv[1] == "factory":
+    make_folded_normal(1.0, 0.5)
+else:
+    spec = eval(sys.argv[1], {"DistributionSpec": DistributionSpec})
+    print(sample_stream(spec, 10_000, 42).values.tobytes().hex())
+print("scipy.special" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("build", ["factory", "direct"])
+def test_scipy_loaded_only_for_folded_normal(build):
+    spec = make_folded_normal(1.0, 0.5)
+    src = str(Path(paoiq.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-c", LAZY_SCIPY_SCRIPT,
+            "factory" if build == "factory" else repr(spec)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True,
+                         timeout=120).stdout.split()
+    # exponential-only replications never load SciPy; folded normals do
+    assert out[0] == "False"
+    assert out[-1] == "True"
+    if build == "direct":
+        # a directly built spec keeps the sampling contract
+        assert np.array_equal(np.frombuffer(bytes.fromhex(out[1])),
+                              reference_stream(spec, 10_000, 42))
 
 
 @pytest.mark.parametrize("spec", SAMPLED_FAMILIES, ids=lambda s: s.kind)
