@@ -42,6 +42,7 @@ from .robust_bounds import (
     bound_robust3_two,
     kingman_bound,
     paoi_from_system_bound,
+    system_bound,
     worst_case_exact_single,
     worst_case_exact_two,
 )
@@ -63,7 +64,6 @@ from .stochastic import (
     make_folded_normal,
     make_pareto,
     make_uniform_mean,
-    moments,
     sample_stream,
 )
 

@@ -32,6 +32,7 @@ from .errors import (
     NoSolutionError,
     SingularDesignError,
     ValidationError,
+    check_fields,
     parsing,
 )
 from .robust_bounds import UncertaintyParams, bound_robust2_single, bound_robust3_two
@@ -39,9 +40,13 @@ from .seeding import derive_seed
 from .simulator import DistributionSpec, SystemParams, replicate
 from .stochastic import spec_from_dict
 
-SCENARIOS = ("single", "two")
+# Each scenario and its number of sources.
+SCENARIOS = {"single": 1, "two": 2}
 
 CALIBRATION_ALPHA = 2.0
+
+# ``invert_gamma_s`` stops once the bound is within this fraction of its target.
+INVERSION_RTOL = 1e-8
 
 _DATASET_HEADER = ("rho", "sigma_a", "sigma_s", "gamma_s_star", "kind_a", "kind_s", "seed")
 
@@ -54,8 +59,9 @@ class CalibrationCoefficients:
     scenario: str
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ValidationError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+        if not isinstance(self.scenario, str) or self.scenario not in SCENARIOS:
+            raise ValidationError(
+                f"scenario must be one of {tuple(SCENARIOS)}, got {self.scenario!r}")
 
 
 # Built-in service-adaptation coefficients per scenario.
@@ -68,7 +74,7 @@ _BUILTIN = {
 def builtin_theta(scenario: str) -> CalibrationCoefficients:
     """The shipped regression coefficients for a scenario."""
     if scenario not in _BUILTIN:
-        raise ValidationError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+        raise ValidationError(f"scenario must be one of {tuple(SCENARIOS)}, got {scenario!r}")
     t0, t1, t2 = _BUILTIN[scenario]
     return CalibrationCoefficients(t0, t1, t2, scenario)
 
@@ -110,13 +116,12 @@ def invert_gamma_s(
     alpha: float,
     gamma_a: float,
     target_system_time: float,
-    value_rtol: float = 1e-8,
 ) -> float:
     """The unique gamma_s >= 0 whose closed-form bound equals the target.
 
     The bound is strictly increasing in gamma_s, so the root is found by
     doubling the upper bracket and bisecting until the re-evaluated bound is
-    within ``value_rtol * target`` of the target.
+    within ``INVERSION_RTOL * target`` of the target.
     """
     bound_fn = bound_robust2_single if sys.sources == 1 else bound_robust3_two
 
@@ -129,7 +134,7 @@ def invert_gamma_s(
             f"target system time {target_system_time:.6g} is below the gamma_s=0 "
             f"bound {v0:.6g}; no gamma_s >= 0 can reach it"
         )
-    tol = value_rtol * abs(target_system_time)
+    tol = INVERSION_RTOL * abs(target_system_time)
     if target_system_time - v0 <= tol:
         return 0.0
 
@@ -180,9 +185,8 @@ class CalibrationDataset:
         return x, y
 
 
-def fit_theta(dataset: CalibrationDataset, scenario: str | None = None) -> CalibrationCoefficients:
+def fit_theta(dataset: CalibrationDataset) -> CalibrationCoefficients:
     """Least-squares (theta0, theta1, theta2) from a calibration dataset."""
-    scenario = scenario or dataset.scenario
     if len(dataset) < 3:
         raise SingularDesignError(
             f"need at least 3 calibration rows, got {len(dataset)}"
@@ -193,7 +197,8 @@ def fit_theta(dataset: CalibrationDataset, scenario: str | None = None) -> Calib
         raise SingularDesignError(
             f"calibration design matrix is rank deficient (rank {rank} < 3)"
         )
-    return CalibrationCoefficients(float(coef[0]), float(coef[1]), float(coef[2]), scenario)
+    return CalibrationCoefficients(float(coef[0]), float(coef[1]), float(coef[2]),
+                                   dataset.scenario)
 
 
 def build_calibration_dataset(
@@ -214,8 +219,8 @@ def build_calibration_dataset(
     finite sigma values.
     """
     if scenario not in SCENARIOS:
-        raise ValidationError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    sources = 1 if scenario == "single" else 2
+        raise ValidationError(f"scenario must be one of {tuple(SCENARIOS)}, got {scenario!r}")
+    sources = SCENARIOS[scenario]
     dataset = CalibrationDataset(scenario=scenario)
     for i, (lam, spec_a, spec_s) in enumerate(grid):
         params = SystemParams(lam=lam, mu=mu, n=n, sources=sources)
@@ -308,10 +313,15 @@ def read_theta_json(path) -> CalibrationCoefficients:
 
 
 def grid_from_config(doc: dict) -> list[tuple[float, DistributionSpec, DistributionSpec]]:
-    """Parse the calibrate grid file: {"points": [{"lam", "interarrival", "service"}]}."""
+    """Parse the calibrate grid file: {"points": [{"lam", "interarrival", "service"}]},
+    plus the settings the caller reads; any other field is rejected."""
     if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise ValidationError("calibration grid config needs a 'points' list")
+    check_fields(doc, ("points", "mu", "n", "replications", "warmup_fraction", "master_seed"),
+                 "calibration grid config")
     with parsing("calibration grid point"):
+        for p in doc["points"]:
+            check_fields(p, ("lam", "interarrival", "service"), "calibration grid point")
         return [(float(p["lam"]), spec_from_dict(p["interarrival"]), spec_from_dict(p["service"]))
                 for p in doc["points"]]
 

@@ -16,17 +16,13 @@ import sys
 import numpy as np
 
 from . import calibration, experiments
-from .errors import NumericError, ValidationError, json_int, parsing
+from .errors import NumericError, ValidationError, check_fields, json_int, parsing
 from .robust_bounds import (
     METHODS,
     UncertaintyParams,
-    bound_robust1_single,
-    bound_robust2_single,
-    bound_robust3_two,
     kingman_bound,
     paoi_from_system_bound,
-    worst_case_exact_single,
-    worst_case_exact_two,
+    system_bound,
 )
 from .simulator import SystemParams, replicate
 from .stochastic import spec_from_dict
@@ -54,6 +50,8 @@ def _load_json(path: str) -> dict:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     doc = _load_json(args.config)
+    check_fields(doc, ("lam", "mu", "n", "sources", "interarrival", "service",
+                       "replications", "warmup_fraction", "master_seed"), "simulate config")
     with parsing("simulate config"):
         params = SystemParams(
             lam=float(doc["lam"]),
@@ -80,7 +78,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
           "mean_paoi,ci95_paoi,mean_system_time,paoi_source1,paoi_source2,stable")
     print(",".join([
         str(params.sources), _fmt(params.lam), _fmt(params.mu), str(params.n),
-        str(summary.replications), _fmt(summary.warmup_fraction), str(seed),
+        str(summary.replications), _fmt(warmup), str(seed),
         _fmt(summary.mean_paoi), _fmt(summary.ci95_paoi), _fmt(summary.mean_system_time),
         _fmt(src1) if src1 != "" else "", _fmt(src2) if src2 != "" else "",
         str(int(summary.stable)),
@@ -101,16 +99,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             result = kingman_bound(args.lam, args.mu, args.var_a, args.var_s)
         else:
             unc = UncertaintyParams(args.alpha, args.gamma_a, args.gamma_s)
-            sources = 2 if method in ("exact_two", "robust3") else 1
-            sys_params = SystemParams(args.lam, args.mu, args.n, sources)
-            fn = {
-                "robust1": bound_robust1_single,
-                "robust2": bound_robust2_single,
-                "robust3": bound_robust3_two,
-                "exact_single": worst_case_exact_single,
-                "exact_two": worst_case_exact_two,
-            }[method]
-            result = fn(sys_params, unc)
+            result = system_bound(method, args.lam, args.mu, args.n, unc)
     paoi = paoi_from_system_bound(result, args.lam)
     print("method,lambda,mu,alpha,gamma_a,gamma_s,n,system_bound,paoi_bound")
     print(",".join([
@@ -139,17 +128,17 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     if args.grid is not None:
         doc = _load_json(args.grid)
         grid = calibration.grid_from_config(doc)
-        with parsing("calibration grid config"):
-            mu = float(doc.get("mu", 1.0))
-            n = json_int(doc.get("n", 20_000), "n")
-            replications = json_int(doc.get("replications", 10), "replications")
-            warmup = float(doc.get("warmup_fraction", 0.1))
-            master_seed = json_int(doc.get("master_seed", 0), "master_seed")
         provenance = {"grid_file": args.grid}
     else:
-        mu, n, replications, warmup, master_seed = 1.0, 20_000, 10, 0.1, 0
+        doc, grid, provenance = {}, None, {"grid_file": "builtin-default"}
+    with parsing("calibration grid config"):
+        mu = float(doc.get("mu", 1.0))
+        n = json_int(doc.get("n", 20_000), "n")
+        replications = json_int(doc.get("replications", 10), "replications")
+        warmup = float(doc.get("warmup_fraction", 0.1))
+        master_seed = json_int(doc.get("master_seed", 0), "master_seed")
+    if grid is None:
         grid = _default_calibration_grid(args.scenario, mu)
-        provenance = {"grid_file": "builtin-default"}
     dataset = calibration.build_calibration_dataset(
         grid, args.scenario, mu=mu, n=n, replications=replications,
         warmup_fraction=warmup, master_seed=master_seed,

@@ -55,6 +55,17 @@ def parsing(what: str):
         raise ValidationError(f"malformed {what}: {exc}") from exc
 
 
+def check_fields(doc: dict, known, what: str) -> None:
+    """Reject a config document holding a field outside ``known``.
+
+    A misspelt optional field would otherwise fall back to its default
+    without a word.
+    """
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ValidationError(f"unknown {what} fields: {sorted(unknown)}")
+
+
 def json_int(value, name: str) -> int:
     """A count read from outside input: only an integer (not a bool) passes.
 

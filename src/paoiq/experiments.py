@@ -11,6 +11,7 @@ included, so repeated runs produce byte-identical reports.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,19 +19,18 @@ import numpy as np
 
 from .calibration import (
     CALIBRATION_ALPHA,
+    SCENARIOS,
     CalibrationCoefficients,
     builtin_theta,
     map_variability,
     read_theta_json,
 )
-from .errors import NumericError, ValidationError, json_int, parsing
+from .errors import NumericError, ValidationError, check_fields, json_int, parsing
 from .robust_bounds import (
     UncertaintyParams,
-    bound_robust1_single,
-    bound_robust2_single,
-    bound_robust3_two,
     kingman_bound,
     paoi_from_system_bound,
+    system_bound,
 )
 from .seeding import derive_seed
 from .simulator import SystemParams, replicate
@@ -89,7 +89,7 @@ class SweepConfig:
     methods: tuple[str, ...] | None = None        # None -> scenario default
 
     def __post_init__(self) -> None:
-        if self.scenario not in ("single", "two"):
+        if not isinstance(self.scenario, str) or self.scenario not in SCENARIOS:
             raise ValidationError(f"scenario must be 'single' or 'two', got {self.scenario!r}")
         if not self.mu > 0:
             raise ValidationError(f"mu must be > 0, got {self.mu}")
@@ -104,7 +104,7 @@ class SweepConfig:
         for fam in (self.interarrival_family, self.service_family):
             if fam not in FAMILIES:
                 raise ValidationError(f"unknown family {fam!r}; expected one of {FAMILIES}")
-        sources = 1 if self.scenario == "single" else 2
+        sources = SCENARIOS[self.scenario]
         for lam in self.grid():
             if not lam > 0:
                 raise ValidationError(f"arrival rates must be > 0, got {lam}")
@@ -145,13 +145,10 @@ def config_from_json(doc: dict) -> SweepConfig:
     """Build a SweepConfig from its JSON document form."""
     if not isinstance(doc, dict):
         raise ValidationError("sweep config must be a JSON object")
-    known = {
+    check_fields(doc, (
         "scenario", "mu", "lambdas", "interarrival_family", "service_family",
         "n", "replications", "warmup_fraction", "master_seed", "theta", "methods",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ValidationError(f"unknown sweep config fields: {sorted(unknown)}")
+    ), "sweep config")
     if "scenario" not in doc:
         raise ValidationError("sweep config needs a 'scenario'")
     with parsing("sweep config"):
@@ -216,20 +213,14 @@ def _evaluate_bound(method: str, lam_eff: float, mu_eff: float, n: int,
                     unc: UncertaintyParams, var_a: float, var_s: float) -> float:
     if method == "kingman":
         b = kingman_bound(lam_eff, mu_eff, var_a, var_s)
-    elif method == "robust1":
-        b = bound_robust1_single(SystemParams(lam_eff, mu_eff, n, 1), unc)
-    elif method == "robust2":
-        b = bound_robust2_single(SystemParams(lam_eff, mu_eff, n, 1), unc)
-    elif method == "robust3":
-        b = bound_robust3_two(SystemParams(lam_eff, mu_eff, n, 2), unc)
-    else:  # pragma: no cover - config validation rejects unknown methods
-        raise ValidationError(f"unknown method {method!r}")
+    else:
+        b = system_bound(method, lam_eff, mu_eff, n, unc)
     return paoi_from_system_bound(b, lam_eff)
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Simulate every grid rate and evaluate every requested bound."""
-    sources = 1 if config.scenario == "single" else 2
+    sources = SCENARIOS[config.scenario]
     theta = config.theta_coefficients()
     methods = config.method_list()
     report = SweepReport()
@@ -348,7 +339,10 @@ def report_summary_text(report: SweepReport) -> str:
     out = [f"{len(report.rows)} rows over {len(lams)} arrival rates"]
     out.append(f"{'method':<10} {'error percent':>14}")
     for method in sorted(report.error_percents):
-        out.append(f"{method:<10} {report.error_percents[method]:>13.2f}%")
+        pct = report.error_percents[method]
+        # a method that failed at every point has no error percent
+        cell = f"{pct:>13.2f}%" if math.isfinite(pct) else f"{'n/a':>14}"
+        out.append(f"{method:<10} {cell}")
     return "\n".join(out)
 
 

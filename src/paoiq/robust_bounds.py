@@ -30,7 +30,9 @@ from . import kernels
 from .errors import NumericError, StabilityError, ValidationError
 from .simulator import SystemParams
 
-METHODS = ("exact_single", "robust1", "robust2", "exact_two", "robust3", "kingman")
+# Sources of every worst-case method; kingman takes variances instead.
+SOURCES = {"exact_single": 1, "robust1": 1, "robust2": 1, "exact_two": 2, "robust3": 2}
+METHODS = (*SOURCES, "kingman")
 
 # Enumeration allocates about 31 bytes per grid point; this keeps one under
 # about 0.3 GB.
@@ -57,13 +59,11 @@ class UncertaintyParams:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A system-time bound value plus the inputs that produced it."""
+    """A system-time bound value, and where the worst case is reached."""
 
     value: float
     method: str
     m_star: float | None = None
-    sys: SystemParams | None = None
-    unc: UncertaintyParams | None = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
@@ -113,7 +113,7 @@ def bound_robust1_single(sys: SystemParams, unc: UncertaintyParams) -> BoundResu
         # alpha near 1 sends both powers past the float range even where
         # their ratio, and so the bound, is small: take the ratio in logs
         value = _robust1_term_in_logs(a, beta, g, drift) + 1.0 / sys.lam
-    return BoundResult(value, "robust1", None, sys, unc)
+    return BoundResult(value, "robust1")
 
 
 def _robust1_term_in_logs(a: float, beta: float, g: float, drift: float) -> float:
@@ -170,7 +170,19 @@ def kingman_bound(lam: float, mu: float, var_a: float | None, var_s: float | Non
     if rho >= 1.0:
         raise StabilityError(f"kingman bound requires lam < mu, got rho={rho}")
     value = 0.5 * lam * (var_a + var_s) / (1.0 - rho) + 1.0 / mu
-    return BoundResult(value, "kingman", None, None, None)
+    return BoundResult(value, "kingman")
+
+
+def system_bound(method: str, lam: float, mu: float, n: int,
+                 unc: UncertaintyParams) -> BoundResult:
+    """The worst-case ``method`` bound for SOURCES[method] sources at rate lam each."""
+    if method not in SOURCES:
+        raise ValidationError(f"unknown method {method!r}; expected one of {tuple(SOURCES)}")
+    # built per call, so that a module attribute rebound after import is used
+    fn = {"exact_single": worst_case_exact_single, "robust1": bound_robust1_single,
+          "robust2": bound_robust2_single, "exact_two": worst_case_exact_two,
+          "robust3": bound_robust3_two}[method]
+    return fn(SystemParams(lam, mu, n, SOURCES[method]), unc)
 
 
 def paoi_from_system_bound(bound: BoundResult, lam: float) -> float:
@@ -206,7 +218,7 @@ def _enumerate(sys: SystemParams, unc: UncertaintyParams, method: str) -> BoundR
         )
     kernel = kernels.exact_single_max if sys.sources == 1 else kernels.exact_two_max
     value, m_star = kernel(sys.lam, sys.mu, unc.alpha, unc.gamma_a, unc.gamma_s, sys.n)
-    return BoundResult(float(value), method, float(m_star), sys, unc)
+    return BoundResult(float(value), method, float(m_star))
 
 
 def _closed_form(sys: SystemParams, unc: UncertaintyParams, method: str) -> BoundResult:
@@ -244,4 +256,4 @@ def _closed_form(sys: SystemParams, unc: UncertaintyParams, method: str) -> Boun
     if k == 2:
         best = max(best, (f(-0.5, k, lam, mu, a, ga, gs), 0.5))
     value, neg_m = best
-    return BoundResult(max(value, 0.0), method, -neg_m, sys, unc)
+    return BoundResult(max(value, 0.0), method, -neg_m)

@@ -32,6 +32,12 @@ from .seeding import ROLE_ARRIVAL_1, ROLE_ARRIVAL_2, ROLE_SERVICE, derive_seed
 from .stochastic import DistributionSpec, SampleStream, sample_stream
 
 
+# Size caps of ``replicate``: its workspace takes about 40 bytes per update,
+# so n = 10**7 needs about 0.4 GB.
+MAX_REPLICATE_N = 10**7
+MAX_REPLICATIONS = 10**6
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """One queueing scenario: per-source arrival rate, service rate, path length."""
@@ -95,9 +101,7 @@ class PAoITrace:
 class ReplicationSummary:
     """Across-replication averages of post-warmup PAoI and system time."""
 
-    sources: int
     replications: int
-    warmup_fraction: float
     mean_paoi: float
     mean_system_time: float
     ci95_paoi: float
@@ -292,10 +296,16 @@ def replicate(
     Deterministic in ``master_seed``: replication r derives its stream
     seeds as (master_seed, r, role).  Unstable parameter sets still run but
     are flagged (their means need not converge).  Every source needs at
-    least one post-warmup peak, so n must be >= 2 per source.
+    least one post-warmup peak, so n must be >= 2 per source; n and
+    ``replications`` are capped at MAX_REPLICATE_N and MAX_REPLICATIONS.
     """
     if replications < 1:
         raise ValidationError(f"replications must be >= 1, got {replications}")
+    if params.n > MAX_REPLICATE_N or replications > MAX_REPLICATIONS:
+        raise ValidationError(
+            f"replicate is capped at n <= {MAX_REPLICATE_N} and replications <= "
+            f"{MAX_REPLICATIONS}, got n={params.n}, replications={replications}"
+        )
     if not 0.0 <= warmup_fraction <= 0.5:
         raise ValidationError(f"warmup fraction must be in [0, 0.5], got {warmup_fraction}")
     # a source with k >= 2 updates has k - 1 peaks, and a warmup of at most
@@ -373,9 +383,7 @@ def replicate(
     else:
         half_width = 0.0
     return ReplicationSummary(
-        sources=params.sources,
         replications=replications,
-        warmup_fraction=warmup_fraction,
         mean_paoi=float(paoi_means.mean()),
         mean_system_time=float(system_means.mean()),
         ci95_paoi=float(half_width),

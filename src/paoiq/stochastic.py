@@ -65,9 +65,6 @@ class DistributionSpec:
             )
         return math.sqrt(self.variance)
 
-    def param(self, name: str) -> float:
-        return dict(self.params)[name]
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, **dict(self.params)}
 
@@ -185,18 +182,11 @@ def spec_from_dict(doc: dict) -> DistributionSpec:
     raise ValidationError(f"unknown distribution kind {kind!r}; expected one of {KINDS}")
 
 
-def moments(spec: DistributionSpec) -> tuple[float, float | None]:
-    """(mean, variance) of the spec; variance is None when infinite."""
-    return spec.mean, spec.variance
-
-
 @dataclass(frozen=True)
 class SampleStream:
     """A seeded, reproducible draw of positive values from one spec."""
 
     values: np.ndarray = field(repr=False)
-    seed: int
-    spec: DistributionSpec
 
     def __len__(self) -> int:
         return len(self.values)
@@ -246,7 +236,7 @@ def sample_stream(spec: DistributionSpec, count: int, seed: int,
         np.multiply(p["scale"], u, out=u)
     else:  # pragma: no cover - specs are only built by the factories above
         raise ValidationError(f"unknown distribution kind {spec.kind!r}")
-    return SampleStream(values=u, seed=int(seed), spec=spec)
+    return SampleStream(values=u)
 
 
 def _norm_cdf(x: float) -> float:

@@ -323,13 +323,24 @@ class TestCli:
         ("simulate", "sim.json", json.dumps({**SIM, "master_seed": -1})),
         ("simulate", "sim.json", json.dumps(
             {**SIM, "service": {"kind": "exponential", "rate": 1e308}})),
+        ("simulate", "sim.json", json.dumps({**SIM, "replicatons": 7})),
+        ("calibrate", "grid.json", json.dumps({**GRID, "replicatons": 3})),
+        ("calibrate", "grid.json", json.dumps(
+            {"points": [{**GRID["points"][0], "rate": 0.5}]})),
+        ("simulate", "sim.json", json.dumps({**SIM, "replications": 10**12})),
+        ("simulate", "sim.json", json.dumps({**SIM, "n": 10**15})),
+        ("sweep", "sweep.json", json.dumps({"scenario": "two", "n": 10**15})),
+        ("calibrate", "grid.json", json.dumps({**GRID, "replications": 10**12})),
     ], ids=["simulate-text-rate", "simulate-list", "sweep-number", "calibrate-list",
             "calibrate-point-fields", "sweep-theta-fields", "sweep-text-n",
             "report-short-row", "report-text-percent",
             "simulate-float-n", "simulate-float-sources", "simulate-float-replications",
             "simulate-bool-seed", "sweep-float-n", "sweep-float-replications",
             "sweep-float-seed", "calibrate-float-n", "calibrate-text-replications",
-            "simulate-negative-seed", "simulate-huge-rate"])
+            "simulate-negative-seed", "simulate-huge-rate",
+            "simulate-unknown-field", "calibrate-unknown-field",
+            "calibrate-unknown-point-field", "simulate-huge-replications",
+            "simulate-huge-n", "sweep-huge-n", "calibrate-huge-replications"])
     def test_malformed_input_exit_one(self, tmp_path, capsys, command, name, content):
         path = tmp_path / name
         path.write_text(content)
@@ -344,6 +355,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, name, content, message", [
+        ("simulate", "sim.json", {**SIM, "replicatons": 7},
+         "unknown simulate config fields: ['replicatons']"),
+        ("calibrate", "grid.json", {**GRID, "replicatons": 3},
+         "unknown calibration grid config fields: ['replicatons']"),
+        ("calibrate", "grid.json", {"points": [{**GRID["points"][0], "rate": 0.5}]},
+         "unknown calibration grid point fields: ['rate']"),
+    ], ids=["simulate", "calibrate", "calibrate-point"])
+    def test_unknown_fields_named(self, tmp_path, capsys, command, name, content, message):
+        path = tmp_path / name
+        path.write_text(json.dumps(content))
+        argv = {"simulate": ["simulate", "--config", str(path)],
+                "calibrate": ["calibrate", "--grid", str(path), "--scenario", "single",
+                              "--out", str(tmp_path / "theta.json")]}[command]
+        assert main(argv) == 1
+        # the form sweep uses
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "theta.json").exists()
+
+    def test_report_failed_method_prints_n_a(self, tmp_path, capsys):
+        # sweep writes nan for a method that failed at every grid point
+        path = tmp_path / "report.csv"
+        path.write_text(self.REPORT
+                        + "0.5,4,0.1,kingman,5,0.25\n0.5,4,0.1,robust2,nan,nan\n"
+                        + "method,error_percent\nkingman,25\nrobust2,nan\nrobust3,inf\n")
+        assert main(["report", "--in", str(path)]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[-3:] == [f"{'kingman':<10} {'25.00%':>14}",
+                              f"{'robust2':<10} {'n/a':>14}",
+                              f"{'robust3':<10} {'n/a':>14}"]
 
     def test_sweep_and_report(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path)

@@ -1,12 +1,14 @@
 """Property-based checks of the queue recursion, the two-source merge, the
-worst-case bounds and the ``bound`` command line.
+worst-case bounds and every subcommand of the command line.
 
 The examples are derandomized, so every run checks the same cases.
 """
 
 import contextlib
 import io
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from paoiq import robust_bounds as rb
 from paoiq.cli import main
 from paoiq.errors import NumericError
+from paoiq.experiments import read_report_csv
 from paoiq.kernels import lindley_system_times
 from paoiq.simulator import SystemParams, merge_arrivals
 
@@ -109,6 +112,19 @@ def test_monotone_in_gammas_and_n(sources, alpha, ga, gs, load, mu, n, dg, dn):
     assert exact(longer, unc).value >= shorter - 1e-12 * shorter
 
 
+def run_main(argv):
+    """``main(argv)`` with its exit code and captured stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def numbers(*valid):
     return st.sampled_from([*valid, "nan", "inf", "1e308", "-1", "abc"])
 
@@ -121,15 +137,144 @@ def numbers(*valid):
 def test_bound_cli_exits_cleanly(method, lam, mu, alpha, ga, gs, n, var_a, var_s):
     argv = ["bound", "--method", method, "--lambda", lam, "--mu", mu, "--alpha", alpha,
             "--gamma-a", ga, "--gamma-s", gs, "--n", n, "--var-a", var_a, "--var-s", var_s]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            np.errstate(all="ignore"):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    code, out, err = run_main(argv)
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 0:
-        row = out.getvalue().strip().split("\n")[-1].split(",")
+        row = out.strip().split("\n")[-1].split(",")
         assert all(math.isfinite(float(x)) for x in row[7:9])
+
+
+# The other subcommands read config files.  Each example is a valid
+# document, or one with a single field (or a distribution's first parameter,
+# "<field>.param") set to an invalid value, or with an unknown field added.
+# Half of the invalid values are huge integers, which a size field must
+# reject; they stay >= 10**13, where NumPy refuses an unchecked size before
+# allocating anything.
+INVALID = st.one_of(
+    st.sampled_from([0, -1, 1e-300, 1e308, math.inf, math.nan,
+                     "abc", "1", None, True, [1], {"a": 1}]),
+    st.sampled_from([10**13, 10**18]),
+)
+FUZZ = settings(DETERMINISTIC, max_examples=60)
+
+specs = st.sampled_from([
+    {"kind": "exponential", "rate": 1.0},
+    {"kind": "uniform", "mean": 2.0},
+    {"kind": "folded_normal", "location": 1.0, "scale": 0.5},
+    {"kind": "pareto", "shape": 1.5, "scale": 0.5},
+])
+
+
+def documents(fields: dict, extra=()):
+    """Valid documents of ``fields`` with at most one entry corrupted;
+    ``extra`` names fields that only ever appear with invalid values."""
+    names = [None, None, None, "replicatons", *fields, *extra,
+             *(f"{k}.param" for k in fields if k in ("interarrival", "service"))]
+    return st.builds(_corrupt, st.fixed_dictionaries(fields), st.sampled_from(names), INVALID)
+
+
+def _corrupt(doc: dict, name, bad) -> dict:
+    if name is None:
+        return doc
+    if name.endswith(".param"):
+        field = name.removesuffix(".param")
+        spec = doc[field] = dict(doc[field])  # the drawn spec is shared
+        spec[next(k for k in spec if k != "kind")] = bad
+    else:
+        doc[name] = bad
+    return doc
+
+
+def run_with_file(tmp_path_factory, name, content, argv):
+    """Run ``argv`` with "{file}" naming ``content`` written to a fresh directory
+    and "{dir}" that directory; check the exit code and stderr."""
+    path = tmp_path_factory.mktemp("fuzz") / name
+    path.write_text(content)
+    code, out, err = run_main([arg.replace("{file}", str(path)).replace("{dir}", str(path.parent))
+                               for arg in argv])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    return code, out, path.parent
+
+
+@FUZZ
+@given(documents({
+    "lam": st.sampled_from([0.2, 0.5]), "mu": st.just(1.0), "n": st.sampled_from([4, 2000]),
+    "sources": st.sampled_from([1, 2]), "replications": st.sampled_from([1, 3]),
+    "warmup_fraction": st.sampled_from([0.0, 0.5]), "master_seed": st.just(7),
+    "interarrival": specs, "service": specs,
+}))
+def test_simulate_cli_exits_cleanly(tmp_path_factory, doc):
+    code, out, _ = run_with_file(tmp_path_factory, "sim.json", json.dumps(doc),
+                                 ["simulate", "--config", "{file}"])
+    if code == 0:
+        row = out.strip().split("\n")[-1].split(",")
+        assert all(math.isfinite(float(x)) for x in row if x)
+
+
+@FUZZ
+@given(documents({
+    "scenario": st.sampled_from(["single", "two"]), "mu": st.just(1.0),
+    "lambdas": st.sampled_from([[0.2], [0.4, 0.2]]), "n": st.just(2000),
+    "replications": st.sampled_from([1, 3]), "warmup_fraction": st.just(0.1),
+    "interarrival_family": st.sampled_from(["exponential", "normal"]),
+    "service_family": st.sampled_from(["exponential", "uniform"]),
+    "master_seed": st.just(0), "theta": st.just("builtin"),
+}, extra=("methods",)))
+def test_sweep_cli_exits_cleanly(tmp_path_factory, doc):
+    code, _, workdir = run_with_file(tmp_path_factory, "sweep.json", json.dumps(doc),
+                                     ["sweep", "--config", "{file}", "--out", "{dir}/r.csv"])
+    if code == 0:
+        report = read_report_csv(workdir / "r.csv")
+        assert all(math.isfinite(r.sim_paoi_mean) and math.isfinite(r.sim_paoi_ci95)
+                   for r in report.rows)
+        # a failed bound reads nan; the sweep exits 2 when every one failed
+        assert not any(math.isinf(r.bound_paoi) for r in report.rows)
+        assert any(math.isfinite(v) for v in report.error_percents.values())
+
+
+# three points whose inversion succeeds at n = 2000: loads 0.8 to 0.9
+CAL_POINTS = [
+    {"lam": 0.8, "interarrival": {"kind": "exponential", "rate": 0.8},
+     "service": {"kind": "exponential", "rate": 1.0}},
+    {"lam": 0.85, "interarrival": {"kind": "uniform", "mean": 1 / 0.85},
+     "service": {"kind": "exponential", "rate": 1.0}},
+    {"lam": 0.9, "interarrival": {"kind": "exponential", "rate": 0.9},
+     "service": {"kind": "uniform", "mean": 1.0}},
+]
+
+
+@FUZZ
+@given(documents({
+    "mu": st.just(1.0), "n": st.just(2000), "replications": st.just(3),
+    "warmup_fraction": st.just(0.1), "master_seed": st.sampled_from([0, 5]),
+    "lam": st.just(0.8), "service": specs.filter(lambda spec: spec["kind"] != "pareto"),
+}))
+def test_calibrate_cli_exits_cleanly(tmp_path_factory, doc):
+    # the first point takes "lam" and "service"; the rest are grid settings
+    first = {**CAL_POINTS[0], "lam": doc.pop("lam"), "service": doc.pop("service")}
+    code, _, workdir = run_with_file(
+        tmp_path_factory, "grid.json", json.dumps({**doc, "points": [first, *CAL_POINTS[1:]]}),
+        ["calibrate", "--scenario", "single", "--grid", "{file}",
+         "--out", "{dir}/theta.json"])
+    if code == 0:
+        theta = json.loads((workdir / "theta.json").read_text())
+        assert all(math.isfinite(theta[k]) for k in ("theta0", "theta1", "theta2"))
+
+
+cells = st.sampled_from(["0", "-1", "1e-300", "1e308", "inf", "nan", "4", "abc"])
+
+
+@FUZZ
+@given(st.lists(st.tuples(cells, cells, cells), max_size=3),
+       st.lists(st.tuples(st.sampled_from(["kingman", "robust1", "robust2", "robust3"]), cells),
+                max_size=3))
+def test_report_cli_exits_cleanly(tmp_path_factory, rows, summary):
+    text = "lambda,sim_paoi_mean,sim_paoi_ci95,method,bound_paoi,rel_error\n"
+    text += "".join(f"0.5,{sim},0.1,robust2,{bound},{rel}\n" for sim, bound, rel in rows)
+    text += "method,error_percent\n" + "".join(f"{m},{pct}\n" for m, pct in summary)
+    code, out, _ = run_with_file(tmp_path_factory, "report.csv", text,
+                                 ["report", "--in", "{file}"])
+    if code == 0:
+        assert "nan" not in out and "inf" not in out

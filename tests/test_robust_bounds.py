@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from paoiq import robust_bounds
 from paoiq.errors import NumericError, StabilityError, ValidationError
+from paoiq.experiments import SweepConfig, run_sweep
 from paoiq.robust_bounds import (
     MAX_ENUMERATION_N,
+    SOURCES,
     BoundResult,
     UncertaintyParams,
     bound_robust1_single,
@@ -15,6 +18,7 @@ from paoiq.robust_bounds import (
     bound_robust3_two,
     kingman_bound,
     paoi_from_system_bound,
+    system_bound,
     worst_case_exact_single,
     worst_case_exact_two,
 )
@@ -225,6 +229,44 @@ class TestKingman:
     def test_non_finite_rejected(self, lam, mu, var_a, var_s):
         with pytest.raises(ValidationError):
             kingman_bound(lam, mu, var_a, var_s)
+
+
+class TestSystemBound:
+    DIRECT = {"exact_single": worst_case_exact_single, "robust1": bound_robust1_single,
+              "robust2": bound_robust2_single, "exact_two": worst_case_exact_two,
+              "robust3": bound_robust3_two}
+
+    @pytest.mark.parametrize("method", list(SOURCES))
+    @pytest.mark.parametrize("lam, mu, n, unc", [
+        (0.3, 1.1, 5000, UncertaintyParams(1.7, 0.8, 0.4)),
+        (0.45, 1.0, 3000, UncertaintyParams(1.5, 2.0, 1.0)),
+    ])
+    def test_equals_direct_call(self, method, lam, mu, n, unc):
+        direct = self.DIRECT[method](SystemParams(lam, mu, n, SOURCES[method]), unc)
+        got = system_bound(method, lam, mu, n, unc)
+        assert (got.value, got.method, got.m_star) == (direct.value, direct.method,
+                                                       direct.m_star)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValidationError):
+            system_bound("kingman", 0.5, 1.0, 100, UncertaintyParams(2.0, 1.0, 1.0))
+
+    def test_function_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper bound to the module attribute after import must run,
+        # both from system_bound and from a sweep
+        calls = []
+        original = robust_bounds.bound_robust2_single
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(robust_bounds, "bound_robust2_single", spy)
+        system_bound("robust2", 0.5, 1.0, 100, UncertaintyParams(2.0, 1.0, 1.0))
+        assert len(calls) == 1
+        run_sweep(SweepConfig(scenario="single", lambdas=(0.5,), n=200, replications=1,
+                              methods=("robust2",)))
+        assert len(calls) == 2
 
 
 class TestPaoiConversion:

@@ -9,6 +9,8 @@ from paoiq.errors import ValidationError
 from paoiq.experiments import family_spec
 from paoiq.seeding import ROLE_ARRIVAL_1, ROLE_ARRIVAL_2, ROLE_SERVICE, derive_seed
 from paoiq.simulator import (
+    MAX_REPLICATE_N,
+    MAX_REPLICATIONS,
     SystemParams,
     merge_arrivals,
     paoi_trace_single,
@@ -322,6 +324,16 @@ class TestReplicate:
         with pytest.raises(ValidationError):
             replicate(params, make_exponential(0.5), make_exponential(1.0),
                       warmup_fraction=0.6)
+
+    @pytest.mark.parametrize("sources", [1, 2])
+    @pytest.mark.parametrize("n, replications", [
+        (MAX_REPLICATE_N + 1, 1), (100, MAX_REPLICATIONS + 1), (10**15, 10**12),
+    ])
+    def test_size_caps(self, sources, n, replications):
+        # rejected before anything is allocated
+        with pytest.raises(ValidationError, match="capped"):
+            replicate(SystemParams(0.2, 1.0, n, sources), make_exponential(0.2),
+                      make_exponential(1.0), replications=replications)
 
 
 def rebuilt_through_wrappers(params, ia_spec, svc_spec, replications, warmup, master_seed):
