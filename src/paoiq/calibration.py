@@ -33,15 +33,13 @@ from .errors import (
     SingularDesignError,
     ValidationError,
     check_fields,
+    json_float,
     parsing,
 )
 from .robust_bounds import UncertaintyParams, bound_robust2_single, bound_robust3_two
 from .seeding import derive_seed
 from .simulator import DistributionSpec, SystemParams, replicate
 from .stochastic import spec_from_dict
-
-# Each scenario and its number of sources.
-SCENARIOS = {"single": 1, "two": 2}
 
 CALIBRATION_ALPHA = 2.0
 
@@ -52,6 +50,45 @@ _DATASET_HEADER = ("rho", "sigma_a", "sigma_s", "gamma_s_star", "kind_a", "kind_
 
 
 @dataclass(frozen=True)
+class Scenario:
+    """What one scenario fixes; rates are per source, as fractions of mu.
+
+    The bounds are intentionally pessimistic at very light load (the
+    adversary can compress interarrivals by gamma_a*sqrt(m), which the
+    gamma_s >= 0 calibration floor cannot offset there), so the sweep grids
+    start at moderate load.  Values only: a stored function would bypass
+    perfbench's tracer, which rebinds module attributes.
+    """
+
+    sources: int
+    theta: tuple[float, float, float]     # built-in (theta0, theta1, theta2)
+    methods: tuple[str, ...]              # the sweep's default and only bounds
+    sweep_rates: tuple[float, ...]        # default sweep grid
+    calibration_rates: tuple[float, ...]  # default calibrate grid
+
+
+SCENARIOS = {
+    "single": Scenario(
+        1, (-0.376, 3.978, 0.5), ("kingman", "robust1", "robust2"),
+        sweep_rates=tuple(round(0.05 * i, 3) for i in range(3, 19)),       # 0.15 .. 0.90
+        calibration_rates=tuple(round(0.1 * i, 3) for i in range(1, 10)),  # 0.1 .. 0.9
+    ),
+    "two": Scenario(
+        2, (-1.302, 6.021, 0.7), ("robust3",),
+        sweep_rates=tuple(round(0.025 * i, 3) for i in range(12, 20)),      # 0.30 .. 0.475
+        calibration_rates=tuple(round(0.05 * i, 3) for i in range(1, 10)),  # 0.05 .. 0.45
+    ),
+}
+
+
+def get_scenario(name) -> Scenario:
+    """The record of a scenario name; anything else raises ValidationError."""
+    if not isinstance(name, str) or name not in SCENARIOS:
+        raise ValidationError(f"scenario must be one of {tuple(SCENARIOS)}, got {name!r}")
+    return SCENARIOS[name]
+
+
+@dataclass(frozen=True)
 class CalibrationCoefficients:
     theta0: float
     theta1: float
@@ -59,24 +96,12 @@ class CalibrationCoefficients:
     scenario: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scenario, str) or self.scenario not in SCENARIOS:
-            raise ValidationError(
-                f"scenario must be one of {tuple(SCENARIOS)}, got {self.scenario!r}")
-
-
-# Built-in service-adaptation coefficients per scenario.
-_BUILTIN = {
-    "single": (-0.376, 3.978, 0.5),
-    "two": (-1.302, 6.021, 0.7),
-}
+        get_scenario(self.scenario)
 
 
 def builtin_theta(scenario: str) -> CalibrationCoefficients:
     """The shipped regression coefficients for a scenario."""
-    if scenario not in _BUILTIN:
-        raise ValidationError(f"scenario must be one of {tuple(SCENARIOS)}, got {scenario!r}")
-    t0, t1, t2 = _BUILTIN[scenario]
-    return CalibrationCoefficients(t0, t1, t2, scenario)
+    return CalibrationCoefficients(*get_scenario(scenario).theta, scenario)
 
 
 def map_variability(
@@ -218,9 +243,7 @@ def build_calibration_dataset(
     reported and skipped.  Heavy-tailed specs are rejected: this path needs
     finite sigma values.
     """
-    if scenario not in SCENARIOS:
-        raise ValidationError(f"scenario must be one of {tuple(SCENARIOS)}, got {scenario!r}")
-    sources = SCENARIOS[scenario]
+    sources = get_scenario(scenario).sources
     dataset = CalibrationDataset(scenario=scenario)
     for i, (lam, spec_a, spec_s) in enumerate(grid):
         params = SystemParams(lam=lam, mu=mu, n=n, sources=sources)
@@ -322,8 +345,8 @@ def grid_from_config(doc: dict) -> list[tuple[float, DistributionSpec, Distribut
     with parsing("calibration grid point"):
         for p in doc["points"]:
             check_fields(p, ("lam", "interarrival", "service"), "calibration grid point")
-        return [(float(p["lam"]), spec_from_dict(p["interarrival"]), spec_from_dict(p["service"]))
-                for p in doc["points"]]
+        return [(json_float(p["lam"], "lam"), spec_from_dict(p["interarrival"]),
+                 spec_from_dict(p["service"])) for p in doc["points"]]
 
 
 def _fmt(x: float) -> str:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import calibration, experiments
-from .errors import NumericError, ValidationError, check_fields, json_int, parsing
+from .errors import NumericError, ValidationError, check_fields, json_float, json_int, parsing
 from .robust_bounds import (
     METHODS,
     UncertaintyParams,
@@ -26,11 +26,6 @@ from .robust_bounds import (
 )
 from .simulator import SystemParams, replicate
 from .stochastic import spec_from_dict
-
-# Default calibration grids: per-source rates as fractions of mu, crossed
-# with every pairing of the three sweep families.
-_CAL_SINGLE_RHO = tuple(round(0.1 * i, 3) for i in range(1, 10))    # 0.1 .. 0.9
-_CAL_TWO_RHO = tuple(round(0.05 * i, 3) for i in range(1, 10))      # 0.05 .. 0.45
 
 
 def _fmt(x: float) -> str:
@@ -54,15 +49,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                        "replications", "warmup_fraction", "master_seed"), "simulate config")
     with parsing("simulate config"):
         params = SystemParams(
-            lam=float(doc["lam"]),
-            mu=float(doc["mu"]),
+            lam=json_float(doc["lam"], "lam"),
+            mu=json_float(doc["mu"], "mu"),
             n=json_int(doc.get("n", 100_000), "n"),
             sources=json_int(doc.get("sources", 1), "sources"),
         )
         ia_spec = spec_from_dict(doc["interarrival"])
         svc_spec = spec_from_dict(doc["service"])
         replications = json_int(doc.get("replications", 50), "replications")
-        warmup = float(doc.get("warmup_fraction", 0.1))
+        warmup = json_float(doc.get("warmup_fraction", 0.1), "warmup_fraction")
         seed = (args.seed if args.seed is not None
                 else json_int(doc.get("master_seed", 0), "master_seed"))
     summary = replicate(
@@ -111,10 +106,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _default_calibration_grid(scenario: str, mu: float):
-    rhos = _CAL_SINGLE_RHO if scenario == "single" else _CAL_TWO_RHO
     grid = []
     for fam_a, fam_s in itertools.product(experiments.FAMILIES, repeat=2):
-        for rho in rhos:
+        for rho in calibration.SCENARIOS[scenario].calibration_rates:
             lam = rho * mu
             grid.append((
                 lam,
@@ -132,10 +126,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     else:
         doc, grid, provenance = {}, None, {"grid_file": "builtin-default"}
     with parsing("calibration grid config"):
-        mu = float(doc.get("mu", 1.0))
+        mu = json_float(doc.get("mu", 1.0), "mu")
         n = json_int(doc.get("n", 20_000), "n")
         replications = json_int(doc.get("replications", 10), "replications")
-        warmup = float(doc.get("warmup_fraction", 0.1))
+        warmup = json_float(doc.get("warmup_fraction", 0.1), "warmup_fraction")
         master_seed = json_int(doc.get("master_seed", 0), "master_seed")
     if grid is None:
         grid = _default_calibration_grid(args.scenario, mu)

@@ -75,3 +75,17 @@ def json_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def json_float(value, name: str) -> float:
+    """A real number read from outside input: only a JSON number passes.
+
+    ``float()`` would accept "0.5" and read ``true`` as 1; an integer too
+    large for a float raises ValidationError too.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is out of the float range: {value}") from None

@@ -19,13 +19,13 @@ import numpy as np
 
 from .calibration import (
     CALIBRATION_ALPHA,
-    SCENARIOS,
     CalibrationCoefficients,
     builtin_theta,
+    get_scenario,
     map_variability,
     read_theta_json,
 )
-from .errors import NumericError, ValidationError, check_fields, json_int, parsing
+from .errors import NumericError, ValidationError, check_fields, json_float, json_int, parsing
 from .robust_bounds import (
     UncertaintyParams,
     kingman_bound,
@@ -42,17 +42,6 @@ from .stochastic import (
 )
 
 FAMILIES = ("exponential", "normal", "uniform")
-
-SINGLE_METHODS = ("kingman", "robust1", "robust2")
-TWO_METHODS = ("robust3",)
-
-# Default arrival-rate grids as fractions of mu.  The worst-case bounds are
-# intentionally pessimistic at very light load (the adversary can compress
-# interarrivals by gamma_a*sqrt(m), which the gamma_s >= 0 calibration floor
-# cannot offset there), so the default comparison grids start at moderate
-# load where the moment calibration is meaningful.
-DEFAULT_SINGLE_GRID = tuple(round(0.05 * i, 3) for i in range(3, 19))    # 0.15 .. 0.90
-DEFAULT_TWO_GRID = tuple(round(0.025 * i, 3) for i in range(12, 20))     # 0.30 .. 0.475 per source
 
 _REPORT_HEADER = "lambda,sim_paoi_mean,sim_paoi_ci95,method,bound_paoi,rel_error"
 _SUMMARY_HEADER = "method,error_percent"
@@ -78,7 +67,7 @@ def family_spec(family: str, mean: float) -> DistributionSpec:
 class SweepConfig:
     scenario: str
     mu: float = 1.0
-    lambdas: tuple[float, ...] = ()
+    lambdas: tuple[float, ...] | None = None      # None -> scenario default
     interarrival_family: str = "exponential"
     service_family: str = "exponential"
     n: int = 100_000
@@ -89,8 +78,7 @@ class SweepConfig:
     methods: tuple[str, ...] | None = None        # None -> scenario default
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scenario, str) or self.scenario not in SCENARIOS:
-            raise ValidationError(f"scenario must be 'single' or 'two', got {self.scenario!r}")
+        scenario = get_scenario(self.scenario)
         if not self.mu > 0:
             raise ValidationError(f"mu must be > 0, got {self.mu}")
         if self.n < 2:
@@ -104,22 +92,25 @@ class SweepConfig:
         for fam in (self.interarrival_family, self.service_family):
             if fam not in FAMILIES:
                 raise ValidationError(f"unknown family {fam!r}; expected one of {FAMILIES}")
-        sources = SCENARIOS[self.scenario]
+        if self.lambdas is not None and not self.lambdas:
+            raise ValidationError("lambdas must not be empty; omit it for the default grid")
         for lam in self.grid():
             if not lam > 0:
                 raise ValidationError(f"arrival rates must be > 0, got {lam}")
-            if not sources * lam < self.mu:
+            if not scenario.sources * lam < self.mu:
                 raise ValidationError(
                     f"rate {lam} violates {self.scenario}-scenario stability "
-                    f"({sources}*lam < mu = {self.mu})"
+                    f"({scenario.sources}*lam < mu = {self.mu})"
                 )
-        allowed = SINGLE_METHODS if self.scenario == "single" else TWO_METHODS
-        for m in self.method_list():
-            if m not in allowed:
+        methods = self.method_list()
+        for m in methods:
+            if m not in scenario.methods:
                 raise ValidationError(
                     f"method {m!r} is not applicable to the {self.scenario} scenario; "
-                    f"allowed: {allowed}"
+                    f"allowed: {scenario.methods}"
                 )
+        if len(set(methods)) < len(methods):
+            raise ValidationError(f"methods must not repeat, got {methods}")
         if self.theta is not None and self.theta.scenario != self.scenario:
             raise ValidationError(
                 f"theta is calibrated for the {self.theta.scenario!r} scenario, "
@@ -127,18 +118,15 @@ class SweepConfig:
             )
 
     def grid(self) -> tuple[float, ...]:
-        if self.lambdas:
+        if self.lambdas is not None:
             return self.lambdas
-        base = DEFAULT_SINGLE_GRID if self.scenario == "single" else DEFAULT_TWO_GRID
-        return tuple(round(lam * self.mu, 12) for lam in base)
+        rates = get_scenario(self.scenario).sweep_rates
+        return tuple(round(lam * self.mu, 12) for lam in rates)
 
     def method_list(self) -> tuple[str, ...]:
         if self.methods is None:
-            return SINGLE_METHODS if self.scenario == "single" else TWO_METHODS
+            return get_scenario(self.scenario).methods
         return self.methods
-
-    def theta_coefficients(self) -> CalibrationCoefficients:
-        return self.theta if self.theta is not None else builtin_theta(self.scenario)
 
 
 def config_from_json(doc: dict) -> SweepConfig:
@@ -156,8 +144,9 @@ def config_from_json(doc: dict) -> SweepConfig:
         if theta == "builtin" or theta is None:
             theta_coef = None
         elif isinstance(theta, dict):
+            check_fields(theta, ("theta0", "theta1", "theta2", "scenario"), "sweep config theta")
             theta_coef = CalibrationCoefficients(
-                float(theta["theta0"]), float(theta["theta1"]), float(theta["theta2"]),
+                *(json_float(theta[k], k) for k in ("theta0", "theta1", "theta2")),
                 theta.get("scenario", doc["scenario"]),
             )
         elif isinstance(theta, str):
@@ -167,13 +156,14 @@ def config_from_json(doc: dict) -> SweepConfig:
                 f"theta must be 'builtin', an object, or a file path: {theta!r}")
         return SweepConfig(
             scenario=doc["scenario"],
-            mu=float(doc.get("mu", 1.0)),
-            lambdas=tuple(float(x) for x in doc.get("lambdas", ())),
+            mu=json_float(doc.get("mu", 1.0), "mu"),
+            lambdas=(None if "lambdas" not in doc
+                     else tuple(json_float(x, "lambdas entry") for x in doc["lambdas"])),
             interarrival_family=doc.get("interarrival_family", "exponential"),
             service_family=doc.get("service_family", "exponential"),
             n=json_int(doc.get("n", 100_000), "n"),
             replications=json_int(doc.get("replications", 50), "replications"),
-            warmup_fraction=float(doc.get("warmup_fraction", 0.1)),
+            warmup_fraction=json_float(doc.get("warmup_fraction", 0.1), "warmup_fraction"),
             master_seed=json_int(doc.get("master_seed", 0), "master_seed"),
             theta=theta_coef,
             methods=None if "methods" not in doc else tuple(doc["methods"]),
@@ -220,8 +210,8 @@ def _evaluate_bound(method: str, lam_eff: float, mu_eff: float, n: int,
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Simulate every grid rate and evaluate every requested bound."""
-    sources = SCENARIOS[config.scenario]
-    theta = config.theta_coefficients()
+    sources = get_scenario(config.scenario).sources
+    theta = config.theta or builtin_theta(config.scenario)
     methods = config.method_list()
     report = SweepReport()
     sims: dict[str, tuple[list[float], list[float]]] = {m: ([], []) for m in methods}

@@ -96,6 +96,28 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="unknown"):
             config_from_json({"scenario": "single", "lambda_grid": [0.5]})
 
+    def test_repeated_method(self):
+        with pytest.raises(ValidationError, match="repeat"):
+            SweepConfig(scenario="single", lambdas=(0.5,), methods=("robust2", "robust2"))
+
+    @pytest.mark.parametrize("scenario", ["three", None, ["single"], 2],
+                             ids=["three", "none", "list", "int"])
+    def test_one_scenario_check(self, scenario):
+        from paoiq.calibration import (
+            CalibrationCoefficients,
+            build_calibration_dataset,
+            builtin_theta,
+        )
+
+        message = f"scenario must be one of ('single', 'two'), got {scenario!r}"
+        for make in (lambda: SweepConfig(scenario=scenario),
+                     lambda: CalibrationCoefficients(0.0, 1.0, 0.0, scenario),
+                     lambda: builtin_theta(scenario),
+                     lambda: build_calibration_dataset([], scenario, mu=1.0)):
+            with pytest.raises(ValidationError) as info:
+                make()
+            assert str(info.value) == message
+
 
 class TestRunSweep:
     def test_row_counts_and_sorting(self):
@@ -300,6 +322,8 @@ class TestCli:
     REPORT = "lambda,sim_paoi_mean,sim_paoi_ci95,method,bound_paoi,rel_error\n"
     GRID = {"points": [{"lam": 0.5, "interarrival": {"kind": "exponential", "rate": 0.5},
                         "service": {"kind": "exponential", "rate": 1.0}}]}
+    # one small grid point, so that a config accepted by mistake finishes quickly
+    SWEEP = {"scenario": "single", "lambdas": [0.5], "n": 200, "replications": 2}
 
     @pytest.mark.parametrize("command, name, content", [
         ("simulate", "sim.json", json.dumps({**SIM, "lam": "abc"})),
@@ -331,6 +355,24 @@ class TestCli:
         ("simulate", "sim.json", json.dumps({**SIM, "n": 10**15})),
         ("sweep", "sweep.json", json.dumps({"scenario": "two", "n": 10**15})),
         ("calibrate", "grid.json", json.dumps({**GRID, "replications": 10**12})),
+        ("sweep", "sweep.json", json.dumps(
+            {**SWEEP, "methods": ["robust2", "robust2"]})),
+        ("sweep", "sweep.json", json.dumps({**SWEEP, "theta": {
+            "theta0": -0.376, "theta1": 3.978, "theta2": 0.5, "thetaa2": 9}})),
+        ("sweep", "sweep.json", json.dumps({**SWEEP, "lambdas": []})),
+        ("simulate", "sim.json", json.dumps({**SIM, "lam": "0.5"})),
+        ("simulate", "sim.json", json.dumps({**SIM, "mu": True})),
+        ("simulate", "sim.json", json.dumps({**SIM, "warmup_fraction": "0.1"})),
+        ("simulate", "sim.json", json.dumps({**SIM, "mu": 10**400})),
+        ("sweep", "sweep.json", json.dumps({**SWEEP, "mu": "1"})),
+        ("sweep", "sweep.json", json.dumps({**SWEEP, "lambdas": ["0.5"]})),
+        ("sweep", "sweep.json", json.dumps({**SWEEP, "warmup_fraction": False})),
+        ("sweep", "sweep.json", json.dumps({**SWEEP, "theta": {
+            "theta0": "-0.376", "theta1": 3.978, "theta2": 0.5}})),
+        ("calibrate", "grid.json", json.dumps({**GRID, "mu": True})),
+        ("calibrate", "grid.json", json.dumps({**GRID, "warmup_fraction": "0.1"})),
+        ("calibrate", "grid.json", json.dumps(
+            {**GRID, "points": [{**GRID["points"][0], "lam": "0.5"}]})),
     ], ids=["simulate-text-rate", "simulate-list", "sweep-number", "calibrate-list",
             "calibrate-point-fields", "sweep-theta-fields", "sweep-text-n",
             "report-short-row", "report-text-percent",
@@ -340,7 +382,12 @@ class TestCli:
             "simulate-negative-seed", "simulate-huge-rate",
             "simulate-unknown-field", "calibrate-unknown-field",
             "calibrate-unknown-point-field", "simulate-huge-replications",
-            "simulate-huge-n", "sweep-huge-n", "calibrate-huge-replications"])
+            "simulate-huge-n", "sweep-huge-n", "calibrate-huge-replications",
+            "sweep-repeated-method", "sweep-theta-unknown-field", "sweep-empty-lambdas",
+            "simulate-text-lam", "simulate-bool-mu", "simulate-text-warmup",
+            "simulate-huge-integer-mu", "sweep-text-mu", "sweep-text-lambda",
+            "sweep-false-warmup", "sweep-text-theta0", "calibrate-bool-mu",
+            "calibrate-text-warmup", "calibrate-text-point-lam"])
     def test_malformed_input_exit_one(self, tmp_path, capsys, command, name, content):
         path = tmp_path / name
         path.write_text(content)

@@ -19,7 +19,13 @@ from paoiq.simulator import (
     simulate_fcfs,
     simulate_two_source,
 )
-from paoiq.stochastic import make_exponential, make_pareto, sample_stream
+from paoiq.stochastic import (
+    make_exponential,
+    make_folded_normal,
+    make_pareto,
+    make_uniform_mean,
+    sample_stream,
+)
 
 
 def brute_force_system_times(t, x):
@@ -386,3 +392,36 @@ class TestReplicateParity:
         assert np.array_equal(summary.mean_system_time, float(system.mean()))
         if sources == 2:
             assert np.array_equal(summary.per_source_paoi, per_source.mean(axis=0))
+
+
+def test_replicate_matches_mg1_peak_age():
+    """Replicated mean peak age against the M/G/1 formula (Kleinrock 1975).
+
+    Poisson arrivals of total rate L = k*lam into one FCFS server give a
+    mean system time E[S] + L*E[S^2] / (2(1 - rho)) (Pollaczek-Khinchine,
+    rho = L*E[S]), and a source's peak age adds its mean interarrival time
+    1/lam.  The seed is fixed in advance at every point.
+    """
+    mu, replications = 1.0, 20
+    services = {
+        "exponential": make_exponential(mu),
+        "uniform": make_uniform_mean(1.0 / mu),
+        "normal": make_folded_normal(1.0 / mu, 0.5 / mu),
+    }
+    z = {}
+    for sources in (1, 2):
+        for name, svc in services.items():
+            for load in (0.2, 0.5, 0.8, 0.9):
+                lam = load * mu / sources
+                total = sources * lam
+                rho = total * svc.mean
+                second_moment = svc.variance + svc.mean**2
+                expected = 1.0 / lam + svc.mean + total * second_moment / (2.0 * (1.0 - rho))
+                summary = replicate(SystemParams(lam, mu, 100_000, sources),
+                                    make_exponential(lam), svc, replications=replications,
+                                    warmup_fraction=0.1, master_seed=11)
+                means = summary.paoi_rep_means
+                stderr = means.std(ddof=1) / math.sqrt(replications)
+                z[sources, name, load] = (means.mean() - expected) / stderr
+    worst = max(z, key=lambda key: abs(z[key]))
+    assert abs(z[worst]) <= 4.0, f"|z| = {abs(z[worst]):.2f} at {worst}; all: {z}"
