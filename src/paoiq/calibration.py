@@ -13,7 +13,7 @@ squares on the linearized form y = (gamma_s* + sigma_a)^2 against
 
 Target gamma_s* values are extracted per instance by inverting the
 closed-form worst-case bound against the simulated mean system time
-(bisection; the bound is strictly increasing in gamma_s).  The tail
+(exact, by Dinkelbach's iteration on ``m_star``).  The tail
 coefficient is fixed to alpha = 2 throughout calibration.
 """
 
@@ -36,15 +36,12 @@ from .errors import (
     json_float,
     parsing,
 )
-from .robust_bounds import UncertaintyParams, bound_robust2_single, bound_robust3_two
+from .robust_bounds import UncertaintyParams, bound_robust2_single, bound_robust3_two, f
 from .seeding import derive_seed
 from .simulator import DistributionSpec, SystemParams, replicate
 from .stochastic import spec_from_dict
 
 CALIBRATION_ALPHA = 2.0
-
-# ``invert_gamma_s`` stops once the bound is within this fraction of its target.
-INVERSION_RTOL = 1e-8
 
 _DATASET_HEADER = ("rho", "sigma_a", "sigma_s", "gamma_s_star", "kind_a", "kind_s", "seed")
 
@@ -142,46 +139,30 @@ def invert_gamma_s(
     gamma_a: float,
     target_system_time: float,
 ) -> float:
-    """The unique gamma_s >= 0 whose closed-form bound equals the target.
+    """The unique gamma_s >= 0 whose closed-form bound equals the target T.
 
-    The bound is strictly increasing in gamma_s, so the root is found by
-    doubling the upper bracket and bisecting until the re-evaluated bound is
-    within ``INVERSION_RTOL * target`` of the target.
+    Window m gives the line c_m + s_m*gamma_s, where c_m is its value at
+    gamma_s = 0 and s_m = k(m+1)^(1/alpha), or 1 at the two-source empty
+    window m = -1/2.  The bound is their upper envelope, so the answer is
+    min_m (T - c_m)/s_m; Dinkelbach's iteration steps to where the line of
+    the worst window ``m_star`` reaches T until ``m_star`` repeats, which it
+    must: each step after the first lands between the root and the previous
+    point, on a line of smaller slope.
     """
     bound_fn = bound_robust2_single if sys.sources == 1 else bound_robust3_two
-
-    def value(gs: float) -> float:
-        return bound_fn(sys, UncertaintyParams(alpha, gamma_a, gs)).value
-
-    v0 = value(0.0)
-    if target_system_time < v0:
+    start = bound_fn(sys, UncertaintyParams(alpha, gamma_a, 0.0))
+    if not start.value <= target_system_time < math.inf:
         raise NoSolutionError(
-            f"target system time {target_system_time:.6g} is below the gamma_s=0 "
-            f"bound {v0:.6g}; no gamma_s >= 0 can reach it"
+            f"target system time {target_system_time:.6g} is not a finite value at or above "
+            f"the gamma_s=0 bound {start.value:.6g}; no gamma_s >= 0 can reach it"
         )
-    tol = INVERSION_RTOL * abs(target_system_time)
-    if target_system_time - v0 <= tol:
-        return 0.0
-
-    hi = 1.0
-    for _ in range(200):
-        if value(hi) >= target_system_time:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - bound grows without limit in gamma_s
-        raise NoSolutionError("could not bracket the target system time")
-
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        v = value(mid)
-        if abs(v - target_system_time) <= tol:
-            return mid
-        if v < target_system_time:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    k, m, seen = sys.sources, start.m_star, set()
+    while m not in seen:
+        seen.add(m)
+        slope = 1.0 if m == -0.5 else k * (m + 1.0) ** (1.0 / alpha)
+        gamma_s = (target_system_time - f(m, k, sys.lam, sys.mu, alpha, gamma_a, 0.0)) / slope
+        m = bound_fn(sys, UncertaintyParams(alpha, gamma_a, gamma_s)).m_star
+    return gamma_s
 
 
 @dataclass(frozen=True)
@@ -330,8 +311,7 @@ def read_theta_json(path) -> CalibrationCoefficients:
     with open(path) as fh, parsing(f"theta file {path}"):
         doc = json.load(fh)
         return CalibrationCoefficients(
-            float(doc["theta0"]), float(doc["theta1"]), float(doc["theta2"]),
-            doc["scenario"],
+            *(json_float(doc[k], k) for k in ("theta0", "theta1", "theta2")), doc["scenario"]
         )
 
 

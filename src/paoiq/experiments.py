@@ -139,6 +139,8 @@ def config_from_json(doc: dict) -> SweepConfig:
     ), "sweep config")
     if "scenario" not in doc:
         raise ValidationError("sweep config needs a 'scenario'")
+    if not isinstance(doc.get("methods", []), list):
+        raise ValidationError(f"methods must be a list of method names, got {doc['methods']!r}")
     with parsing("sweep config"):
         theta = doc.get("theta", "builtin")
         if theta == "builtin" or theta is None:

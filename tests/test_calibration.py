@@ -111,6 +111,11 @@ class TestInvertGammaS:
         with pytest.raises(NoSolutionError):
             invert_gamma_s(sysp, 2.0, 2.0, base * 0.5)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_non_finite_target(self, target):
+        with pytest.raises(NoSolutionError):
+            invert_gamma_s(SystemParams(0.5, 1.0, 1000, 1), 2.0, 1.0, target)
+
 
 def synthetic_dataset(theta, noise=0.0, seed=0):
     rng = np.random.default_rng(seed)

@@ -373,6 +373,8 @@ class TestCli:
         ("calibrate", "grid.json", json.dumps({**GRID, "warmup_fraction": "0.1"})),
         ("calibrate", "grid.json", json.dumps(
             {**GRID, "points": [{**GRID["points"][0], "lam": "0.5"}]})),
+        ("sweep", "sweep.json", json.dumps({**SWEEP, "methods": "robust2"})),
+        ("sweep", "sweep.json", json.dumps({**SWEEP, "methods": {"robust2": 1}})),
     ], ids=["simulate-text-rate", "simulate-list", "sweep-number", "calibrate-list",
             "calibrate-point-fields", "sweep-theta-fields", "sweep-text-n",
             "report-short-row", "report-text-percent",
@@ -387,7 +389,8 @@ class TestCli:
             "simulate-text-lam", "simulate-bool-mu", "simulate-text-warmup",
             "simulate-huge-integer-mu", "sweep-text-mu", "sweep-text-lambda",
             "sweep-false-warmup", "sweep-text-theta0", "calibrate-bool-mu",
-            "calibrate-text-warmup", "calibrate-text-point-lam"])
+            "calibrate-text-warmup", "calibrate-text-point-lam", "sweep-text-methods",
+            "sweep-object-methods"])
     def test_malformed_input_exit_one(self, tmp_path, capsys, command, name, content):
         path = tmp_path / name
         path.write_text(content)
@@ -402,6 +405,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_theta_file_fields_are_numbers(self, tmp_path, capsys):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(
+            {"scenario": "single", "theta0": "-0.376", "theta1": True, "theta2": 0.5}))
+        config = self.sweep_config(tmp_path, lambdas=[0.4], theta=str(theta))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == "error: theta0 must be a number, got '-0.376'\n"
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("command, name, content, message", [
         ("simulate", "sim.json", {**SIM, "replicatons": 7},

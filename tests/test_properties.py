@@ -1,5 +1,6 @@
 """Property-based checks of the queue recursion, the two-source merge, the
-worst-case bounds and every subcommand of the command line.
+worst-case bounds, their inversion in gamma_s and every subcommand of the
+command line.
 
 The examples are derandomized, so every run checks the same cases.
 """
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paoiq import robust_bounds as rb
+from paoiq.calibration import invert_gamma_s
 from paoiq.cli import main
 from paoiq.errors import NumericError
 from paoiq.experiments import read_report_csv
@@ -110,6 +112,24 @@ def test_monotone_in_gammas_and_n(sources, alpha, ga, gs, load, mu, n, dg, dn):
     longer = scenario(sources, load, mu, n + dn)
     shorter = exact(sysp, unc).value
     assert exact(longer, unc).value >= shorter - 1e-12 * shorter
+
+
+@DETERMINISTIC
+@given(st.sampled_from([1, 2]), alphas, gammas, loads, mus, sizes,
+       st.floats(min_value=0.0, max_value=10.0))
+def test_invert_gamma_s_is_the_least_ratio(sources, alpha, ga, load, mu, n, excess):
+    sysp = scenario(sources, load, mu, n)
+    closed = SOURCES[sources][1]
+    target = closed(sysp, rb.UncertaintyParams(alpha, ga, 0.0)).value + excess
+    gs = invert_gamma_s(sysp, alpha, ga, target)
+    back = closed(sysp, rb.UncertaintyParams(alpha, ga, gs)).value
+    assert back == pytest.approx(target, rel=1e-12)
+    # the bound is the upper envelope of the line c_m + s_m*gamma_s of every window m
+    windows = [j / sources for j in range(n - sources + 1)] + ([-0.5] if sources == 2 else [])
+    least = min((target - rb.f(m, sources, sysp.lam, mu, alpha, ga, 0.0))
+                / (1.0 if m == -0.5 else sources * (m + 1.0) ** (1.0 / alpha))
+                for m in windows)
+    assert gs == pytest.approx(least, rel=1e-12)
 
 
 def run_main(argv):
