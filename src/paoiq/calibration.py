@@ -36,6 +36,7 @@ from .errors import (
     json_float,
     parsing,
 )
+from .kernels import EMPTY_WINDOW
 from .robust_bounds import UncertaintyParams, bound_robust2_single, bound_robust3_two, f
 from .seeding import derive_seed
 from .simulator import DistributionSpec, SystemParams, replicate
@@ -159,7 +160,7 @@ def invert_gamma_s(
     k, m, seen = sys.sources, start.m_star, set()
     while m not in seen:
         seen.add(m)
-        slope = 1.0 if m == -0.5 else k * (m + 1.0) ** (1.0 / alpha)
+        slope = 1.0 if m == EMPTY_WINDOW else k * (m + 1.0) ** (1.0 / alpha)
         gamma_s = (target_system_time - f(m, k, sys.lam, sys.mu, alpha, gamma_a, 0.0)) / slope
         m = bound_fn(sys, UncertaintyParams(alpha, gamma_a, gamma_s)).m_star
     return gamma_s

@@ -139,8 +139,9 @@ def config_from_json(doc: dict) -> SweepConfig:
     ), "sweep config")
     if "scenario" not in doc:
         raise ValidationError("sweep config needs a 'scenario'")
-    if not isinstance(doc.get("methods", []), list):
-        raise ValidationError(f"methods must be a list of method names, got {doc['methods']!r}")
+    for name, items in (("lambdas", "numbers"), ("methods", "method names")):
+        if not isinstance(doc.get(name, []), list):
+            raise ValidationError(f"{name} must be a list of {items}, got {doc[name]!r}")
     with parsing("sweep config"):
         theta = doc.get("theta", "builtin")
         if theta == "builtin" or theta is None:

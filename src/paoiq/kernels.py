@@ -1,4 +1,4 @@
-"""NumPy kernels: the FCFS waiting-time recursion and the worst-case enumerations.
+"""NumPy kernels: the FCFS waiting-time recursion and the worst-case enumeration.
 
 The Lindley recursion is evaluated in its prefix-sum max form so it
 vectorizes:
@@ -8,6 +8,10 @@ vectorizes:
 
 with CX, CT the cumulative sums of services and interarrivals.  The running
 max is a single ``np.fmax.accumulate``.
+
+``window_bound`` is the one worst-case window expression; ``_exact_max``
+enumerates it over m = 0, 1/k, ..., n/k - 1.  That grid is empty only for
+k = 2 and n = 1, where the two-source ``EMPTY_WINDOW`` is the worst case.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ import numpy as np
 from .errors import ValidationError
 
 BACKEND = "python"
+
+# The two-source window of the last update alone, with no interarrival.
+EMPTY_WINDOW = -0.5
 
 
 def lindley_system_times(interarrivals: np.ndarray, services: np.ndarray,
@@ -59,36 +66,37 @@ def lindley_system_times(interarrivals: np.ndarray, services: np.ndarray,
     return np.add(ct, cx, out=cx)
 
 
-def exact_single_max(lam: float, mu: float, alpha: float,
-                     gamma_a: float, gamma_s: float, n: int) -> tuple[float, int]:
-    """Max over m in {0..n-1} of
-    (m+1)/mu - m/lam + gamma_s*(m+1)^(1/alpha) + gamma_a*m^(1/alpha).
-
-    Returns (value, argmax); ties resolve to the smallest m.
-    """
+def window_bound(m: float | np.ndarray, k: int, lam: float, mu: float, alpha: float,
+                 gamma_a: float, gamma_s: float) -> float | np.ndarray:
+    """Worst-case system time of a window of m >= 0 interarrivals with k sources,
+    k(m+1)/mu - m/lam + k*gamma_s*(m+1)^(1/alpha) + gamma_a*m^(1/alpha), for a
+    float or an array m.  A float stays a float: Python's pow and NumPy's
+    may differ in the last bits."""
     ia = 1.0 / alpha
-    m = np.arange(n, dtype=np.float64)
-    vals = (m + 1.0) / mu - m / lam + gamma_s * (m + 1.0) ** ia + gamma_a * m ** ia
-    i = int(np.argmax(vals))
-    return float(vals[i]), i
+    p = m + 1.0
+    return k * p / mu - m / lam + k * gamma_s * p**ia + gamma_a * m**ia
+
+
+def exact_single_max(lam: float, mu: float, alpha: float,
+                     gamma_a: float, gamma_s: float, n: int) -> tuple[float, float]:
+    """``_exact_max`` for one source: m in {0..n-1}."""
+    return _exact_max(1, lam, mu, alpha, gamma_a, gamma_s, n)
 
 
 def exact_two_max(lam: float, mu: float, alpha: float,
                   gamma_a: float, gamma_s: float, n: int) -> tuple[float, float]:
-    """Max over the half-integer grid m in {-1/2, 0, 1/2, ..., n/2 - 1} of
-    2(m+1)/mu - m/lam + 2*gamma_s*(m+1)^(1/alpha) + gamma_a*m^(1/alpha),
-    with the m = -1/2 boundary defined as 1/mu + gamma_s.
+    """``_exact_max`` for two sources: m in {0, 1/2, ..., n/2 - 1}, or the empty window."""
+    return _exact_max(2, lam, mu, alpha, gamma_a, gamma_s, n)
 
-    Returns (value, argmax); ties resolve to the smallest m.
-    """
-    ia = 1.0 / alpha
-    boundary = 1.0 / mu + gamma_s
-    if n <= 1:
-        return boundary, -0.5
-    m = 0.5 * np.arange(1, n, dtype=np.float64) - 0.5
-    vals = (2.0 * (m + 1.0) / mu - m / lam
-            + 2.0 * gamma_s * (m + 1.0) ** ia + gamma_a * m ** ia)
+
+def _exact_max(k: int, lam: float, mu: float, alpha: float,
+               gamma_a: float, gamma_s: float, n: int) -> tuple[float, float]:
+    """(max, argmax) of ``window_bound`` over m = 0, 1/k, ..., n/k - 1, ties to
+    the smallest m.  An empty grid (k = 2, n = 1) leaves the empty window,
+    worth 1/mu + gamma_s; it never wins otherwise, as m = 0 is worth twice that."""
+    if n < k:
+        return 1.0 / mu + gamma_s, EMPTY_WINDOW
+    m = np.arange(0.0, (n - k + 1) / k, 1.0 / k)
+    vals = window_bound(m, k, lam, mu, alpha, gamma_a, gamma_s)
     i = int(np.argmax(vals))
-    if boundary >= float(vals[i]):
-        return boundary, -0.5
     return float(vals[i]), float(m[i])

@@ -7,8 +7,9 @@ case is the max of
 
     f(m) = k(m+1)/mu - m/lam + k*gamma_s*(m+1)^(1/alpha) + gamma_a*m^(1/alpha)
 
-over the grid m = 0, 1/k, ..., n/k - 1, plus for k = 2 the empty window
-m = -1/2 where f = 1/mu + gamma_s.  Available methods:
+(``kernels.window_bound``) over the grid m = 0, 1/k, ..., n/k - 1, which is
+empty only for k = 2 and n = 1: then the worst case is the empty window
+m = -1/2 (``kernels.EMPTY_WINDOW``), f = 1/mu + gamma_s.  Available methods:
 
 * ``exact_single`` / ``exact_two`` - that max by enumeration (k = 1 / 2);
 * ``robust2`` / ``robust3``        - closed forms equal to it, an argmax
@@ -34,8 +35,8 @@ from .simulator import SystemParams
 SOURCES = {"exact_single": 1, "robust1": 1, "robust2": 1, "exact_two": 2, "robust3": 2}
 METHODS = (*SOURCES, "kingman")
 
-# Enumeration allocates about 31 bytes per grid point; this keeps one under
-# about 0.3 GB.
+# Enumeration peaks at 32 bytes per grid point (tracemalloc, n = 10**6, both
+# k); this keeps one under about 0.3 GB.
 MAX_ENUMERATION_N = 10**7
 
 
@@ -72,15 +73,10 @@ class BoundResult:
 
 def f(m: float, k: int, lam: float, mu: float, alpha: float,
       gamma_a: float, gamma_s: float) -> float:
-    """Worst-case system time of a window of m interarrivals with k sources:
-    k(m+1)/mu - m/lam + k*gamma_s*(m+1)^(1/alpha) + gamma_a*m^(1/alpha),
-    and 1/mu + gamma_s at the two-source empty window m = -1/2.
-    """
-    if m == -0.5:
+    """``window_bound`` at a float m, or 1/mu + gamma_s at the empty window."""
+    if m == kernels.EMPTY_WINDOW:
         return 1.0 / mu + gamma_s
-    ia = 1.0 / alpha
-    return (k * (m + 1.0) / mu - m / lam
-            + k * gamma_s * (m + 1.0) ** ia + gamma_a * m**ia)
+    return kernels.window_bound(m, k, lam, mu, alpha, gamma_a, gamma_s)
 
 
 def worst_case_exact_single(sys: SystemParams, unc: UncertaintyParams) -> BoundResult:
@@ -138,11 +134,8 @@ def bound_robust2_single(sys: SystemParams, unc: UncertaintyParams) -> BoundResu
 
 
 def worst_case_exact_two(sys: SystemParams, unc: UncertaintyParams) -> BoundResult:
-    """Exact two-source worst case by enumeration over the half-integer grid.
-
-    The grid point m = -1/2 corresponds to bounding the final update alone
-    (empty interarrival sum) and evaluates to 1/mu + gamma_s exactly.
-    """
+    """Exact two-source worst case by enumeration over the half-integer grid,
+    or the empty window when n = 1."""
     _require_sources(sys, 2)
     return _enumerate(sys, unc, "exact_two")
 
@@ -211,14 +204,14 @@ def _require_stable(sys: SystemParams) -> None:
 
 
 def _enumerate(sys: SystemParams, unc: UncertaintyParams, method: str) -> BoundResult:
-    """Exact worst case over the k-source grid, by the enumeration kernels."""
+    """Exact worst case over the k-source grid, by enumeration."""
     if sys.n > MAX_ENUMERATION_N:
         raise ValidationError(
             f"enumeration is capped at n <= {MAX_ENUMERATION_N}, got n={sys.n}"
         )
     kernel = kernels.exact_single_max if sys.sources == 1 else kernels.exact_two_max
     value, m_star = kernel(sys.lam, sys.mu, unc.alpha, unc.gamma_a, unc.gamma_s, sys.n)
-    return BoundResult(float(value), method, float(m_star))
+    return BoundResult(value, method, m_star)
 
 
 def _closed_form(sys: SystemParams, unc: UncertaintyParams, method: str) -> BoundResult:
@@ -228,7 +221,7 @@ def _closed_form(sys: SystemParams, unc: UncertaintyParams, method: str) -> Boun
     of l = (alpha*(1/lam-k/mu)/(gamma_a+k*gamma_s))^(alpha/(1-alpha)), so the
     grid argmax lies among floor(l) + j/k, j = -k..k, capped to [0, n/k-1];
     if l is at or past the grid's end, f still increases there and the top
-    point n/k-1 wins.  For k = 2 the empty window m = -1/2 always competes.
+    point n/k-1 wins; at k = 2, n = 1 that top point is the empty window.
     Ties go to the smallest m.  Deterministic inputs (gamma_a + gamma_s = 0)
     fall back to enumeration.
     """
@@ -248,12 +241,9 @@ def _closed_form(sys: SystemParams, unc: UncertaintyParams, method: str) -> Boun
         l = math.inf
     if n == 1 or not l < n / k:
         # a one-point grid, or f still increasing at its end: the top point wins
-        best = (f(top, k, lam, mu, a, ga, gs), -top)
+        value, neg_m = f(top, k, lam, mu, a, ga, gs), -top
     else:
         fl = math.floor(l)
-        best = max((f(m, k, lam, mu, a, ga, gs), -m)
-                   for j in range(-k, k + 1) if 0.0 <= (m := fl + j / k) <= top)
-    if k == 2:
-        best = max(best, (f(-0.5, k, lam, mu, a, ga, gs), 0.5))
-    value, neg_m = best
+        value, neg_m = max((f(m, k, lam, mu, a, ga, gs), -m)
+                           for j in range(-k, k + 1) if 0.0 <= (m := fl + j / k) <= top)
     return BoundResult(max(value, 0.0), method, -neg_m)

@@ -422,17 +422,24 @@ class TestCli:
          "unknown calibration grid config fields: ['replicatons']"),
         ("calibrate", "grid.json", {"points": [{**GRID["points"][0], "rate": 0.5}]},
          "unknown calibration grid point fields: ['rate']"),
-    ], ids=["simulate", "calibrate", "calibrate-point"])
+        ("sweep", "sweep.json", {**SWEEP, "lambdas": "0.5"},
+         "lambdas must be a list of numbers, got '0.5'"),
+        ("sweep", "sweep.json", {**SWEEP, "lambdas": {"0.5": 1}},
+         "lambdas must be a list of numbers, got {'0.5': 1}"),
+    ], ids=["simulate", "calibrate", "calibrate-point", "sweep-text-lambdas",
+            "sweep-object-lambdas"])
     def test_unknown_fields_named(self, tmp_path, capsys, command, name, content, message):
         path = tmp_path / name
         path.write_text(json.dumps(content))
         argv = {"simulate": ["simulate", "--config", str(path)],
+                "sweep": ["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv")],
                 "calibrate": ["calibrate", "--grid", str(path), "--scenario", "single",
                               "--out", str(tmp_path / "theta.json")]}[command]
         assert main(argv) == 1
         # the form sweep uses
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "theta.json").exists()
+        assert not (tmp_path / "r.csv").exists()
 
     def test_report_failed_method_prints_n_a(self, tmp_path, capsys):
         # sweep writes nan for a method that failed at every grid point

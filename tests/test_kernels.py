@@ -86,9 +86,12 @@ def test_lindley_single_element():
     assert out.tolist() == [0.7]
 
 
-def test_exact_single_tie_breaks_to_smallest_m():
-    # gammas zero and lam == mu make f constant, so m = 0 must be reported
-    _, m = kernels.exact_single_max(1.0, 1.0, 2.0, 0.0, 0.0, 50)
+@pytest.mark.parametrize("k", [1, 2])
+def test_exact_max_tie_breaks_to_smallest_m(k):
+    # gammas zero and lam == mu/k make f constant on m >= 0, so m = 0 must be
+    # reported; the two-source empty window is worth half of it
+    kernel = kernels.exact_single_max if k == 1 else kernels.exact_two_max
+    _, m = kernel(1.0 / k, 1.0, 2.0, 0.0, 0.0, 50)
     assert m == 0
 
 

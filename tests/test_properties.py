@@ -214,9 +214,10 @@ def test_two_source_witness_attains_integer_windows(alpha, ga_frac, gs, load, mu
     less service.  The path therefore attains the integer-grid max, and the
     bound whenever m_star is an integer.
 
-    Known gap: no construction attains a half-integer m_star, and none can
-    while each source meets its own suffix constraints.  The last 2q+3
-    merged updates hold q+2 updates of one source, so they span at least
+    Known gap: no path attains a half-integer m_star below the grid's top
+    (the only kind at even n), and none can while each source meets its own
+    suffix constraints.  The last 2q+3 merged updates hold the last q+2
+    updates of one source, so they span at least
     A(q+1) = (q+1)/lam - gamma_a*(q+1)^(1/alpha), whereas f(q+1/2) counts
     A(q+1/2); and f(q+1/2) >= f(q+1) forces A(q+1) > A(q+1/2).  There the
     bound is a relaxation, which this test checks only for soundness.
