@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .calibration import (
 )
 from .errors import NumericError, ValidationError, check_fields, json_float, json_int, parsing
 from .robust_bounds import (
+    SOURCES,
     UncertaintyParams,
     kingman_bound,
     paoi_from_system_bound,
@@ -78,20 +79,11 @@ class SweepConfig:
     methods: tuple[str, ...] | None = None        # None -> scenario default
 
     def __post_init__(self) -> None:
+        # n, replications, warmup_fraction, master_seed and the families are
+        # checked by replicate, derive_seed and family_spec at the first rate
         scenario = get_scenario(self.scenario)
         if not self.mu > 0:
             raise ValidationError(f"mu must be > 0, got {self.mu}")
-        if self.n < 2:
-            raise ValidationError(f"n must be >= 2, got {self.n}")
-        if self.replications < 1:
-            raise ValidationError(f"replications must be >= 1, got {self.replications}")
-        if not 0.0 <= self.warmup_fraction <= 0.5:
-            raise ValidationError(f"warmup fraction must be in [0, 0.5], got {self.warmup_fraction}")
-        if self.master_seed < 0:
-            raise ValidationError("master seed must be >= 0")
-        for fam in (self.interarrival_family, self.service_family):
-            if fam not in FAMILIES:
-                raise ValidationError(f"unknown family {fam!r}; expected one of {FAMILIES}")
         if self.lambdas is not None and not self.lambdas:
             raise ValidationError("lambdas must not be empty; omit it for the default grid")
         for lam in self.grid():
@@ -130,47 +122,42 @@ class SweepConfig:
 
 
 def config_from_json(doc: dict) -> SweepConfig:
-    """Build a SweepConfig from its JSON document form."""
+    """Build a SweepConfig from the fields a JSON document holds; others keep their defaults."""
     if not isinstance(doc, dict):
         raise ValidationError("sweep config must be a JSON object")
-    check_fields(doc, (
-        "scenario", "mu", "lambdas", "interarrival_family", "service_family",
-        "n", "replications", "warmup_fraction", "master_seed", "theta", "methods",
-    ), "sweep config")
+    defaults = {f.name: f.default for f in fields(SweepConfig)}
+    check_fields(doc, defaults, "sweep config")
     if "scenario" not in doc:
         raise ValidationError("sweep config needs a 'scenario'")
     for name, items in (("lambdas", "numbers"), ("methods", "method names")):
         if not isinstance(doc.get(name, []), list):
             raise ValidationError(f"{name} must be a list of {items}, got {doc[name]!r}")
+    kwargs = dict(doc)
     with parsing("sweep config"):
-        theta = doc.get("theta", "builtin")
-        if theta == "builtin" or theta is None:
-            theta_coef = None
+        for name, value in doc.items():
+            # a number field is read as the type of its default
+            read = {float: json_float, int: json_int}.get(type(defaults[name]))
+            if read is not None:
+                kwargs[name] = read(value, name)
+        if "lambdas" in doc:
+            kwargs["lambdas"] = tuple(json_float(x, "lambdas entry") for x in doc["lambdas"])
+        if "methods" in doc:
+            kwargs["methods"] = tuple(doc["methods"])
+        theta = doc.get("theta")
+        if theta == "builtin":
+            kwargs["theta"] = None
         elif isinstance(theta, dict):
             check_fields(theta, ("theta0", "theta1", "theta2", "scenario"), "sweep config theta")
-            theta_coef = CalibrationCoefficients(
+            kwargs["theta"] = CalibrationCoefficients(
                 *(json_float(theta[k], k) for k in ("theta0", "theta1", "theta2")),
                 theta.get("scenario", doc["scenario"]),
             )
         elif isinstance(theta, str):
-            theta_coef = read_theta_json(theta)
-        else:
+            kwargs["theta"] = read_theta_json(theta)
+        elif theta is not None:
             raise ValidationError(
                 f"theta must be 'builtin', an object, or a file path: {theta!r}")
-        return SweepConfig(
-            scenario=doc["scenario"],
-            mu=json_float(doc.get("mu", 1.0), "mu"),
-            lambdas=(None if "lambdas" not in doc
-                     else tuple(json_float(x, "lambdas entry") for x in doc["lambdas"])),
-            interarrival_family=doc.get("interarrival_family", "exponential"),
-            service_family=doc.get("service_family", "exponential"),
-            n=json_int(doc.get("n", 100_000), "n"),
-            replications=json_int(doc.get("replications", 50), "replications"),
-            warmup_fraction=json_float(doc.get("warmup_fraction", 0.1), "warmup_fraction"),
-            master_seed=json_int(doc.get("master_seed", 0), "master_seed"),
-            theta=theta_coef,
-            methods=None if "methods" not in doc else tuple(doc["methods"]),
-        )
+        return SweepConfig(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -202,22 +189,14 @@ def error_percent(simulated, bound) -> float:
     return float(np.mean(np.abs(bnd - sim) / sim) * 100.0)
 
 
-def _evaluate_bound(method: str, lam_eff: float, mu_eff: float, n: int,
-                    unc: UncertaintyParams, var_a: float, var_s: float) -> float:
-    if method == "kingman":
-        b = kingman_bound(lam_eff, mu_eff, var_a, var_s)
-    else:
-        b = system_bound(method, lam_eff, mu_eff, n, unc)
-    return paoi_from_system_bound(b, lam_eff)
-
-
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Simulate every grid rate and evaluate every requested bound."""
     sources = get_scenario(config.scenario).sources
     theta = config.theta or builtin_theta(config.scenario)
     methods = config.method_list()
+    # Kingman's bound reads the variances; only the worst-case ones need theta
+    needs_theta = any(m in SOURCES for m in methods)
     report = SweepReport()
-    sims: dict[str, tuple[list[float], list[float]]] = {m: ([], []) for m in methods}
 
     for gi, lam in enumerate(config.grid()):
         ia_spec = family_spec(config.interarrival_family, 1.0 / lam)
@@ -234,7 +213,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             master_seed=derive_seed(config.master_seed, gi),
         )
         unc = None
-        if methods:
+        if needs_theta:
             try:
                 gamma_a, gamma_s = map_variability(
                     ia_spec.std, svc_spec.std, rho=lam_eff / mu_eff, theta=theta
@@ -247,21 +226,18 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                 )
         for method in methods:
             try:
-                if unc is None:
+                if method == "kingman":
+                    bound = kingman_bound(lam_eff, mu_eff, ia_spec.variance, svc_spec.variance)
+                elif unc is None:
                     raise NumericError("no variability parameters for this grid point")
-                bound_paoi = _evaluate_bound(
-                    method, lam_eff, mu_eff, config.n, unc,
-                    ia_spec.variance, svc_spec.variance,
-                )
-                rel = abs(bound_paoi - summary.mean_paoi) / summary.mean_paoi
-                sims[method][0].append(summary.mean_paoi)
-                sims[method][1].append(bound_paoi)
+                else:
+                    bound = system_bound(method, lam_eff, mu_eff, config.n, unc)
+                bound_paoi = paoi_from_system_bound(bound, lam_eff)
             except NumericError as exc:
                 warnings.warn(
                     f"bound {method} failed at lam={lam}: {exc}", RuntimeWarning, stacklevel=2
                 )
                 bound_paoi = float("nan")
-                rel = float("nan")
             report.rows.append(
                 SweepRow(
                     lam=lam,
@@ -269,15 +245,14 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                     sim_paoi_ci95=summary.ci95_paoi,
                     method=method,
                     bound_paoi=bound_paoi,
-                    rel_error=rel,
+                    rel_error=abs(bound_paoi - summary.mean_paoi) / summary.mean_paoi,
                 )
             )
+    # rows are still in grid order here, the order error_percent sums in
     for method in methods:
-        sim_vals, bound_vals = sims[method]
-        if sim_vals:
-            report.error_percents[method] = error_percent(sim_vals, bound_vals)
-        else:
-            report.error_percents[method] = float("nan")
+        done = [r for r in report.rows if r.method == method and math.isfinite(r.rel_error)]
+        report.error_percents[method] = error_percent(
+            [r.sim_paoi_mean for r in done], [r.bound_paoi for r in done]) if done else math.nan
     report.rows.sort(key=lambda r: (r.lam, r.method))
     return report
 

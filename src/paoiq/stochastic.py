@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_float
 
 KINDS = ("exponential", "folded_normal", "uniform", "pareto")
 
@@ -163,11 +163,14 @@ def make_pareto(shape: float, scale: float) -> DistributionSpec:
 
 
 def spec_from_dict(doc: dict) -> DistributionSpec:
-    """Build a spec from its config-file form, e.g. {"kind": "exponential", "rate": 1}."""
+    """Build a spec from its config-file form, e.g. {"kind": "exponential", "rate": 1}.
+
+    Every parameter must be a JSON number: ``true`` is not read as 1.
+    """
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValidationError(f"distribution spec must be a dict with a 'kind': {doc!r}")
     kind = doc["kind"]
-    args = {k: v for k, v in doc.items() if k != "kind"}
+    args = {k: json_float(v, f"{kind} {k}") for k, v in doc.items() if k != "kind"}
     try:
         if kind == "exponential":
             return make_exponential(**args)

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from paoiq import experiments, simulator
+from paoiq.calibration import CalibrationCoefficients
 from paoiq.cli import main
 from paoiq.errors import ValidationError
 from paoiq.experiments import (
@@ -96,6 +100,23 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="unknown"):
             config_from_json({"scenario": "single", "lambda_grid": [0.5]})
 
+    @pytest.mark.parametrize("scenario", ["single", "two"])
+    def test_from_json_defaults_are_the_config_defaults(self, scenario):
+        assert config_from_json({"scenario": scenario}) == SweepConfig(scenario=scenario)
+
+    def test_from_json_reads_every_field(self):
+        doc = {"scenario": "single", "mu": 2.0, "lambdas": [0.5, 1], "n": 300,
+               "interarrival_family": "uniform", "service_family": "normal",
+               "replications": 2, "warmup_fraction": 0.2, "master_seed": 4,
+               "theta": {"theta0": -0.376, "theta1": 3.978, "theta2": 0.5},
+               "methods": ["robust2"]}
+        assert set(doc) == {f.name for f in fields(SweepConfig)}
+        assert config_from_json(doc) == SweepConfig(
+            scenario="single", mu=2.0, lambdas=(0.5, 1.0), n=300,
+            interarrival_family="uniform", service_family="normal", replications=2,
+            warmup_fraction=0.2, master_seed=4,
+            theta=CalibrationCoefficients(-0.376, 3.978, 0.5, "single"), methods=("robust2",))
+
     def test_repeated_method(self):
         with pytest.raises(ValidationError, match="repeat"):
             SweepConfig(scenario="single", lambdas=(0.5,), methods=("robust2", "robust2"))
@@ -137,6 +158,15 @@ class TestRunSweep:
         report = run_sweep(config)
         for row in report.rows:
             assert row.bound_paoi >= 1.0 / row.lam
+
+    def test_kingman_alone_maps_no_variability(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "map_variability",
+                            lambda *args, **kwargs: calls.append(args))
+        report = run_sweep(SweepConfig(scenario="single", lambdas=(0.5,), methods=("kingman",),
+                                       **QUICK))
+        assert calls == []
+        assert math.isfinite(report.error_percents["kingman"])
 
     def test_two_source_sweep(self):
         report = run_sweep(SweepConfig(scenario="two", lambdas=(0.3, 0.4), **QUICK))
@@ -375,6 +405,10 @@ class TestCli:
             {**GRID, "points": [{**GRID["points"][0], "lam": "0.5"}]})),
         ("sweep", "sweep.json", json.dumps({**SWEEP, "methods": "robust2"})),
         ("sweep", "sweep.json", json.dumps({**SWEEP, "methods": {"robust2": 1}})),
+        ("simulate", "sim.json", json.dumps(
+            {**SIM, "interarrival": {"kind": "exponential", "rate": True}})),
+        ("calibrate", "grid.json", json.dumps({**GRID, "n": 200, "points": [
+            {**GRID["points"][0], "service": {"kind": "exponential", "rate": True}}]})),
     ], ids=["simulate-text-rate", "simulate-list", "sweep-number", "calibrate-list",
             "calibrate-point-fields", "sweep-theta-fields", "sweep-text-n",
             "report-short-row", "report-text-percent",
@@ -390,7 +424,7 @@ class TestCli:
             "simulate-huge-integer-mu", "sweep-text-mu", "sweep-text-lambda",
             "sweep-false-warmup", "sweep-text-theta0", "calibrate-bool-mu",
             "calibrate-text-warmup", "calibrate-text-point-lam", "sweep-text-methods",
-            "sweep-object-methods"])
+            "sweep-object-methods", "simulate-bool-rate", "calibrate-bool-point-rate"])
     def test_malformed_input_exit_one(self, tmp_path, capsys, command, name, content):
         path = tmp_path / name
         path.write_text(content)
@@ -469,6 +503,52 @@ class TestCli:
         assert main(["sweep", "--config", str(config), "--out", str(a)]) == 0
         assert main(["sweep", "--config", str(config), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("overrides", [
+        {"n": 1},
+        {"scenario": "two", "lambdas": [0.2], "n": 3},
+        {"replications": 0},
+        {"warmup_fraction": 0.6},
+        {"master_seed": -1},
+        {"interarrival_family": "weibull"},
+    ], ids=["n-1", "two-source-n-3", "no-replications", "warmup-0.6", "negative-seed",
+            "unknown-family"])
+    def test_sweep_rejected_before_sampling(self, tmp_path, capsys, monkeypatch, overrides):
+        # these checks belong to replicate, derive_seed and family_spec, which
+        # make them at the first grid point
+        calls = []
+        sample_stream = simulator.sample_stream
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample_stream(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "sample_stream", counted)
+        config = self.sweep_config(tmp_path, **overrides)
+        out_csv = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out_csv)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+        assert not out_csv.exists()
+
+    def test_sweep_reports_kingman_where_mapping_fails(self, tmp_path, capsys):
+        # theta0 = -50 makes the mapping's radicand negative at every rate
+        config = self.sweep_config(tmp_path, lambdas=[0.5, 0.8], n=2000, replications=2,
+                                   theta={"theta0": -50.0, "theta1": 3.978, "theta2": 0.5})
+        out_csv = tmp_path / "r.csv"
+        with pytest.warns(RuntimeWarning) as record:
+            assert main(["sweep", "--config", str(config), "--out", str(out_csv)]) == 0
+        messages = [str(w.message) for w in record]
+        assert sum("variability mapping failed" in m for m in messages) == 2
+        assert sum(m.startswith("bound robust") for m in messages) == 4
+        assert not any("bound kingman failed" in m for m in messages)
+        report = read_report_csv(out_csv)
+        for row in report.rows:
+            assert math.isfinite(row.bound_paoi) == (row.method == "kingman")
+        assert len(report.rows) == 6
+        assert math.isfinite(report.error_percents["kingman"])
+        assert math.isnan(report.error_percents["robust1"])
+        assert math.isnan(report.error_percents["robust2"])
 
     def test_sweep_invalid_config_exit_one(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path, lambdas=[1.5])

@@ -394,6 +394,60 @@ class TestReplicateParity:
             assert np.array_equal(summary.per_source_paoi, per_source.mean(axis=0))
 
 
+def reference_replicate(params, ia_spec, svc_spec, replications, warmup, master_seed):
+    """replicate()'s per-replication means from an event-list queue.
+
+    Builds each path from ``sample_stream`` alone, serves it with
+    ``event_list_fcfs`` and takes each source's peaks f_i - a_prev at its
+    deliveries, so it shares no step with the simulator module.
+    """
+    sizes = (params.n,) if params.sources == 1 else ((params.n + 1) // 2, params.n // 2)
+    roles = (ROLE_ARRIVAL_1, ROLE_ARRIVAL_2)
+    paoi, system, per_source = [], [], []
+    for r in range(replications):
+        times, ids = [], []
+        for source, (size, role) in enumerate(zip(sizes, roles)):
+            gaps = sample_stream(ia_spec, size, derive_seed(master_seed, r, role)).values
+            times.append(np.cumsum(gaps))
+            ids.append(np.full(size, source))
+        times, ids = np.concatenate(times), np.concatenate(ids)
+        order = np.lexsort((ids, times))  # FCFS, ties to source 1
+        arrivals, ids = times[order], ids[order]
+        # the i-th update served takes the i-th service draw
+        services = sample_stream(svc_spec, params.n,
+                                 derive_seed(master_seed, r, ROLE_SERVICE)).values
+        finish = event_list_fcfs(arrivals, services)
+        peaks = [[] for _ in sizes]
+        last_arrival = [None for _ in sizes]
+        for a, f, source in zip(arrivals, finish, ids):
+            if last_arrival[source] is not None:
+                peaks[source].append(f - last_arrival[source])
+            last_arrival[source] = a
+        kept = [p[int(warmup * len(p)):] for p in peaks]
+        paoi.append(np.mean(np.concatenate(kept)))
+        per_source.append([np.mean(k) for k in kept])
+        system.append(np.mean((finish - arrivals)[int(warmup * params.n):]))
+    return np.array(paoi), np.array(system), np.array(per_source)
+
+
+@pytest.mark.parametrize("warmup", [0.0, 0.5])
+@pytest.mark.parametrize("family", ["exponential", "normal", "uniform"])
+@pytest.mark.parametrize("sources", [1, 2])
+def test_replicate_matches_event_list_reference(sources, family, warmup):
+    lam = 0.6 / sources
+    params = SystemParams(lam, 1.0, 1_001, sources)  # odd n: uneven source split
+    ia_spec, svc_spec = family_spec(family, 1.0 / lam), family_spec(family, 1.0)
+    summary = replicate(params, ia_spec, svc_spec, replications=3,
+                        warmup_fraction=warmup, master_seed=31)
+    paoi, system, per_source = reference_replicate(params, ia_spec, svc_spec, 3, warmup, 31)
+    assert summary.paoi_rep_means == pytest.approx(paoi, rel=1e-9, abs=0)
+    assert summary.mean_system_time == pytest.approx(system.mean(), rel=1e-9, abs=0)
+    if sources == 2:
+        assert summary.per_source_paoi == pytest.approx(per_source.mean(axis=0), rel=1e-9, abs=0)
+    else:
+        assert summary.per_source_paoi is None
+
+
 def test_replicate_matches_mg1_peak_age():
     """Replicated mean peak age against the M/G/1 formula (Kleinrock 1975).
 
