@@ -8,6 +8,7 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import math
@@ -43,10 +44,17 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def _defaults(fn) -> dict:
+    """The keyword defaults of ``fn``, read from its signature, not repeated here."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     doc = _load_json(args.config)
     check_fields(doc, ("lam", "mu", "n", "sources", "interarrival", "service",
                        "replications", "warmup_fraction", "master_seed"), "simulate config")
+    doc = {**_defaults(replicate), **doc}
     with parsing("simulate config"):
         params = SystemParams(
             lam=json_float(doc["lam"], "lam"),
@@ -56,10 +64,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         ia_spec = spec_from_dict(doc["interarrival"])
         svc_spec = spec_from_dict(doc["service"])
-        replications = json_int(doc.get("replications", 50), "replications")
-        warmup = json_float(doc.get("warmup_fraction", 0.1), "warmup_fraction")
+        replications = json_int(doc["replications"], "replications")
+        warmup = json_float(doc["warmup_fraction"], "warmup_fraction")
         seed = (args.seed if args.seed is not None
-                else json_int(doc.get("master_seed", 0), "master_seed"))
+                else json_int(doc["master_seed"], "master_seed"))
     summary = replicate(
         params,
         ia_spec,
@@ -125,12 +133,13 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         provenance = {"grid_file": args.grid}
     else:
         doc, grid, provenance = {}, None, {"grid_file": "builtin-default"}
+    doc = {**_defaults(calibration.build_calibration_dataset), **doc}
     with parsing("calibration grid config"):
         mu = json_float(doc.get("mu", 1.0), "mu")
-        n = json_int(doc.get("n", 20_000), "n")
-        replications = json_int(doc.get("replications", 10), "replications")
-        warmup = json_float(doc.get("warmup_fraction", 0.1), "warmup_fraction")
-        master_seed = json_int(doc.get("master_seed", 0), "master_seed")
+        n = json_int(doc["n"], "n")
+        replications = json_int(doc["replications"], "replications")
+        warmup = json_float(doc["warmup_fraction"], "warmup_fraction")
+        master_seed = json_int(doc["master_seed"], "master_seed")
     if grid is None:
         grid = _default_calibration_grid(args.scenario, mu)
     dataset = calibration.build_calibration_dataset(

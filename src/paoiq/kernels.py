@@ -10,8 +10,11 @@ with CX, CT the cumulative sums of services and interarrivals.  The running
 max is a single ``np.fmax.accumulate``.
 
 ``window_bound`` is the one worst-case window expression; ``_exact_max``
-enumerates it over m = 0, 1/k, ..., n/k - 1.  That grid is empty only for
-k = 2 and n = 1, where the two-source ``EMPTY_WINDOW`` is the worst case.
+enumerates it over m = 0, 1/k, ..., n/k - 1.  It raises one grid
+e = 0, 1/k, ..., n/k to the power 1/alpha: m^(1/alpha) and (m+1)^(1/alpha)
+are its first n - k + 1 and its last n - k + 1 points.  The grid of m is
+empty only for k = 2 and n = 1, where the two-source ``EMPTY_WINDOW`` is
+the worst case.
 """
 
 from __future__ import annotations
@@ -74,7 +77,14 @@ def window_bound(m: float | np.ndarray, k: int, lam: float, mu: float, alpha: fl
     may differ in the last bits."""
     ia = 1.0 / alpha
     p = m + 1.0
-    return k * p / mu - m / lam + k * gamma_s * p**ia + gamma_a * m**ia
+    return _combine(m, p, m**ia, p**ia, k, lam, mu, gamma_a, gamma_s)
+
+
+def _combine(m: float | np.ndarray, p: float | np.ndarray, m_pow: float | np.ndarray,
+             p_pow: float | np.ndarray, k: int, lam: float, mu: float,
+             gamma_a: float, gamma_s: float) -> float | np.ndarray:
+    """``window_bound`` from m, p = m + 1 and their powers 1/alpha."""
+    return k * p / mu - m / lam + k * gamma_s * p_pow + gamma_a * m_pow
 
 
 def exact_single_max(lam: float, mu: float, alpha: float,
@@ -96,7 +106,11 @@ def _exact_max(k: int, lam: float, mu: float, alpha: float,
     worth 1/mu + gamma_s; it never wins otherwise, as m = 0 is worth twice that."""
     if n < k:
         return 1.0 / mu + gamma_s, EMPTY_WINDOW
-    m = np.arange(0.0, (n - k + 1) / k, 1.0 / k)
-    vals = window_bound(m, k, lam, mu, alpha, gamma_a, gamma_s)
-    i = int(np.argmax(vals))
-    return float(vals[i]), float(m[i])
+    # e = 0, 1/k, ..., n/k holds m and m + 1 with the same bits as m + 1.0:
+    # each point i/k is exact, so one power pass serves both terms
+    size = n - k + 1
+    e = np.arange(0.0, (n + 1) / k, 1.0 / k)
+    pw = e ** (1.0 / alpha)
+    vals = _combine(e[:size], e[k:], pw[:size], pw[k:], k, lam, mu, gamma_a, gamma_s)
+    i = int(vals.argmax())
+    return float(vals[i]), i / k

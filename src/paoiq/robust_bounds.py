@@ -35,12 +35,13 @@ from .simulator import SystemParams
 SOURCES = {"exact_single": 1, "robust1": 1, "robust2": 1, "exact_two": 2, "robust3": 2}
 METHODS = (*SOURCES, "kingman")
 
-# Enumeration peaks at 32 bytes per grid point (tracemalloc, n = 10**6, both
-# k); this keeps one under about 0.3 GB.
+# Enumeration peaks at 32 bytes per grid point, four float64 arrays: the grid,
+# its powers, the sum and one temporary (tracemalloc, n = 10**6 and 10**7,
+# both k); this keeps one under about 0.3 GB.
 MAX_ENUMERATION_N = 10**7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UncertaintyParams:
     """Tail coefficient and variability parameters of the uncertainty sets."""
 

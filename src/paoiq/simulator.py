@@ -38,7 +38,7 @@ MAX_REPLICATE_N = 10**7
 MAX_REPLICATIONS = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemParams:
     """One queueing scenario: per-source arrival rate, service rate, path length."""
 

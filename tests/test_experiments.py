@@ -1,6 +1,8 @@
 """Sweep engine, error metric, report persistence, and the CLI surface."""
 
+import functools
 import hashlib
+import inspect
 import json
 import math
 import warnings
@@ -9,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from paoiq import experiments, simulator
+from paoiq import calibration, cli, experiments, simulator
 from paoiq.calibration import CalibrationCoefficients
 from paoiq.cli import main
 from paoiq.errors import ValidationError
@@ -259,6 +261,39 @@ class TestCli:
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"lam": 0.5}))
         assert main(["simulate", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "calibrate"])
+    def test_field_less_document_gets_library_defaults(self, tmp_path, monkeypatch, command):
+        # the CLI takes its defaults from the signature of the function it calls
+        exp = {"kind": "exponential", "rate": 1.0}
+        module, name, doc = {
+            "simulate": (cli, "replicate",
+                         {"lam": 0.5, "mu": 1.0, "interarrival": exp, "service": exp}),
+            "calibrate": (calibration, "build_calibration_dataset",
+                          {"points": [{"lam": 0.5, "interarrival": exp, "service": exp}]}),
+        }[command]
+        real, seen = getattr(module, name), {}
+
+        class Reached(Exception):
+            pass
+
+        @functools.wraps(real)
+        def spy(*args, **kwargs):
+            seen.update(inspect.signature(real).bind(*args, **kwargs).arguments)
+            raise Reached
+
+        monkeypatch.setattr(module, name, spy)
+        config = tmp_path / "doc.json"
+        config.write_text(json.dumps(doc))
+        argv = {"simulate": ["simulate", "--config", str(config)],
+                "calibrate": ["calibrate", "--scenario", "single", "--grid", str(config),
+                              "--out", str(tmp_path / "theta.json")]}[command]
+        with pytest.raises(Reached):
+            main(argv)
+        defaults = {p.name: p.default for p in inspect.signature(real).parameters.values()
+                    if p.default is not inspect.Parameter.empty}
+        assert defaults
+        assert {key: seen[key] for key in defaults} == defaults
 
     @pytest.mark.parametrize("sources, n", [(1, 1), (2, 3)])
     def test_simulate_short_path_exit_one(self, tmp_path, capsys, sources, n):

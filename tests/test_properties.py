@@ -13,9 +13,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from paoiq import kernels
 from paoiq import robust_bounds as rb
 from paoiq.calibration import invert_gamma_s
 from paoiq.cli import main
@@ -85,6 +86,29 @@ def test_closed_forms_equal_enumeration(sources, alpha, ga, gs, load, mu, n):
     sysp, unc = scenario(sources, load, mu, n), rb.UncertaintyParams(alpha, ga, gs)
     exact, closed = (bound(sysp, unc).value for bound in SOURCES[sources])
     assert closed == pytest.approx(exact, rel=1e-9)
+
+
+@DETERMINISTIC
+@given(st.sampled_from([1, 2]),
+       st.one_of(st.just(2.0), st.floats(min_value=1.0, max_value=1.001, exclude_min=True),
+                 alphas),
+       gammas, gammas, st.floats(min_value=0.01, max_value=3.0), mus,
+       st.integers(min_value=1, max_value=3000))
+@example(1, 2.0, 0.0, 0.0, 2.5, 1.0, 3000)
+@example(2, 1.0 + 1e-9, 0.0, 0.0, 1.5, 0.7, 2999)
+def test_enumeration_has_the_bits_of_one_window_bound_call(k, alpha, ga, gs, load, mu, n):
+    # the enumeration raises one shared grid to 1/alpha; it must return the
+    # exact max and first argmax of window_bound evaluated on m in one call
+    lam = load * mu / k
+    kernel = kernels.exact_single_max if k == 1 else kernels.exact_two_max
+    value, m_star = kernel(lam, mu, alpha, ga, gs, n)
+    if n < k:
+        assert (value, m_star) == (1.0 / mu + gs, kernels.EMPTY_WINDOW)
+        return
+    grid = np.arange(0.0, (n - k + 1) / k, 1 / k)
+    vals = kernels.window_bound(grid, k, lam, mu, alpha, ga, gs)
+    i = int(np.argmax(vals))
+    assert (value, m_star) == (vals[i], grid[i])
 
 
 @DETERMINISTIC
