@@ -32,9 +32,9 @@ from .errors import (
     NoSolutionError,
     SingularDesignError,
     ValidationError,
-    check_fields,
-    json_float,
+    fmt,
     parsing,
+    read_fields,
 )
 from .kernels import EMPTY_WINDOW
 from .robust_bounds import UncertaintyParams, bound_robust2_single, bound_robust3_two, f
@@ -272,25 +272,22 @@ def write_dataset_csv(dataset: CalibrationDataset, path) -> None:
         writer.writerow(_DATASET_HEADER)
         for r in dataset.rows:
             writer.writerow(
-                [_fmt(r.rho), _fmt(r.sigma_a), _fmt(r.sigma_s), _fmt(r.gamma_s_star),
+                [fmt(r.rho), fmt(r.sigma_a), fmt(r.sigma_s), fmt(r.gamma_s_star),
                  r.kind_a, r.kind_s, r.seed]
             )
 
 
 def read_dataset_csv(path, scenario: str) -> CalibrationDataset:
     dataset = CalibrationDataset(scenario=scenario)
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, parsing(f"calibration dataset {path}"):
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != _DATASET_HEADER:
             raise ValidationError(f"unexpected dataset header {header}")
-        for row in reader:
+        for rho, sigma_a, sigma_s, gamma_s_star, kind_a, kind_s, seed in reader:
             dataset.rows.append(
-                CalibrationRow(
-                    rho=float(row[0]), sigma_a=float(row[1]), sigma_s=float(row[2]),
-                    gamma_s_star=float(row[3]), kind_a=row[4], kind_s=row[5],
-                    seed=int(row[6]),
-                )
+                CalibrationRow(float(rho), float(sigma_a), float(sigma_s),
+                               float(gamma_s_star), kind_a, kind_s, int(seed))
             )
     return dataset
 
@@ -308,27 +305,30 @@ def write_theta_json(theta: CalibrationCoefficients, path, provenance: dict | No
         fh.write("\n")
 
 
+def theta_from_json(doc, what: str) -> CalibrationCoefficients:
+    """The coefficients of a theta object, in a theta file or inline in a sweep.
+
+    Both forms hold ``theta0``..``theta2`` and ``scenario``, and may carry
+    the ``provenance`` that ``write_theta_json`` records; it is not read.
+    """
+    theta = read_fields(doc, ("theta0", "theta1", "theta2", "scenario", "provenance"), what)
+    with parsing(what):
+        return CalibrationCoefficients(
+            theta["theta0"], theta["theta1"], theta["theta2"], theta["scenario"])
+
+
 def read_theta_json(path) -> CalibrationCoefficients:
     with open(path) as fh, parsing(f"theta file {path}"):
-        doc = json.load(fh)
-        return CalibrationCoefficients(
-            *(json_float(doc[k], k) for k in ("theta0", "theta1", "theta2")), doc["scenario"]
-        )
+        return theta_from_json(json.load(fh), f"theta file {path}")
 
 
 def grid_from_config(doc: dict) -> list[tuple[float, DistributionSpec, DistributionSpec]]:
-    """Parse the calibrate grid file: {"points": [{"lam", "interarrival", "service"}]},
-    plus the settings the caller reads; any other field is rejected."""
+    """The points of a calibrate grid document, {"points": [{"lam", "interarrival",
+    "service"}]}; its other fields are the settings the caller reads."""
     if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise ValidationError("calibration grid config needs a 'points' list")
-    check_fields(doc, ("points", "mu", "n", "replications", "warmup_fraction", "master_seed"),
-                 "calibration grid config")
+    points = [read_fields(p, ("lam", "interarrival", "service"), "calibration grid point")
+              for p in doc["points"]]
     with parsing("calibration grid point"):
-        for p in doc["points"]:
-            check_fields(p, ("lam", "interarrival", "service"), "calibration grid point")
-        return [(json_float(p["lam"], "lam"), spec_from_dict(p["interarrival"]),
-                 spec_from_dict(p["service"])) for p in doc["points"]]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+        return [(p["lam"], spec_from_dict(p["interarrival"]), spec_from_dict(p["service"]))
+                for p in points]

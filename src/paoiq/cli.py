@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import calibration, experiments
-from .errors import NumericError, ValidationError, check_fields, json_float, json_int, parsing
+from .errors import NumericError, ValidationError, fmt, parsing, read_fields
 from .robust_bounds import (
     METHODS,
     UncertaintyParams,
@@ -29,19 +29,12 @@ from .simulator import SystemParams, replicate
 from .stochastic import spec_from_dict
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path} must hold a JSON object, got {type(doc).__name__}")
-    return doc
 
 
 def _defaults(fn) -> dict:
@@ -51,39 +44,26 @@ def _defaults(fn) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    doc = _load_json(args.config)
-    check_fields(doc, ("lam", "mu", "n", "sources", "interarrival", "service",
-                       "replications", "warmup_fraction", "master_seed"), "simulate config")
-    doc = {**_defaults(replicate), **doc}
+    doc = read_fields(_load_json(args.config), (
+        "lam", "mu", "n", "sources", "interarrival", "service", "replications",
+        "warmup_fraction", "master_seed"), "simulate config")
+    # n has no library default
+    doc = {"n": 100_000, **_defaults(SystemParams), **_defaults(replicate), **doc}
+    seed = args.seed if args.seed is not None else doc["master_seed"]
     with parsing("simulate config"):
-        params = SystemParams(
-            lam=json_float(doc["lam"], "lam"),
-            mu=json_float(doc["mu"], "mu"),
-            n=json_int(doc.get("n", 100_000), "n"),
-            sources=json_int(doc.get("sources", 1), "sources"),
-        )
+        params = SystemParams(doc["lam"], doc["mu"], doc["n"], doc["sources"])
         ia_spec = spec_from_dict(doc["interarrival"])
         svc_spec = spec_from_dict(doc["service"])
-        replications = json_int(doc["replications"], "replications")
-        warmup = json_float(doc["warmup_fraction"], "warmup_fraction")
-        seed = (args.seed if args.seed is not None
-                else json_int(doc["master_seed"], "master_seed"))
-    summary = replicate(
-        params,
-        ia_spec,
-        svc_spec,
-        replications=replications,
-        warmup_fraction=warmup,
-        master_seed=seed,
-    )
+    summary = replicate(params, ia_spec, svc_spec, replications=doc["replications"],
+                        warmup_fraction=doc["warmup_fraction"], master_seed=seed)
     src1, src2 = summary.per_source_paoi or ("", "")
     print("sources,lam,mu,n,replications,warmup_fraction,master_seed,"
           "mean_paoi,ci95_paoi,mean_system_time,paoi_source1,paoi_source2,stable")
     print(",".join([
-        str(params.sources), _fmt(params.lam), _fmt(params.mu), str(params.n),
-        str(summary.replications), _fmt(warmup), str(seed),
-        _fmt(summary.mean_paoi), _fmt(summary.ci95_paoi), _fmt(summary.mean_system_time),
-        _fmt(src1) if src1 != "" else "", _fmt(src2) if src2 != "" else "",
+        str(params.sources), fmt(params.lam), fmt(params.mu), str(params.n),
+        str(summary.replications), fmt(doc["warmup_fraction"]), str(seed),
+        fmt(summary.mean_paoi), fmt(summary.ci95_paoi), fmt(summary.mean_system_time),
+        fmt(src1) if src1 != "" else "", fmt(src2) if src2 != "" else "",
         str(int(summary.stable)),
     ]))
     return 0
@@ -106,9 +86,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     paoi = paoi_from_system_bound(result, args.lam)
     print("method,lambda,mu,alpha,gamma_a,gamma_s,n,system_bound,paoi_bound")
     print(",".join([
-        method, _fmt(args.lam), _fmt(args.mu), _fmt(args.alpha),
-        _fmt(args.gamma_a), _fmt(args.gamma_s), str(args.n),
-        _fmt(result.value), _fmt(paoi),
+        method, fmt(args.lam), fmt(args.mu), fmt(args.alpha),
+        fmt(args.gamma_a), fmt(args.gamma_s), str(args.n),
+        fmt(result.value), fmt(paoi),
     ]))
     return 0
 
@@ -127,34 +107,24 @@ def _default_calibration_grid(scenario: str, mu: float):
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    if args.grid is not None:
-        doc = _load_json(args.grid)
-        grid = calibration.grid_from_config(doc)
-        provenance = {"grid_file": args.grid}
+    # mu has no library default; the others are build_calibration_dataset's
+    settings = {**_defaults(calibration.build_calibration_dataset), "mu": 1.0}
+    if args.grid is None:
+        grid = _default_calibration_grid(args.scenario, settings["mu"])
+        grid_file = "builtin-default"
     else:
-        doc, grid, provenance = {}, None, {"grid_file": "builtin-default"}
-    doc = {**_defaults(calibration.build_calibration_dataset), **doc}
-    with parsing("calibration grid config"):
-        mu = json_float(doc.get("mu", 1.0), "mu")
-        n = json_int(doc["n"], "n")
-        replications = json_int(doc["replications"], "replications")
-        warmup = json_float(doc["warmup_fraction"], "warmup_fraction")
-        master_seed = json_int(doc["master_seed"], "master_seed")
-    if grid is None:
-        grid = _default_calibration_grid(args.scenario, mu)
-    dataset = calibration.build_calibration_dataset(
-        grid, args.scenario, mu=mu, n=n, replications=replications,
-        warmup_fraction=warmup, master_seed=master_seed,
-    )
+        doc = read_fields(_load_json(args.grid), ("points", *settings),
+                          "calibration grid config")
+        grid, grid_file = calibration.grid_from_config(doc), args.grid
+        del doc["points"]
+        settings.update(doc)
+    dataset = calibration.build_calibration_dataset(grid, args.scenario, **settings)
     if args.dataset_out:
         calibration.write_dataset_csv(dataset, args.dataset_out)
     theta = calibration.fit_theta(dataset)
-    provenance.update({
-        "rows": len(dataset), "n": n, "replications": replications,
-        "warmup_fraction": warmup, "master_seed": master_seed, "mu": mu,
-    })
-    calibration.write_theta_json(theta, args.out, provenance)
-    print(f"fitted theta=({_fmt(theta.theta0)}, {_fmt(theta.theta1)}, {_fmt(theta.theta2)}) "
+    calibration.write_theta_json(
+        theta, args.out, {"grid_file": grid_file, "rows": len(dataset), **settings})
+    print(f"fitted theta=({fmt(theta.theta0)}, {fmt(theta.theta1)}, {fmt(theta.theta2)}) "
           f"from {len(dataset)} rows -> {args.out}")
     return 0
 

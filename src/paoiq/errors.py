@@ -1,7 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one reader and writer
+of the numbers in outside files.
 
-The CLI maps these onto exit codes: validation problems exit 1, numeric
-failures exit 2, I/O errors exit 3.
+The CLI maps the exceptions onto exit codes: validation problems exit 1,
+numeric failures exit 2, I/O errors exit 3.
 """
 
 from __future__ import annotations
@@ -55,17 +56,6 @@ def parsing(what: str):
         raise ValidationError(f"malformed {what}: {exc}") from exc
 
 
-def check_fields(doc: dict, known, what: str) -> None:
-    """Reject a config document holding a field outside ``known``.
-
-    A misspelt optional field would otherwise fall back to its default
-    without a word.
-    """
-    unknown = set(doc) - set(known)
-    if unknown:
-        raise ValidationError(f"unknown {what} fields: {sorted(unknown)}")
-
-
 def json_int(value, name: str) -> int:
     """A count read from outside input: only an integer (not a bool) passes.
 
@@ -89,3 +79,32 @@ def json_float(value, name: str) -> float:
         return float(value)
     except OverflowError:
         raise ValidationError(f"{name} is out of the float range: {value}") from None
+
+
+# The type of every number field of a JSON document paoiq reads, by name.
+_READERS = {**dict.fromkeys(("n", "sources", "replications", "master_seed"), json_int),
+            **dict.fromkeys(("lam", "mu", "warmup_fraction", "theta0", "theta1", "theta2"),
+                            json_float)}
+
+
+def read_fields(doc, known, what: str) -> dict:
+    """The fields of the JSON object ``doc`` (a ``what``), numbers read by name.
+
+    A field outside ``known`` is rejected: a misspelt optional field would
+    otherwise fall back to its default without a word.  Counts (``n``,
+    ``sources``, ``replications``, ``master_seed``) go through ``json_int``,
+    reals (``lam``, ``mu``, ``warmup_fraction``, ``theta0``..``theta2``)
+    through ``json_float``; any other field is returned as it is.
+    """
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ValidationError(f"unknown {what} fields: {sorted(unknown)}")
+    return {name: _READERS[name](value, name) if name in _READERS else value
+            for name, value in doc.items()}
+
+
+def fmt(x: float) -> str:
+    """A number as every CSV and every CLI line writes it: 12 significant digits."""
+    return format(float(x), ".12g")

@@ -24,8 +24,9 @@ from .calibration import (
     get_scenario,
     map_variability,
     read_theta_json,
+    theta_from_json,
 )
-from .errors import NumericError, ValidationError, check_fields, json_float, json_int, parsing
+from .errors import NumericError, ValidationError, fmt, json_float, parsing, read_fields
 from .robust_bounds import (
     SOURCES,
     UncertaintyParams,
@@ -123,35 +124,24 @@ class SweepConfig:
 
 def config_from_json(doc: dict) -> SweepConfig:
     """Build a SweepConfig from the fields a JSON document holds; others keep their defaults."""
-    if not isinstance(doc, dict):
-        raise ValidationError("sweep config must be a JSON object")
-    defaults = {f.name: f.default for f in fields(SweepConfig)}
-    check_fields(doc, defaults, "sweep config")
-    if "scenario" not in doc:
+    kwargs = read_fields(doc, [f.name for f in fields(SweepConfig)], "sweep config")
+    if "scenario" not in kwargs:
         raise ValidationError("sweep config needs a 'scenario'")
     for name, items in (("lambdas", "numbers"), ("methods", "method names")):
-        if not isinstance(doc.get(name, []), list):
-            raise ValidationError(f"{name} must be a list of {items}, got {doc[name]!r}")
-    kwargs = dict(doc)
+        if not isinstance(kwargs.get(name, []), list):
+            raise ValidationError(f"{name} must be a list of {items}, got {kwargs[name]!r}")
     with parsing("sweep config"):
-        for name, value in doc.items():
-            # a number field is read as the type of its default
-            read = {float: json_float, int: json_int}.get(type(defaults[name]))
-            if read is not None:
-                kwargs[name] = read(value, name)
-        if "lambdas" in doc:
-            kwargs["lambdas"] = tuple(json_float(x, "lambdas entry") for x in doc["lambdas"])
-        if "methods" in doc:
-            kwargs["methods"] = tuple(doc["methods"])
-        theta = doc.get("theta")
+        if "lambdas" in kwargs:
+            kwargs["lambdas"] = tuple(json_float(x, "lambdas entry") for x in kwargs["lambdas"])
+        if "methods" in kwargs:
+            kwargs["methods"] = tuple(kwargs["methods"])
+        theta = kwargs.get("theta")
         if theta == "builtin":
             kwargs["theta"] = None
         elif isinstance(theta, dict):
-            check_fields(theta, ("theta0", "theta1", "theta2", "scenario"), "sweep config theta")
-            kwargs["theta"] = CalibrationCoefficients(
-                *(json_float(theta[k], k) for k in ("theta0", "theta1", "theta2")),
-                theta.get("scenario", doc["scenario"]),
-            )
+            # an inline theta is calibrated for the sweep's scenario unless it says otherwise
+            kwargs["theta"] = theta_from_json({"scenario": kwargs["scenario"], **theta},
+                                              "sweep config theta")
         elif isinstance(theta, str):
             kwargs["theta"] = read_theta_json(theta)
         elif theta is not None:
@@ -262,12 +252,12 @@ def report_to_csv_text(report: SweepReport) -> str:
     lines = [_REPORT_HEADER]
     for r in report.rows:
         lines.append(
-            f"{_fmt(r.lam)},{_fmt(r.sim_paoi_mean)},{_fmt(r.sim_paoi_ci95)},"
-            f"{r.method},{_fmt(r.bound_paoi)},{_fmt(r.rel_error)}"
+            f"{fmt(r.lam)},{fmt(r.sim_paoi_mean)},{fmt(r.sim_paoi_ci95)},"
+            f"{r.method},{fmt(r.bound_paoi)},{fmt(r.rel_error)}"
         )
     lines.append(_SUMMARY_HEADER)
     for method in sorted(report.error_percents):
-        lines.append(f"{method},{_fmt(report.error_percents[method])}")
+        lines.append(f"{method},{fmt(report.error_percents[method])}")
     return "\n".join(lines) + "\n"
 
 
@@ -312,7 +302,3 @@ def report_summary_text(report: SweepReport) -> str:
         cell = f"{pct:>13.2f}%" if math.isfinite(pct) else f"{'n/a':>14}"
         out.append(f"{method:<10} {cell}")
     return "\n".join(out)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")

@@ -223,19 +223,17 @@ def _closed_form(sys: SystemParams, unc: UncertaintyParams, method: str) -> Boun
     grid argmax lies among floor(l) + j/k, j = -k..k, capped to [0, n/k-1];
     if l is at or past the grid's end, f still increases there and the top
     point n/k-1 wins; at k = 2, n = 1 that top point is the empty window.
-    Ties go to the smallest m.  Deterministic inputs (gamma_a + gamma_s = 0)
-    fall back to enumeration.
+    Ties go to the smallest m.  Deterministic inputs (gamma_a = gamma_s = 0)
+    take l's limit 0: f then decreases, as k*lam < mu, and the first window
+    wins, or the empty window when k = 2, n = 1.
     """
     _require_stable(sys)
     k, lam, mu, n = sys.sources, sys.lam, sys.mu, sys.n
     a, ga, gs = unc.alpha, unc.gamma_a, unc.gamma_s
     g = ga + k * gs
-    if g == 0.0:
-        return _enumerate(sys, unc, method)
-
     top = n / k - 1.0
     try:
-        l = (a * (1.0 / lam - k / mu) / g) ** (a / (1.0 - a))
+        l = (a * (1.0 / lam - k / mu) / g) ** (a / (1.0 - a)) if g > 0.0 else 0.0
     except (OverflowError, ZeroDivisionError):
         # the exponent blows up as alpha -> 1, and a base that underflows to 0
         # raises: either way the stationary point lies past any finite grid

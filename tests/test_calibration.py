@@ -248,6 +248,18 @@ class TestDatasetPipeline:
             assert a.gamma_s_star == pytest.approx(b.gamma_s_star, rel=1e-11)
             assert (a.kind_a, a.kind_s, a.seed) == (b.kind_a, b.kind_s, b.seed)
 
+    @pytest.mark.parametrize("body", [
+        "",
+        "rho,sigma_a,sigma_s,gamma_s_star,kind_a,kind_s,seed\n0.5,1,1\n",
+        "rho,sigma_a,sigma_s,gamma_s_star,kind_a,kind_s,seed\n"
+        "0.5,abc,1,0.2,exponential,exponential,3\n",
+    ], ids=["empty", "short-row", "text-cell"])
+    def test_malformed_csv_is_validation_error(self, tmp_path, body):
+        path = tmp_path / "ds.csv"
+        path.write_text(body)
+        with pytest.raises(ValidationError):
+            read_dataset_csv(path, "single")
+
 
 class TestThetaJson:
     def test_round_trip(self, tmp_path):

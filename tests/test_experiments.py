@@ -294,6 +294,9 @@ class TestCli:
                     if p.default is not inspect.Parameter.empty}
         assert defaults
         assert {key: seen[key] for key in defaults} == defaults
+        if command == "simulate":
+            sources = inspect.signature(simulator.SystemParams).parameters["sources"]
+            assert seen["params"].sources == sources.default
 
     @pytest.mark.parametrize("sources, n", [(1, 1), (2, 3)])
     def test_simulate_short_path_exit_one(self, tmp_path, capsys, sources, n):
@@ -483,6 +486,33 @@ class TestCli:
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 1
         assert capsys.readouterr().err == "error: theta0 must be a number, got '-0.376'\n"
         assert not (tmp_path / "r.csv").exists()
+
+    def test_theta_file_rejects_unknown_fields(self, tmp_path, capsys):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"scenario": "single", "theta0": -0.376,
+                                     "theta1": 3.978, "theta2": 0.5, "thetaa2": 9}))
+        config = self.sweep_config(tmp_path, lambdas=[0.4], theta=str(theta))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown theta file {theta} fields: ['thetaa2']\n")
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_inline_theta_reads_like_theta_file(self, tmp_path, capsys):
+        # a calibrate --out file, provenance included, pasted in as the theta object
+        theta_path = tmp_path / "theta.json"
+        calibration.write_theta_json(
+            CalibrationCoefficients(-0.3, 4.1, 0.6, "single"), theta_path,
+            {"grid_file": "builtin-default", "rows": 65, "n": 20000, "replications": 10,
+             "warmup_fraction": 0.1, "master_seed": 0, "mu": 1.0})
+        reports = []
+        for name, theta in (("file", str(theta_path)),
+                            ("inline", json.loads(theta_path.read_text()))):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({**self.SWEEP, "theta": theta}))
+            out_csv = tmp_path / f"{name}.csv"
+            assert main(["sweep", "--config", str(config), "--out", str(out_csv)]) == 0
+            reports.append(out_csv.read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("command, name, content, message", [
         ("simulate", "sim.json", {**SIM, "replicatons": 7},

@@ -156,7 +156,7 @@ class TestRobust2:
         res = bound_robust2_single(SystemParams(0.5, 1.0, 1, 1), UncertaintyParams(2, 3, 2))
         assert res.value == pytest.approx(1.0 + 2.0)  # 1/mu + gamma_s
 
-    def test_zero_gamma_falls_back_to_enumeration(self):
+    def test_zero_gamma_is_first_window(self):
         res = bound_robust2_single(SystemParams(0.5, 1.0, 10, 1), UncertaintyParams(2, 0, 0))
         assert res.value == pytest.approx(1.0)
 
@@ -338,12 +338,19 @@ class TestNumericLimits:
 
     @pytest.mark.parametrize("bound, sources, gamma", [
         (worst_case_exact_single, 1, 1.0), (worst_case_exact_two, 2, 1.0),
-        (bound_robust2_single, 1, 0.0), (bound_robust3_two, 2, 0.0),
     ])
     def test_enumeration_size_capped(self, bound, sources, gamma):
         sysp = SystemParams(0.2, 1.0, MAX_ENUMERATION_N + 1, sources)
         with pytest.raises(ValidationError, match="capped"):
             bound(sysp, UncertaintyParams(2.0, gamma, gamma))
+
+    @pytest.mark.parametrize("bound, sources", [(bound_robust2_single, 1),
+                                                (bound_robust3_two, 2)])
+    def test_zero_gamma_closed_forms_past_the_cap(self, bound, sources):
+        # deterministic inputs: f decreases, so the first window m = 0 wins
+        res = bound(SystemParams(0.5 / sources, 1.0, 10**8, sources),
+                    UncertaintyParams(2.0, 0.0, 0.0))
+        assert (res.value, res.m_star) == (sources / 1.0, 0.0)
 
     def test_closed_forms_need_no_enumeration_cap(self):
         unc = UncertaintyParams(2.0, 1.0, 1.0)
