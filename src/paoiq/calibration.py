@@ -33,6 +33,7 @@ from .errors import (
     SingularDesignError,
     ValidationError,
     fmt,
+    load_json,
     parsing,
     read_fields,
 )
@@ -318,8 +319,7 @@ def theta_from_json(doc, what: str) -> CalibrationCoefficients:
 
 
 def read_theta_json(path) -> CalibrationCoefficients:
-    with open(path) as fh, parsing(f"theta file {path}"):
-        return theta_from_json(json.load(fh), f"theta file {path}")
+    return theta_from_json(load_json(path), f"theta file {path}")
 
 
 def grid_from_config(doc: dict) -> list[tuple[float, DistributionSpec, DistributionSpec]]:

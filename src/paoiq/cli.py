@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import inspect
 import itertools
-import json
 import math
 import sys
 
 import numpy as np
 
 from . import calibration, experiments
-from .errors import NumericError, ValidationError, fmt, parsing, read_fields
+from .errors import NumericError, ValidationError, fmt, load_json, parsing, read_fields
 from .robust_bounds import (
     METHODS,
     UncertaintyParams,
@@ -29,14 +28,6 @@ from .simulator import SystemParams, replicate
 from .stochastic import spec_from_dict
 
 
-def _load_json(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def _defaults(fn) -> dict:
     """The keyword defaults of ``fn``, read from its signature, not repeated here."""
     return {name: p.default for name, p in inspect.signature(fn).parameters.items()
@@ -44,7 +35,7 @@ def _defaults(fn) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    doc = read_fields(_load_json(args.config), (
+    doc = read_fields(load_json(args.config), (
         "lam", "mu", "n", "sources", "interarrival", "service", "replications",
         "warmup_fraction", "master_seed"), "simulate config")
     # n has no library default
@@ -113,7 +104,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         grid = _default_calibration_grid(args.scenario, settings["mu"])
         grid_file = "builtin-default"
     else:
-        doc = read_fields(_load_json(args.grid), ("points", *settings),
+        doc = read_fields(load_json(args.grid), ("points", *settings),
                           "calibration grid config")
         grid, grid_file = calibration.grid_from_config(doc), args.grid
         del doc["points"]
@@ -130,7 +121,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = experiments.config_from_json(_load_json(args.config))
+    config = experiments.config_from_json(load_json(args.config))
     report = experiments.run_sweep(config)
     if report.error_percents and all(
         math.isnan(v) for v in report.error_percents.values()

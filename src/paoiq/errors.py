@@ -8,6 +8,7 @@ numeric failures exit 2, I/O errors exit 3.
 from __future__ import annotations
 
 import contextlib
+import json
 
 
 class PaoiqError(Exception):
@@ -54,6 +55,15 @@ def parsing(what: str):
         raise ValidationError(f"{what} is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
+def load_json(path):
+    """The document in the JSON file ``path``; text that is not JSON is a ValidationError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not text
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def json_int(value, name: str) -> int:

@@ -87,7 +87,10 @@ class SweepConfig:
             raise ValidationError(f"mu must be > 0, got {self.mu}")
         if self.lambdas is not None and not self.lambdas:
             raise ValidationError("lambdas must not be empty; omit it for the default grid")
-        for lam in self.grid():
+        rates = self.grid()
+        if len(set(rates)) < len(rates):
+            raise ValidationError(f"arrival rates must not repeat, got {rates}")
+        for lam in rates:
             if not lam > 0:
                 raise ValidationError(f"arrival rates must be > 0, got {lam}")
             if not scenario.sources * lam < self.mu:

@@ -10,15 +10,11 @@ Four positive-support families are provided:
 * ``pareto``: classic Pareto on [scale, inf) with tail index ``shape``;
   shape <= 2 marks the spec heavy-tailed (infinite variance).
 
-Sampling is inverse-transform from PCG64 uniforms drawn on the open
-interval via ``integers(1, 2**53) * 2**-53``, so streams are reproducible
-for a fixed (spec, seed, count) and every sampled value is strictly
-positive.
-
-SciPy is loaded only for folded-normal streams: ``make_folded_normal``
-imports ``scipy.special`` (for ``ndtri``), so a process that samples only
-the other families never pays for it, and one that does pays while it
-builds its specs, not while it samples.
+Every stream comes from one PCG64 generator, so it is reproducible for a
+fixed (spec, seed, count) and every sampled value is strictly positive.
+Folded normals are ``|location + scale*Z|`` with Z from NumPy's ziggurat
+``standard_normal``; the other three families are inverse transforms of
+uniforms drawn on the open interval via ``integers(1, 2**53) * 2**-53``.
 """
 
 from __future__ import annotations
@@ -101,15 +97,11 @@ def make_folded_normal(location: float, scale: float) -> DistributionSpec:
     mean = scale*sqrt(2/pi)*exp(-location^2/(2 scale^2))
            + location*(1 - 2*Phi(-location/scale))
     variance = location^2 + scale^2 - mean^2
-
-    Loads ``scipy.special``, which sampling this family needs.
     """
     if not math.isfinite(location):
         raise ValidationError(f"folded-normal location must be finite, got {location}")
     if not 0 < scale < math.inf:
         raise ValidationError(f"folded-normal scale must be finite and > 0, got {scale}")
-    import scipy.special  # noqa: F401  (see the module docstring)
-
     z = location / scale
     mean = scale * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * z * z) + location * (
         1.0 - 2.0 * _norm_cdf(-z)
@@ -199,38 +191,39 @@ def sample_stream(spec: DistributionSpec, count: int, seed: int,
                   out: np.ndarray | None = None) -> SampleStream:
     """Draw ``count`` i.i.d. values from ``spec``, deterministic in (spec, seed, count).
 
-    ``out`` is an optional caller-owned float64 array of shape (count,); the
-    values are then written into it and the stream holds it as ``values``.
+    ``out`` is an optional caller-owned float64 array of shape (count,),
+    C-contiguous and writeable; the values are then written into it and the
+    stream holds it as ``values``.
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     if out is None:
         out = np.empty(count)
     elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
-              and out.shape == (count,)):
+              and out.shape == (count,) and out.flags.c_contiguous and out.flags.writeable):
+        got = (f"{out.dtype} {out.shape}, C-contiguous={out.flags.c_contiguous}, "
+               f"writeable={out.flags.writeable}" if isinstance(out, np.ndarray)
+               else type(out).__name__)
         raise ValidationError(
-            f"out must be a float64 array of shape ({count},), got "
-            f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}"
-        )
+            f"out must be a writeable C-contiguous float64 array of shape ({count},), got {got}")
     rng = np.random.Generator(np.random.PCG64(seed))
+    p = dict(spec.params)
+    if spec.kind == "folded_normal":
+        # ziggurat normals written straight into out, with no integer draws
+        rng.standard_normal(out=out)
+        np.multiply(p["scale"], out, out=out)
+        np.add(p["location"], out, out=out)
+        np.abs(out, out=out)
+        # exact zero has measure zero but would break the positivity contract
+        np.maximum(out, np.finfo(np.float64).tiny, out=out)
+        return SampleStream(values=out)
     # uniforms strictly inside (0, 1) so every transform below stays positive;
     # scaling by 2**-53 is exact, so this equals a division by 2**53
     u = np.multiply(rng.integers(1, 2**53, size=count), _TWO_M53, out=out)
-    p = dict(spec.params)
     if spec.kind == "exponential":
         # -log(u) / rate, with the sign moved onto the divisor (bitwise equal)
         np.log(u, out=u)
         np.divide(u, -p["rate"], out=u)
-    elif spec.kind == "folded_normal":
-        # already loaded by make_folded_normal, unless the spec was built directly
-        from scipy.special import ndtri
-
-        ndtri(u, out=u)
-        np.multiply(p["scale"], u, out=u)
-        np.add(p["location"], u, out=u)
-        np.abs(u, out=u)
-        # exact zero has measure zero but would break the positivity contract
-        np.maximum(u, np.finfo(np.float64).tiny, out=u)
     elif spec.kind == "uniform":
         np.multiply(2.0 * p["mean"], u, out=u)
     elif spec.kind == "pareto":

@@ -123,6 +123,10 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="repeat"):
             SweepConfig(scenario="single", lambdas=(0.5,), methods=("robust2", "robust2"))
 
+    def test_repeated_rate(self):
+        with pytest.raises(ValidationError, match="arrival rates must not repeat"):
+            SweepConfig(scenario="single", lambdas=(0.4, 0.5, 0.4))
+
     @pytest.mark.parametrize("scenario", ["three", None, ["single"], 2],
                              ids=["three", "none", "list", "int"])
     def test_one_scenario_check(self, scenario):
@@ -447,6 +451,7 @@ class TestCli:
             {**SIM, "interarrival": {"kind": "exponential", "rate": True}})),
         ("calibrate", "grid.json", json.dumps({**GRID, "n": 200, "points": [
             {**GRID["points"][0], "service": {"kind": "exponential", "rate": True}}]})),
+        ("sweep", "sweep.json", json.dumps({**SWEEP, "lambdas": [0.5, 0.5]})),
     ], ids=["simulate-text-rate", "simulate-list", "sweep-number", "calibrate-list",
             "calibrate-point-fields", "sweep-theta-fields", "sweep-text-n",
             "report-short-row", "report-text-percent",
@@ -462,7 +467,8 @@ class TestCli:
             "simulate-huge-integer-mu", "sweep-text-mu", "sweep-text-lambda",
             "sweep-false-warmup", "sweep-text-theta0", "calibrate-bool-mu",
             "calibrate-text-warmup", "calibrate-text-point-lam", "sweep-text-methods",
-            "sweep-object-methods", "simulate-bool-rate", "calibrate-bool-point-rate"])
+            "sweep-object-methods", "simulate-bool-rate", "calibrate-bool-point-rate",
+            "sweep-repeated-lambda"])
     def test_malformed_input_exit_one(self, tmp_path, capsys, command, name, content):
         path = tmp_path / name
         path.write_text(content)
@@ -486,6 +492,24 @@ class TestCli:
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 1
         assert capsys.readouterr().err == "error: theta0 must be a number, got '-0.376'\n"
         assert not (tmp_path / "r.csv").exists()
+
+    def test_theta_file_not_json(self, tmp_path, capsys):
+        theta = tmp_path / "theta.json"
+        theta.write_text("not json")
+        config = self.sweep_config(tmp_path, lambdas=[0.4], theta=str(theta))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {theta} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n")
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_config_not_text(self, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xff\xfe{}")
+        out = ["--out", str(tmp_path / "r.csv")] if command == "sweep" else []
+        assert main([command, "--config", str(config), *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config} is not valid JSON: ")
 
     def test_theta_file_rejects_unknown_fields(self, tmp_path, capsys):
         theta = tmp_path / "theta.json"

@@ -1,5 +1,6 @@
 """Distribution specs: analytic moments, sampling contracts, determinism."""
 
+import json
 import math
 import os
 import subprocess
@@ -8,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 import paoiq
 from paoiq.errors import ValidationError
@@ -158,13 +158,13 @@ SAMPLED_FAMILIES = [
 def reference_stream(spec, count, seed):
     """The sampling contract written out with allocating NumPy expressions."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.integers(1, 2**53, size=count).astype(np.float64) / float(2**53)
     p = dict(spec.params)
+    if spec.kind == "folded_normal":
+        values = np.abs(p["location"] + p["scale"] * rng.standard_normal(count))
+        return np.maximum(values, np.finfo(np.float64).tiny)
+    u = rng.integers(1, 2**53, size=count).astype(np.float64) / float(2**53)
     if spec.kind == "exponential":
         return -np.log(u) / p["rate"]
-    if spec.kind == "folded_normal":
-        values = np.abs(p["location"] + p["scale"] * ndtri(u))
-        return np.maximum(values, np.finfo(np.float64).tiny)
     if spec.kind == "uniform":
         return 2.0 * p["mean"] * u
     return p["scale"] * u ** (-1.0 / p["shape"])
@@ -177,43 +177,57 @@ def test_sample_stream_bitwise_contract(spec):
                               reference_stream(spec, count, seed))
 
 
-# Run in a fresh interpreter: sys.argv[1] is "factory", or the repr of a
-# folded-normal spec to rebuild directly, without make_folded_normal.
-LAZY_SCIPY_SCRIPT = """
+# Run in a fresh interpreter: sys.argv[1] is the repr of a folded-normal spec
+# to rebuild directly, without make_folded_normal; sys.argv[2] a calibrate grid.
+NO_SCIPY_SCRIPT = """
 import sys
-from paoiq import (DistributionSpec, SystemParams, make_exponential,
-                   make_folded_normal, replicate, sample_stream)
+from paoiq import DistributionSpec, make_folded_normal, sample_stream
+from paoiq.cli import main
 
-for sources in (1, 2):
-    replicate(SystemParams(0.2, 1.0, 1000, sources), make_exponential(0.2),
-              make_exponential(1.0), replications=2)
-print("scipy.special" in sys.modules)
-if sys.argv[1] == "factory":
-    make_folded_normal(1.0, 0.5)
-else:
-    spec = eval(sys.argv[1], {"DistributionSpec": DistributionSpec})
-    print(sample_stream(spec, 10_000, 42).values.tobytes().hex())
-print("scipy.special" in sys.modules)
+make_folded_normal(1.0, 0.5)
+spec = eval(sys.argv[1], {"DistributionSpec": DistributionSpec})
+print(sample_stream(spec, 10_000, 42).values.tobytes().hex())
+print(main(["calibrate", "--scenario", "single", "--grid", sys.argv[2],
+            "--out", sys.argv[3]]))
+print("scipy" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("build", ["factory", "direct"])
-def test_scipy_loaded_only_for_folded_normal(build):
+def test_scipy_never_loaded(tmp_path):
     spec = make_folded_normal(1.0, 0.5)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"n": 2000, "replications": 2, "points": [
+        {"lam": 0.5, "interarrival": {"kind": "folded_normal", "location": 2, "scale": 1},
+         "service": spec.to_dict()}]}))
     src = str(Path(paoiq.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [sys.executable, "-c", LAZY_SCIPY_SCRIPT,
-            "factory" if build == "factory" else repr(spec)]
+    argv = [sys.executable, "-c", NO_SCIPY_SCRIPT, repr(spec), str(grid),
+            str(tmp_path / "theta.json")]
     out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True,
                          timeout=120).stdout.split()
-    # exponential-only replications never load SciPy; folded normals do
-    assert out[0] == "False"
-    assert out[-1] == "True"
-    if build == "direct":
-        # a directly built spec keeps the sampling contract
-        assert np.array_equal(np.frombuffer(bytes.fromhex(out[1])),
-                              reference_stream(spec, 10_000, 42))
+    # a directly built spec keeps the sampling contract
+    assert np.array_equal(np.frombuffer(bytes.fromhex(out[0])),
+                          reference_stream(spec, 10_000, 42))
+    # the folded-normal point was simulated; one row is too few to fit (exit 2)
+    assert out[1:] == ["2", "False"]
+
+
+def folded_normal_cdf(x, location, scale):
+    erf = np.frompyfunc(math.erf, 1, 1)
+    z = scale * math.sqrt(2.0)
+    return (0.5 * (erf((x + location) / z) + erf((x - location) / z))).astype(np.float64)
+
+
+@pytest.mark.parametrize("location, scale", [(0.5, 1.0), (1.0, 0.5), (0.0, 2.0)])
+def test_folded_normal_kolmogorov_smirnov(location, scale):
+    n = 200_000
+    x = np.sort(sample_stream(make_folded_normal(location, scale), n, 7).values)
+    cdf = folded_normal_cdf(x, location, scale)
+    ranks = np.arange(1, n + 1) / n
+    d = max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n)))
+    # 1.95 is the asymptotic 0.1% critical value of sqrt(n) * D
+    assert math.sqrt(n) * d < 1.95
 
 
 @pytest.mark.parametrize("spec", SAMPLED_FAMILIES, ids=lambda s: s.kind)
@@ -229,10 +243,14 @@ def test_sample_stream_out_matches_allocating_call(spec):
     np.empty(10, dtype=np.float32),
     np.empty((10, 1)),
     [0.0] * 10,
-], ids=["length", "float32", "2d", "list"])
+    np.empty((10, 2))[:, 0],
+    np.empty(10)[::-1],
+    np.frombuffer(bytes(80)),
+], ids=["length", "float32", "2d", "list", "strided", "reversed", "read-only"])
 def test_sample_stream_out_rejects_wrong_shape_or_dtype(out):
-    with pytest.raises(ValidationError, match="out must be"):
-        sample_stream(make_exponential(1.0), 10, 0, out=out)
+    for spec in SAMPLED_FAMILIES:
+        with pytest.raises(ValidationError, match="out must be"):
+            sample_stream(spec, 10, 0, out=out)
 
 
 @pytest.mark.parametrize(
