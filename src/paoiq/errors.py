@@ -62,7 +62,8 @@ def load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except ValueError as exc:  # a JSONDecodeError, or bytes that are not text
+    # a JSONDecodeError, bytes that are not text, or nesting too deep to decode
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -502,10 +502,12 @@ class TestCli:
             f"error: {theta} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n")
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                             ids=["not-text", "too-deep"])
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    def test_config_not_text(self, tmp_path, capsys, command):
+    def test_config_not_json_text(self, tmp_path, capsys, command, content):
         config = tmp_path / "config.json"
-        config.write_bytes(b"\xff\xfe{}")
+        config.write_bytes(content)
         out = ["--out", str(tmp_path / "r.csv")] if command == "sweep" else []
         assert main([command, "--config", str(config), *out]) == 1
         err = capsys.readouterr().err

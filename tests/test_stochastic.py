@@ -178,7 +178,8 @@ def test_sample_stream_bitwise_contract(spec):
 
 
 # Run in a fresh interpreter: sys.argv[1] is the repr of a folded-normal spec
-# to rebuild directly, without make_folded_normal; sys.argv[2] a calibrate grid.
+# to rebuild directly, without make_folded_normal; sys.argv[2] a calibrate
+# grid and sys.argv[3] the theta file calibrate writes.
 NO_SCIPY_SCRIPT = """
 import sys
 from paoiq import DistributionSpec, make_folded_normal, sample_stream
