@@ -177,24 +177,35 @@ def test_sample_stream_bitwise_contract(spec):
                               reference_stream(spec, count, seed))
 
 
-# Run in a fresh interpreter: sys.argv[1] is the repr of a folded-normal spec
-# to rebuild directly, without make_folded_normal; sys.argv[2] a calibrate
-# grid and sys.argv[3] the theta file calibrate writes.
+# Run in a fresh interpreter: sys.argv[1] is "factory", or the repr of a
+# folded-normal spec to rebuild directly, without make_folded_normal. For
+# "factory", sys.argv[2] is a calibrate grid and sys.argv[3] the theta file
+# calibrate writes.
 NO_SCIPY_SCRIPT = """
 import sys
-from paoiq import DistributionSpec, make_folded_normal, sample_stream
+from paoiq import (DistributionSpec, SystemParams, make_exponential,
+                   make_folded_normal, replicate, sample_stream)
 from paoiq.cli import main
 
-make_folded_normal(1.0, 0.5)
-spec = eval(sys.argv[1], {"DistributionSpec": DistributionSpec})
-print(sample_stream(spec, 10_000, 42).values.tobytes().hex())
-print(main(["calibrate", "--scenario", "single", "--grid", sys.argv[2],
-            "--out", sys.argv[3]]))
+for sources in (1, 2):
+    replicate(SystemParams(0.2, 1.0, 1000, sources), make_exponential(0.2),
+              make_exponential(1.0), replications=2)
+print("scipy" in sys.modules)
+if sys.argv[1] == "factory":
+    make_folded_normal(1.0, 0.5)
+    print(main(["calibrate", "--scenario", "single", "--grid", sys.argv[2],
+                "--out", sys.argv[3]]))
+else:
+    spec = eval(sys.argv[1], {"DistributionSpec": DistributionSpec})
+    print(sample_stream(spec, 10_000, 42).values.tobytes().hex())
 print("scipy" in sys.modules)
 """
 
 
-def test_scipy_never_loaded(tmp_path):
+# SciPy is loaded at most for folded normals, and since they are drawn with
+# NumPy's ziggurat, not even for them.
+@pytest.mark.parametrize("build", ["factory", "direct"])
+def test_scipy_loaded_only_for_folded_normal(build, tmp_path):
     spec = make_folded_normal(1.0, 0.5)
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"n": 2000, "replications": 2, "points": [
@@ -203,15 +214,20 @@ def test_scipy_never_loaded(tmp_path):
     src = str(Path(paoiq.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [sys.executable, "-c", NO_SCIPY_SCRIPT, repr(spec), str(grid),
-            str(tmp_path / "theta.json")]
+    argv = [sys.executable, "-c", NO_SCIPY_SCRIPT]
+    argv += (["factory", str(grid), str(tmp_path / "theta.json")] if build == "factory"
+             else [repr(spec)])
     out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True,
                          timeout=120).stdout.split()
-    # a directly built spec keeps the sampling contract
-    assert np.array_equal(np.frombuffer(bytes.fromhex(out[0])),
-                          reference_stream(spec, 10_000, 42))
-    # the folded-normal point was simulated; one row is too few to fit (exit 2)
-    assert out[1:] == ["2", "False"]
+    assert out[0] == "False"
+    assert out[-1] == "False"
+    if build == "factory":
+        # the folded-normal point was simulated; one row is too few to fit (exit 2)
+        assert out[1] == "2"
+    else:
+        # a directly built spec keeps the sampling contract
+        assert np.array_equal(np.frombuffer(bytes.fromhex(out[1])),
+                              reference_stream(spec, 10_000, 42))
 
 
 def folded_normal_cdf(x, location, scale):
