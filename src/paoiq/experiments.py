@@ -117,7 +117,8 @@ class SweepConfig:
         if self.lambdas is not None:
             return self.lambdas
         rates = get_scenario(self.scenario).sweep_rates
-        return tuple(round(lam * self.mu, 12) for lam in rates)
+        # 12 significant digits, so that distinct rates stay distinct at any mu
+        return tuple(float(fmt(lam * self.mu)) for lam in rates)
 
     def method_list(self) -> tuple[str, ...]:
         if self.methods is None:
@@ -182,6 +183,25 @@ def error_percent(simulated, bound) -> float:
     return float(np.mean(np.abs(bnd - sim) / sim) * 100.0)
 
 
+def error_percent_se(rows: list[SweepRow]) -> float:
+    """Delta-method standard error of the error percent over ``rows``.
+
+    Each simulated mean s has standard error ci95/1.96, and |b - s|/s has
+    slope -b/s^2 in s, so the error percent has (100/N) sqrt(sum (b/s^2 *
+    ci95/1.96)^2).  Rows from a file may make it inf or nan.
+    """
+    sim = np.array([r.sim_paoi_mean for r in rows])
+    bnd = np.array([r.bound_paoi for r in rows])
+    ci = np.array([r.sim_paoi_ci95 for r in rows])
+    with np.errstate(all="ignore"):
+        return float(100.0 / len(rows) * np.sqrt(np.sum((bnd / sim**2 * ci / 1.96) ** 2)))
+
+
+def _scored(rows: list[SweepRow], method: str) -> list[SweepRow]:
+    """The rows of ``method`` that its error percent averages over."""
+    return [r for r in rows if r.method == method and math.isfinite(r.rel_error)]
+
+
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Simulate every grid rate and evaluate every requested bound."""
     sources = get_scenario(config.scenario).sources
@@ -243,7 +263,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             )
     # rows are still in grid order here, the order error_percent sums in
     for method in methods:
-        done = [r for r in report.rows if r.method == method and math.isfinite(r.rel_error)]
+        done = _scored(report.rows, method)
         report.error_percents[method] = error_percent(
             [r.sim_paoi_mean for r in done], [r.bound_paoi for r in done]) if done else math.nan
     report.rows.sort(key=lambda r: (r.lam, r.method))
@@ -298,10 +318,13 @@ def report_summary_text(report: SweepReport) -> str:
     """Human-readable error-percent table."""
     lams = sorted({r.lam for r in report.rows})
     out = [f"{len(report.rows)} rows over {len(lams)} arrival rates"]
-    out.append(f"{'method':<10} {'error percent':>14}")
+    out.append(f"{'method':<10} {'error percent':>14} {'std error':>10}")
     for method in sorted(report.error_percents):
         pct = report.error_percents[method]
         # a method that failed at every point has no error percent
         cell = f"{pct:>13.2f}%" if math.isfinite(pct) else f"{'n/a':>14}"
-        out.append(f"{method:<10} {cell}")
+        done = _scored(report.rows, method)
+        se = error_percent_se(done) if done else math.nan
+        se_cell = f"{se:>10.3f}" if math.isfinite(se) else f"{'n/a':>10}"
+        out.append(f"{method:<10} {cell} {se_cell}")
     return "\n".join(out)

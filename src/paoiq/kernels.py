@@ -6,8 +6,12 @@ vectorizes:
     S_n = max_{1<=k<=n} (sum_{i=k}^n X_i - sum_{i=k+1}^n T_i)
         = CX_n - CT_n + max_{1<=k<=n} (CT_k - CX_{k-1})
 
-with CX, CT the cumulative sums of services and interarrivals.  The running
-max is a single ``np.fmax.accumulate``.
+with CX, CT the cumulative sums of services and interarrivals.  Both sums
+come from one ``cumsum`` over complex128 values whose real lane holds the
+services and imaginary lane the interarrivals: a complex add adds the two
+lanes separately, each with the bits of one float64 add, so one serial scan
+gives CX and CT bit for bit.  The running max is a single
+``np.fmax.accumulate``.
 
 ``window_bound`` is the one worst-case window expression; ``_exact_max``
 enumerates it over m = 0, 1/k, ..., n/k - 1.  It raises one grid
@@ -34,13 +38,11 @@ def lindley_system_times(interarrivals: np.ndarray, services: np.ndarray,
     """System time of every update in an FCFS queue.
 
     ``work`` is an optional caller-owned float64 array of shape (3, n); the
-    result is then written to ``work[0]`` and returned as that view, so a
-    caller that reuses ``work`` allocates nothing here.  The inputs may
-    alias the rows that hold their own cumulative sums: ``services`` may be
-    ``work[0]`` and ``interarrivals`` may be ``work[1]`` (both are read only
-    by the in-place ``cumsum``, which gives the same bits as the
-    out-of-place call and allocates no temporary).  No other overlap with
-    ``work`` is allowed.
+    result is then written to ``work[2]`` and returned as that view, so a
+    caller that reuses ``work`` allocates nothing here.  ``work[:2]`` holds
+    the paired cumulative sums (see ``_lanes``).  ``services`` may be
+    ``work[2]``, which is read before it is written; ``interarrivals`` must
+    not overlap ``work[:2]``, and no other overlap with ``work`` is allowed.
     """
     x = np.asarray(services, dtype=np.float64)
     t = np.asarray(interarrivals, dtype=np.float64)
@@ -53,20 +55,31 @@ def lindley_system_times(interarrivals: np.ndarray, services: np.ndarray,
             f"work must be a float64 array of shape (3, {n}), got "
             f"{getattr(work, 'dtype', type(work).__name__)} {np.shape(work)}"
         )
-    cx, ct, d = work
+    pairs, cx, ct = _lanes(work)
+    d = work[2]
     if n == 0:
-        return cx
-    np.cumsum(x, out=cx)
-    np.cumsum(t, out=ct)
+        return d
+    np.copyto(cx, x)
+    np.copyto(ct, t)
+    np.cumsum(pairs, out=pairs)
     # d[k-1] = CT_k - CX_{k-1}
     d[0] = ct[0]
     np.subtract(ct[1:], cx[:-1], out=d[1:])
     # S = (CX - CT) + running max of d; each step writes a row it no longer reads.
     # fmax is faster than maximum and gives the same S: a NaN input makes
     # CX - CT, and so S, NaN from its position on either way.
-    np.subtract(cx, ct, out=ct)
-    np.fmax.accumulate(d, out=cx)
-    return np.add(ct, cx, out=cx)
+    np.subtract(cx, ct, out=cx)
+    np.fmax.accumulate(d, out=d)
+    return np.add(cx, d, out=d)
+
+
+def _lanes(work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``work[:2]`` of a (3, n) float64 ``work`` as n complex128 values, with
+    their real and imaginary lanes as strided float64 views; all three are
+    views into ``work`` when it is C-contiguous."""
+    pairs = work[:2].reshape(2 * work.shape[1]).view(np.complex128)
+    lanes = pairs.view(np.float64).reshape(-1, 2)
+    return pairs, lanes[:, 0], lanes[:, 1]
 
 
 def window_bound(m: float | np.ndarray, k: int, lam: float, mu: float, alpha: float,

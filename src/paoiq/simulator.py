@@ -32,8 +32,8 @@ from .seeding import ROLE_ARRIVAL_1, ROLE_ARRIVAL_2, ROLE_SERVICE, derive_seed
 from .stochastic import DistributionSpec, SampleStream, sample_stream
 
 
-# Size caps of ``replicate``: its workspace takes about 40 bytes per update,
-# so n = 10**7 needs about 0.4 GB.
+# Size caps of ``replicate``: its workspace takes about 40 bytes per update
+# for one source and about 57 for two, so n = 10**7 needs 0.4 to 0.6 GB.
 MAX_REPLICATE_N = 10**7
 MAX_REPLICATIONS = 10**6
 
@@ -327,18 +327,17 @@ def replicate(
     paoi_means = np.empty(replications)
     system_means = np.empty(replications)
     src_means = np.empty((replications, 2)) if params.sources == 2 else None
-    # one workspace for every replication: services are sampled into
-    # work[0] and, for two sources, the arrivals merged into work[2] and
-    # their gaps into work[1], the aliasing ``kernels.lindley_system_times``
-    # allows; it leaves the system times in work[0], and work[1] then holds
-    # the post-warmup peaks
+    # one workspace for every replication, in the layout of
+    # ``kernels.lindley_system_times``: services are sampled into work[2],
+    # where the kernel leaves the system times, and work[:2] holds its paired
+    # cumulative sums; work[0] or work[1] then takes the post-warmup peaks
     work = np.empty((3, n))
-    x = work[0]
+    x = work[2]
 
     if params.sources == 1:
         t = np.empty(n)
         w = _kept(n - 1, warmup_fraction)
-        peaks = work[1, :n - 1 - w]
+        peaks = work[0, :n - 1 - w]
         for r in range(replications):
             sample_stream(interarrival_spec, n, derive_seed(master_seed, r, ROLE_ARRIVAL_1),
                           out=t)
@@ -353,7 +352,7 @@ def replicate(
         # source 1's arrival times, then source 2's
         times = np.empty(n)
         a1, a2 = times[:n1], times[n1:]
-        # per-source system times in the same layout
+        # the merged gaps, then per-source system times in the layout of times
         by_source = np.empty(n)
         s1, s2 = by_source[:n1], by_source[n1:]
         w1 = _kept(n1 - 1, warmup_fraction)
@@ -361,15 +360,21 @@ def replicate(
         k1 = n1 - 1 - w1
         # both sources' post-warmup peaks side by side
         peaks = work[1, :k1 + n2 - 1 - w2]
+        # both interarrival streams in the lanes of one paired cumsum; source
+        # 2's lane is one entry longer when n is odd and ends in a zero
+        pairs, lane1, lane2 = (v[:n1] for v in kernels._lanes(work))
         for r in range(replications):
-            for a, role in ((a1, ROLE_ARRIVAL_1), (a2, ROLE_ARRIVAL_2)):
-                draws = work[0, :len(a)]
+            for a, lane, role in ((a1, lane1, ROLE_ARRIVAL_1), (a2, lane2, ROLE_ARRIVAL_2)):
                 sample_stream(interarrival_spec, len(a),
-                              derive_seed(master_seed, r, role), out=draws)
-                np.cumsum(draws, out=a)
+                              derive_seed(master_seed, r, role), out=a)
+                lane[:len(a)] = a
+            lane2[n2:] = 0.0
+            np.cumsum(pairs, out=pairs)
+            a1[:] = lane1
+            a2[:] = lane2[:n2]
             sample_stream(service_spec, n, derive_seed(master_seed, r, ROLE_SERVICE), out=x)
-            merged, order = _merge(times, out=work[2])
-            s = _merged_system_times(merged, x, work[1], work)
+            merged, order = _merge(times, out=work[0])
+            s = _merged_system_times(merged, x, by_source, work)
             # order[i] is the source-layout index of the i-th merged update
             by_source[order] = s
             _source_peaks(a1[w1:], s1[w1:], out=peaks[:k1])

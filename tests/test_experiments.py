@@ -98,6 +98,18 @@ class TestConfigValidation:
         assert SweepConfig(scenario="single").grid()
         assert SweepConfig(scenario="two").grid()
 
+    @pytest.mark.parametrize("scenario", ["single", "two"])
+    def test_default_grid_at_unit_mu_is_the_scenario_grid(self, scenario):
+        rates = calibration.get_scenario(scenario).sweep_rates
+        assert SweepConfig(scenario=scenario).grid() == rates
+
+    def test_default_grid_keeps_distinct_rates_at_tiny_mu(self):
+        # rounding to 12 decimal places once merged 0.15e-11 and 0.2e-11
+        rates = calibration.get_scenario("single").sweep_rates
+        grid = SweepConfig(scenario="single", mu=1e-11).grid()
+        assert len(set(grid)) == len(rates) == 16
+        assert grid == pytest.approx([lam * 1e-11 for lam in rates], rel=1e-11)
+
     def test_from_json_rejects_unknown_fields(self):
         with pytest.raises(ValidationError, match="unknown"):
             config_from_json({"scenario": "single", "lambda_grid": [0.5]})
@@ -574,9 +586,23 @@ class TestCli:
                         + "method,error_percent\nkingman,25\nrobust2,nan\nrobust3,inf\n")
         assert main(["report", "--in", str(path)]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[-3:] == [f"{'kingman':<10} {'25.00%':>14}",
-                              f"{'robust2':<10} {'n/a':>14}",
-                              f"{'robust3':<10} {'n/a':>14}"]
+        # kingman's one row: 100 * 5/4**2 * 0.1/1.96 = 1.594
+        assert lines[-3:] == [f"{'kingman':<10} {'25.00%':>14} {'1.594':>10}",
+                              f"{'robust2':<10} {'n/a':>14} {'n/a':>10}",
+                              f"{'robust3':<10} {'n/a':>14} {'n/a':>10}"]
+
+    @pytest.mark.filterwarnings("ignore:mapped gamma_s:RuntimeWarning")
+    def test_report_prints_standard_errors_of_the_default_sweeps(self, tmp_path, capsys):
+        expected = {"single": {"kingman": ("33.53%", "0.088"), "robust1": ("35.13%", "0.082"),
+                               "robust2": ("5.94%", "0.080")},
+                    "two": {"robust3": ("13.18%", "0.218")}}
+        for scenario, cells in expected.items():
+            path = tmp_path / f"{scenario}.csv"
+            report_csv(run_sweep(SweepConfig(scenario=scenario)), path)
+            assert main(["report", "--in", str(path)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[2:] == [f"{method:<10} {pct:>14} {se:>10}"
+                                 for method, (pct, se) in cells.items()]
 
     def test_sweep_and_report(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path)

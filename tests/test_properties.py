@@ -46,6 +46,42 @@ def test_lindley_matches_scalar_recursion(pairs):
                                rtol=1e-9, atol=1e-14 * horizon)
 
 
+def two_scan_lindley(t, x):
+    """The prefix-sum max form with one float64 ``cumsum`` per stream."""
+    cx = np.cumsum(x)
+    ct = np.cumsum(t)
+    d = np.empty_like(cx)
+    d[0] = ct[0]
+    np.subtract(ct[1:], cx[:-1], out=d[1:])
+    return (cx - ct) + np.fmax.accumulate(d)
+
+
+@DETERMINISTIC
+@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=0, max_value=2**32),
+       st.sampled_from(["none", "work", "services in work[2]"]),
+       st.one_of(st.none(), st.tuples(st.sampled_from(["t", "x"]), st.floats(0.0, 1.0))))
+def test_lindley_paired_scan_is_bitwise_two_scans(n, seed, layout, nan_at):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    t = rng.exponential(scale, n)
+    x = rng.exponential(scale * rng.uniform(0.2, 1.5), n)
+    if nan_at is not None:
+        stream, where = nan_at
+        (t if stream == "t" else x)[min(int(where * n), n - 1)] = np.nan
+    expected = two_scan_lindley(t, x)
+    if layout == "none":
+        got = lindley_system_times(t, x)
+    else:
+        work = np.full((3, n), np.inf)  # stale contents must not leak in
+        if layout == "work":
+            got = lindley_system_times(t, x, work)
+        else:
+            work[2] = x
+            got = lindley_system_times(t, work[2], work)
+        assert np.shares_memory(got, work)
+    assert np.array_equal(got, expected, equal_nan=nan_at is not None)
+
+
 # small integer steps make equal arrival times across the sources common
 steps = st.lists(st.integers(min_value=1, max_value=3), max_size=60)
 

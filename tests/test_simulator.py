@@ -1,6 +1,7 @@
 """FCFS simulation: Lindley recursion, merging, peak-age traces, replication."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -340,6 +341,24 @@ class TestReplicate:
         with pytest.raises(ValidationError, match="capped"):
             replicate(SystemParams(0.2, 1.0, n, sources), make_exponential(0.2),
                       make_exponential(1.0), replications=replications)
+
+    @pytest.mark.parametrize("sources, limit", [(1, 44.0), (2, 60.0)])
+    def test_workspace_bytes_per_update(self, sources, limit):
+        # one source holds 40.7 B/update (a (3, n) workspace, the interarrivals
+        # and the sampler's temporary), two sources 56.7 (also the arrival
+        # times, the per-source layout and the merge permutation); one more
+        # n-length float64 buffer adds 8
+        n = 100_000
+        args = (SystemParams(0.4 / sources, 1.0, n, sources), make_exponential(0.4 / sources),
+                make_exponential(1.0))
+        replicate(*args, replications=3)
+        tracemalloc.start()
+        try:
+            replicate(*args, replications=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < limit
 
 
 def rebuilt_through_wrappers(params, ia_spec, svc_spec, replications, warmup, master_seed):
