@@ -188,11 +188,15 @@ def error_percent_se(rows: list[SweepRow]) -> float:
 
     Each simulated mean s has standard error ci95/1.96, and |b - s|/s has
     slope -b/s^2 in s, so the error percent has (100/N) sqrt(sum (b/s^2 *
-    ci95/1.96)^2).  Rows from a file may make it inf or nan.
+    ci95/1.96)^2).  It is nan for no rows or where a ci95 is not positive,
+    as a one-replication sweep writes 0 there, and rows from a file may make
+    it inf or nan.
     """
     sim = np.array([r.sim_paoi_mean for r in rows])
     bnd = np.array([r.bound_paoi for r in rows])
     ci = np.array([r.sim_paoi_ci95 for r in rows])
+    if not rows or not np.all(ci > 0):
+        return math.nan
     with np.errstate(all="ignore"):
         return float(100.0 / len(rows) * np.sqrt(np.sum((bnd / sim**2 * ci / 1.96) ** 2)))
 
@@ -323,8 +327,7 @@ def report_summary_text(report: SweepReport) -> str:
         pct = report.error_percents[method]
         # a method that failed at every point has no error percent
         cell = f"{pct:>13.2f}%" if math.isfinite(pct) else f"{'n/a':>14}"
-        done = _scored(report.rows, method)
-        se = error_percent_se(done) if done else math.nan
+        se = error_percent_se(_scored(report.rows, method))
         se_cell = f"{se:>10.3f}" if math.isfinite(se) else f"{'n/a':>10}"
         out.append(f"{method:<10} {cell} {se_cell}")
     return "\n".join(out)

@@ -39,10 +39,11 @@ def lindley_system_times(interarrivals: np.ndarray, services: np.ndarray,
 
     ``work`` is an optional caller-owned float64 array of shape (3, n); the
     result is then written to ``work[2]`` and returned as that view, so a
-    caller that reuses ``work`` allocates nothing here.  ``work[:2]`` holds
-    the paired cumulative sums (see ``_lanes``).  ``services`` may be
-    ``work[2]``, which is read before it is written; ``interarrivals`` must
-    not overlap ``work[:2]``, and no other overlap with ``work`` is allowed.
+    caller that reuses a C-contiguous ``work`` allocates nothing here.
+    ``work[:2]`` holds the paired cumulative sums (see ``_lanes``).
+    ``services`` may be ``work[2]``, which is read before it is written;
+    ``interarrivals`` must not overlap ``work[:2]``, and no other overlap
+    with ``work`` is allowed.
     """
     x = np.asarray(services, dtype=np.float64)
     t = np.asarray(interarrivals, dtype=np.float64)
@@ -65,7 +66,7 @@ def lindley_system_times(interarrivals: np.ndarray, services: np.ndarray,
     # d[k-1] = CT_k - CX_{k-1}
     d[0] = ct[0]
     np.subtract(ct[1:], cx[:-1], out=d[1:])
-    # S = (CX - CT) + running max of d; each step writes a row it no longer reads.
+    # S = (CX - CT) + running max of d, each step in place.
     # fmax is faster than maximum and gives the same S: a NaN input makes
     # CX - CT, and so S, NaN from its position on either way.
     np.subtract(cx, ct, out=cx)

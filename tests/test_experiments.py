@@ -581,13 +581,17 @@ class TestCli:
     def test_report_failed_method_prints_n_a(self, tmp_path, capsys):
         # sweep writes nan for a method that failed at every grid point
         path = tmp_path / "report.csv"
+        # a one-replication sweep writes a ci95 of 0, which gives no standard error
         path.write_text(self.REPORT
-                        + "0.5,4,0.1,kingman,5,0.25\n0.5,4,0.1,robust2,nan,nan\n"
-                        + "method,error_percent\nkingman,25\nrobust2,nan\nrobust3,inf\n")
+                        + "0.5,4,0.1,kingman,5,0.25\n0.5,4,0,robust1,5,0.25\n"
+                        + "0.5,4,0.1,robust2,nan,nan\n"
+                        + "method,error_percent\nkingman,25\nrobust1,25\nrobust2,nan\n"
+                        + "robust3,inf\n")
         assert main(["report", "--in", str(path)]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         # kingman's one row: 100 * 5/4**2 * 0.1/1.96 = 1.594
-        assert lines[-3:] == [f"{'kingman':<10} {'25.00%':>14} {'1.594':>10}",
+        assert lines[-4:] == [f"{'kingman':<10} {'25.00%':>14} {'1.594':>10}",
+                              f"{'robust1':<10} {'25.00%':>14} {'n/a':>10}",
                               f"{'robust2':<10} {'n/a':>14} {'n/a':>10}",
                               f"{'robust3':<10} {'n/a':>14} {'n/a':>10}"]
 
