@@ -59,7 +59,6 @@ from .simulator import (
 )
 from .stochastic import (
     DistributionSpec,
-    SampleStream,
     make_exponential,
     make_folded_normal,
     make_pareto,

@@ -56,6 +56,8 @@ def family_spec(family: str, mean: float) -> DistributionSpec:
     within 0.9% of the target and the effective rate used downstream is
     taken from the realized moments.
     """
+    if not 0 < mean < math.inf:
+        raise ValidationError(f"{family} mean must be finite and > 0, got {mean}")
     if family == "exponential":
         return make_exponential(1.0 / mean)
     if family == "normal":
@@ -83,8 +85,8 @@ class SweepConfig:
         # n, replications, warmup_fraction, master_seed and the families are
         # checked by replicate, derive_seed and family_spec at the first rate
         scenario = get_scenario(self.scenario)
-        if not self.mu > 0:
-            raise ValidationError(f"mu must be > 0, got {self.mu}")
+        if not 0 < self.mu < math.inf:
+            raise ValidationError(f"mu must be finite and > 0, got {self.mu}")
         if self.lambdas is not None and not self.lambdas:
             raise ValidationError("lambdas must not be empty; omit it for the default grid")
         rates = self.grid()

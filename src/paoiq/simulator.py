@@ -2,12 +2,14 @@
 
 Single-source paths run the Lindley waiting-time recursion of
 ``kernels.lindley_system_times``.  Two-source paths merge both arrival streams into one FCFS
-queue (ties broken toward source 1) and extract per-source peak-age traces.
+queue (ties broken toward source 1) and read each source's peak ages off the
+kernel's system times, which no step rewrites.
 
-``replicate`` runs these steps on the raw sampled arrays and reduces them
-straight to means: it builds no per-path objects, re-checks nothing the
-sampler already guarantees, and samples and computes every replication in
-one workspace allocated per call.  ``simulate_fcfs``, ``paoi_trace_single``,
+``replicate`` runs these steps on plain float64 arrays and reduces them
+straight to means: ``sample_stream`` fills and returns the arrays of one
+workspace allocated per call, no step builds a per-path object or re-checks
+what the sampler already guarantees, and every warmup cut is an index fixed
+before the replication loop.  ``simulate_fcfs``, ``paoi_trace_single``,
 ``merge_arrivals``, ``simulate_two_source`` and ``paoi_trace_two_source``
 are inspection wrappers over the same private steps: they validate their
 input and return the per-update arrays as dataclasses.
@@ -29,7 +31,7 @@ import numpy as np
 from . import kernels
 from .errors import ValidationError
 from .seeding import ROLE_ARRIVAL_1, ROLE_ARRIVAL_2, ROLE_SERVICE, derive_seed
-from .stochastic import DistributionSpec, SampleStream, sample_stream
+from .stochastic import DistributionSpec, sample_stream
 
 
 # Size caps of ``replicate``: its workspace takes about 40 bytes per update
@@ -123,15 +125,11 @@ def _source_peaks(a: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -
     """Peak ages of deliveries 2..k of one merged source.
 
     ``a`` and ``s`` are the source's arrival and system times in its own
-    order.  ``s[1:]`` is overwritten by finish minus arrival,
-    ``(a + s) - a``, which is not bitwise ``s``; report CSVs depend on it.
+    order; P_i = (a_i - a_{i-1}) + s_i, and neither input is written.
     """
-    a_tail = a[1:]
-    s_tail = s[1:]
-    np.add(a_tail, s_tail, out=s_tail)
-    np.subtract(s_tail, a_tail, out=s_tail)
-    peaks = np.subtract(a_tail, a[:-1], out=out)
-    return np.add(peaks, s_tail, out=peaks)
+    peaks = np.subtract(a[1:], a[:-1], out=out)
+    peaks += s[1:]
+    return peaks
 
 
 def _merge(times: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -162,13 +160,7 @@ def _kept(count: int, fraction: float) -> int:
     return int(fraction * count)
 
 
-def _post_warmup(x: np.ndarray, fraction: float) -> np.ndarray:
-    return x[_kept(len(x), fraction):]
-
-
 def _values(x) -> np.ndarray:
-    if isinstance(x, SampleStream):
-        x = x.values
     return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
 
 
@@ -253,7 +245,7 @@ def simulate_two_source(
     if services is None:
         if service_spec is None:
             raise ValidationError("need either a service spec or explicit service times")
-        x = sample_stream(service_spec, n, seed).values
+        x = sample_stream(service_spec, n, seed)
     else:
         x = _values(services)
         if len(x) != n:
@@ -333,6 +325,7 @@ def replicate(
     # cumulative sums; work[0] or work[1] then takes the post-warmup peaks
     work = np.empty((3, n))
     x = work[2]
+    ws = _kept(n, warmup_fraction)  # first post-warmup system time
 
     if params.sources == 1:
         t = np.empty(n)
@@ -346,7 +339,7 @@ def replicate(
             # peaks of the post-warmup deliveries only
             _single_peaks(t[w:], s[w:], out=peaks)
             paoi_means[r] = peaks.mean()
-            system_means[r] = _post_warmup(s, warmup_fraction).mean()
+            system_means[r] = s[ws:].mean()
     else:
         n1, n2 = (n + 1) // 2, n // 2
         # source 1's arrival times, then source 2's
@@ -381,7 +374,7 @@ def replicate(
             _source_peaks(a2[w2:], s2[w2:], out=peaks[k1:])
             src_means[r] = peaks[:k1].mean(), peaks[k1:].mean()
             paoi_means[r] = peaks.mean()
-            system_means[r] = _post_warmup(s, warmup_fraction).mean()
+            system_means[r] = s[ws:].mean()
 
     if replications > 1:
         half_width = 1.96 * paoi_means.std(ddof=1) / np.sqrt(replications)

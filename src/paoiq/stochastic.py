@@ -10,8 +10,10 @@ Four positive-support families are provided:
 * ``pareto``: classic Pareto on [scale, inf) with tail index ``shape``;
   shape <= 2 marks the spec heavy-tailed (infinite variance).
 
-Every stream comes from one PCG64 generator, so it is reproducible for a
-fixed (spec, seed, count) and every sampled value is strictly positive.
+``sample_stream`` fills one plain float64 array (the caller's ``out`` or
+a new one) from one PCG64 generator and returns it, so every draw is
+reproducible for a fixed (spec, seed, count) and every value is strictly
+positive.
 Folded normals are ``|location + scale*Z|`` with Z from NumPy's ziggurat
 ``standard_normal``; the other three families are inverse transforms of
 uniforms drawn on the open interval via ``integers(1, 2**53) * 2**-53``.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,23 +179,13 @@ def spec_from_dict(doc: dict) -> DistributionSpec:
     raise ValidationError(f"unknown distribution kind {kind!r}; expected one of {KINDS}")
 
 
-@dataclass(frozen=True)
-class SampleStream:
-    """A seeded, reproducible draw of positive values from one spec."""
-
-    values: np.ndarray = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def sample_stream(spec: DistributionSpec, count: int, seed: int,
-                  out: np.ndarray | None = None) -> SampleStream:
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Draw ``count`` i.i.d. values from ``spec``, deterministic in (spec, seed, count).
 
-    ``out`` is an optional caller-owned float64 array of shape (count,),
-    C-contiguous and writeable; the values are then written into it and the
-    stream holds it as ``values``.
+    Returns the float64 array it filled: ``out`` when given, which must be
+    a caller-owned, C-contiguous, writeable array of shape (count,), or a
+    new array otherwise.
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
@@ -215,8 +207,7 @@ def sample_stream(spec: DistributionSpec, count: int, seed: int,
         np.add(p["location"], out, out=out)
         np.abs(out, out=out)
         # exact zero has measure zero but would break the positivity contract
-        np.maximum(out, np.finfo(np.float64).tiny, out=out)
-        return SampleStream(values=out)
+        return np.maximum(out, np.finfo(np.float64).tiny, out=out)
     # uniforms strictly inside (0, 1) so every transform below stays positive;
     # scaling by 2**-53 is exact, so this equals a division by 2**53
     u = np.multiply(rng.integers(1, 2**53, size=count), _TWO_M53, out=out)
@@ -232,7 +223,7 @@ def sample_stream(spec: DistributionSpec, count: int, seed: int,
         np.multiply(p["scale"], u, out=u)
     else:  # pragma: no cover - specs are only built by the factories above
         raise ValidationError(f"unknown distribution kind {spec.kind!r}")
-    return SampleStream(values=u)
+    return u
 
 
 def _norm_cdf(x: float) -> float:

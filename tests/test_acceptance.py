@@ -285,8 +285,8 @@ def test_criterion_10_uncertainty_set_soundness():
     violations = 0
     attempts = 0
     while qualifying < 100 and attempts < 20_000:
-        t = sample_stream(spec_t, n, derive_seed(70, attempts, 0)).values
-        x = sample_stream(spec_x, n, derive_seed(70, attempts, 1)).values
+        t = sample_stream(spec_t, n, derive_seed(70, attempts, 0))
+        x = sample_stream(spec_x, n, derive_seed(70, attempts, 1))
         attempts += 1
         if not _set_membership(t, x, lam, mu, gamma_a, gamma_s):
             continue

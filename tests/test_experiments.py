@@ -16,6 +16,7 @@ from paoiq.calibration import CalibrationCoefficients
 from paoiq.cli import main
 from paoiq.errors import ValidationError
 from paoiq.experiments import (
+    FAMILIES,
     SweepConfig,
     config_from_json,
     error_percent,
@@ -35,6 +36,12 @@ QUICK = dict(n=3000, replications=3, master_seed=9)
 GOLDEN_REPORT_SHA256 = {
     "single": "f3df2cf2137ad29eeb0fbeae5b1e0603288abf1e7b2f1fef804f8231faefa835",
     "two": "e0de1dd9798dd7be31ff27c9e890d514750bd6cbd90ba286c36d59e0dac1ffe6",
+}
+# sha256 of the report CSV of each full default sweep (n=1e5, 50
+# replications, master seed 0), under the same rule.
+DEFAULT_REPORT_SHA256 = {
+    "single": "721caf8e5dd3d806f9a351845d3494c50ae880c5c126df521275f6fc7f2ea804",
+    "two": "082eeed9b5cc67cf282dccb8db8357e16e2aedaa6a96beb35da74a23e724cbec",
 }
 
 
@@ -71,6 +78,12 @@ class TestFamilies:
     def test_unknown(self):
         with pytest.raises(ValidationError):
             family_spec("weibull", 1.0)
+
+    def test_mean_must_be_finite_and_positive(self):
+        for family in FAMILIES:
+            for mean in (0.0, math.inf):
+                with pytest.raises(ValidationError, match=f"{family} mean must be finite"):
+                    family_spec(family, mean)
 
 
 class TestConfigValidation:
@@ -464,6 +477,8 @@ class TestCli:
         ("calibrate", "grid.json", json.dumps({**GRID, "n": 200, "points": [
             {**GRID["points"][0], "service": {"kind": "exponential", "rate": True}}]})),
         ("sweep", "sweep.json", json.dumps({**SWEEP, "lambdas": [0.5, 0.5]})),
+        # JSON reads 1e309 as inf
+        ("sweep", "sweep.json", '{"scenario": "single", "mu": 1e309, "lambdas": [0.5]}'),
     ], ids=["simulate-text-rate", "simulate-list", "sweep-number", "calibrate-list",
             "calibrate-point-fields", "sweep-theta-fields", "sweep-text-n",
             "report-short-row", "report-text-percent",
@@ -480,7 +495,7 @@ class TestCli:
             "sweep-false-warmup", "sweep-text-theta0", "calibrate-bool-mu",
             "calibrate-text-warmup", "calibrate-text-point-lam", "sweep-text-methods",
             "sweep-object-methods", "simulate-bool-rate", "calibrate-bool-point-rate",
-            "sweep-repeated-lambda"])
+            "sweep-repeated-lambda", "sweep-infinite-mu"])
     def test_malformed_input_exit_one(self, tmp_path, capsys, command, name, content):
         path = tmp_path / name
         path.write_text(content)
@@ -603,6 +618,8 @@ class TestCli:
         for scenario, cells in expected.items():
             path = tmp_path / f"{scenario}.csv"
             report_csv(run_sweep(SweepConfig(scenario=scenario)), path)
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == DEFAULT_REPORT_SHA256[scenario]
             assert main(["report", "--in", str(path)]) == 0
             lines = capsys.readouterr().out.splitlines()
             assert lines[2:] == [f"{method:<10} {pct:>14} {se:>10}"

@@ -238,6 +238,15 @@ class TestTwoSource:
             f = res.finish_times[mask]
             assert np.allclose(tr.peaks, f[1:] - a[:-1])
 
+    def test_trace_keeps_the_queue_system_times(self):
+        # each source's trace reads the system times the queue computed, bit for bit
+        rng = np.random.default_rng(31)
+        t1 = rng.exponential(2.5, 5_000)
+        t2 = rng.exponential(2.5, 5_000)
+        res = simulate_two_source(t1, t2, None, 0, services=rng.exponential(1.0, 10_000))
+        for j, tr in enumerate(paoi_trace_two_source(res)):
+            assert np.array_equal(tr.system_times, res.system_times[res.source_ids == j + 1][1:])
+
     def test_symmetric_sources_have_similar_means(self):
         params = SystemParams(0.25, 1.0, 40_000, sources=2)
         summary = replicate(params, make_exponential(0.25), make_exponential(1.0),
@@ -426,7 +435,7 @@ def reference_replicate(params, ia_spec, svc_spec, replications, warmup, master_
     for r in range(replications):
         times, ids = [], []
         for source, (size, role) in enumerate(zip(sizes, roles)):
-            gaps = sample_stream(ia_spec, size, derive_seed(master_seed, r, role)).values
+            gaps = sample_stream(ia_spec, size, derive_seed(master_seed, r, role))
             times.append(np.cumsum(gaps))
             ids.append(np.full(size, source))
         times, ids = np.concatenate(times), np.concatenate(ids)
@@ -434,7 +443,7 @@ def reference_replicate(params, ia_spec, svc_spec, replications, warmup, master_
         arrivals, ids = times[order], ids[order]
         # the i-th update served takes the i-th service draw
         services = sample_stream(svc_spec, params.n,
-                                 derive_seed(master_seed, r, ROLE_SERVICE)).values
+                                 derive_seed(master_seed, r, ROLE_SERVICE))
         finish = event_list_fcfs(arrivals, services)
         peaks = [[] for _ in sizes]
         last_arrival = [None for _ in sizes]
