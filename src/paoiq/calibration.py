@@ -20,6 +20,7 @@ coefficient is fixed to alpha = 2 throughout calibration.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -36,6 +37,7 @@ from .errors import (
     load_json,
     parsing,
     read_fields,
+    write_text,
 )
 from .kernels import EMPTY_WINDOW
 from .robust_bounds import UncertaintyParams, bound_robust2_single, bound_robust3_two, f
@@ -271,14 +273,15 @@ def build_calibration_dataset(
 
 
 def write_dataset_csv(dataset: CalibrationDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_DATASET_HEADER)
-        for r in dataset.rows:
-            writer.writerow(
-                [fmt(r.rho), fmt(r.sigma_a), fmt(r.sigma_s), fmt(r.gamma_s_star),
-                 r.kind_a, r.kind_s, r.seed]
-            )
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(_DATASET_HEADER)
+    for r in dataset.rows:
+        writer.writerow(
+            [fmt(r.rho), fmt(r.sigma_a), fmt(r.sigma_s), fmt(r.gamma_s_star),
+             r.kind_a, r.kind_s, r.seed]
+        )
+    write_text(path, buf.getvalue())
 
 
 def read_dataset_csv(path, scenario: str) -> CalibrationDataset:
@@ -304,9 +307,7 @@ def write_theta_json(theta: CalibrationCoefficients, path, provenance: dict | No
         "theta2": theta.theta2,
         "provenance": provenance or {},
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def theta_from_json(doc, what: str) -> CalibrationCoefficients:

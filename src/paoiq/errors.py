@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one reader and writer
-of the numbers in outside files.
+"""Exception types shared across the package, the one reader and writer of
+the numbers in outside files, and the one way the package writes a file.
 
 The CLI maps the exceptions onto exit codes: validation problems exit 1,
 numeric failures exit 2, I/O errors exit 3.
@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
+import stat
 
 
 class PaoiqError(Exception):
@@ -65,6 +67,31 @@ def load_json(path):
     # a JSONDecodeError, bytes that are not text, or nesting too deep to decode
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to the file ``path`` as UTF-8, rewriting it in place.
+
+    The file is opened without ``O_TRUNC`` and, if it is a regular file, cut
+    to the bytes written.  On ext4 an ``O_TRUNC`` open of a file whose last
+    contents are still dirty in the page cache blocks for tens of
+    milliseconds, and rerunning a command onto the same output path does
+    exactly that.  A device or FIFO (``/dev/stdout``, ``/dev/null``) is only
+    written.  If a write fails, the file keeps the bytes already written and
+    no tail of its old contents.
+    """
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def json_int(value, name: str) -> int:

@@ -26,7 +26,15 @@ from .calibration import (
     read_theta_json,
     theta_from_json,
 )
-from .errors import NumericError, ValidationError, fmt, json_float, parsing, read_fields
+from .errors import (
+    NumericError,
+    ValidationError,
+    fmt,
+    json_float,
+    parsing,
+    read_fields,
+    write_text,
+)
 from .robust_bounds import (
     SOURCES,
     UncertaintyParams,
@@ -292,8 +300,7 @@ def report_to_csv_text(report: SweepReport) -> str:
 
 def report_csv(report: SweepReport, destination) -> None:
     """Persist a report; numbers carry 12 significant digits."""
-    with open(destination, "w", newline="") as fh:
-        fh.write(report_to_csv_text(report))
+    write_text(destination, report_to_csv_text(report))
 
 
 def read_report_csv(path) -> SweepReport:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 from .seeding import ROLE_ARRIVAL_1, ROLE_ARRIVAL_2, ROLE_SERVICE, derive_seed
 from .stochastic import DistributionSpec, sample_stream
 
@@ -135,11 +135,13 @@ def _source_peaks(a: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -
 def _merge(times: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Merged arrival times and the permutation of ``times`` that sorts them.
 
-    ``times`` holds source 1's arrival times followed by source 2's.  The
-    sort is stable, so ties go to source 1 and each source keeps its own
+    ``times`` holds source 1's arrival times followed by source 2's, none
+    of them NaN or with its sign bit set.  For such floats the int64 order
+    of the bit patterns is the float order, and sorting integers is faster.
+    The sort is stable, so ties go to source 1 and each source keeps its own
     order.
     """
-    order = np.argsort(times, kind="stable")
+    order = np.argsort(times.view(np.int64), kind="stable")
     # a permutation is never out of range, and mode="raise" would copy ``out``
     return np.take(times, order, out=out, mode="clip"), order
 
@@ -221,7 +223,10 @@ def merge_arrivals(arrivals_1: np.ndarray, arrivals_2: np.ndarray) -> tuple[np.n
     a2 = np.asarray(arrivals_2, dtype=np.float64)
     if len(a1) + len(a2) == 0:
         raise ValidationError("both arrival streams are empty")
-    merged, order = _merge(np.concatenate([a1, a2]))
+    times = np.concatenate([a1, a2])
+    if np.isnan(times).any() or np.signbit(times).any():
+        raise ValidationError("arrival times must be 0.0 or positive, not negative, -0.0 or NaN")
+    merged, order = _merge(times)
     return merged, np.where(order < len(a1), 1, 2)
 
 
@@ -290,6 +295,7 @@ def replicate(
     are flagged (their means need not converge).  Every source needs at
     least one post-warmup peak, so n must be >= 2 per source; n and
     ``replications`` are capped at MAX_REPLICATE_N and MAX_REPLICATIONS.
+    A mean or CI half-width that is not finite raises NumericError.
     """
     if replications < 1:
         raise ValidationError(f"replications must be >= 1, got {replications}")
@@ -376,15 +382,22 @@ def replicate(
             paoi_means[r] = peaks.mean()
             system_means[r] = s[ws:].mean()
 
-    if replications > 1:
-        half_width = 1.96 * paoi_means.std(ddof=1) / np.sqrt(replications)
-    else:
-        half_width = 0.0
+    # a sum or spread that overflows, or is inf - inf, is reported below as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_paoi = float(paoi_means.mean())
+        mean_system_time = float(system_means.mean())
+        half_width = (float(1.96 * paoi_means.std(ddof=1) / np.sqrt(replications))
+                      if replications > 1 else 0.0)
+    if not all(map(math.isfinite, (mean_paoi, half_width, mean_system_time))):
+        raise NumericError(
+            f"replication results are not finite: mean_paoi={mean_paoi}, "
+            f"ci95_paoi={half_width}, mean_system_time={mean_system_time}"
+        )
     return ReplicationSummary(
         replications=replications,
-        mean_paoi=float(paoi_means.mean()),
-        mean_system_time=float(system_means.mean()),
-        ci95_paoi=float(half_width),
+        mean_paoi=mean_paoi,
+        mean_system_time=mean_system_time,
+        ci95_paoi=half_width,
         per_source_paoi=(
             tuple(float(v) for v in src_means.mean(axis=0)) if src_means is not None else None
         ),

@@ -1,10 +1,12 @@
 """Sweep engine, error metric, report persistence, and the CLI surface."""
 
+import errno
 import functools
 import hashlib
 import inspect
 import json
 import math
+import os
 import warnings
 from dataclasses import fields
 
@@ -14,7 +16,7 @@ import pytest
 from paoiq import calibration, cli, experiments, simulator
 from paoiq.calibration import CalibrationCoefficients
 from paoiq.cli import main
-from paoiq.errors import ValidationError
+from paoiq.errors import ValidationError, write_text
 from paoiq.experiments import (
     FAMILIES,
     SweepConfig,
@@ -240,6 +242,32 @@ class TestReportCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValidationError):
             read_report_csv(path)
+
+
+class TestWriteText:
+    def test_short_text_over_a_longer_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("an older and much longer report\n" * 50)
+        write_text(path, "a,b\n")
+        assert path.read_bytes() == b"a,b\n"
+
+    def test_failed_write_leaves_no_old_tail(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_text("x" * 100)
+        write = os.write
+        calls = []
+
+        def short_then_full_disk(fd, data):
+            calls.append(len(data))
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write(fd, data[:3])
+
+        monkeypatch.setattr(os, "write", short_then_full_disk)
+        with pytest.raises(OSError):
+            write_text(path, "abcdef")
+        assert calls == [6, 3]
+        assert path.read_bytes() == b"abc"
 
 
 class TestCli:
@@ -691,6 +719,66 @@ class TestCli:
     def test_sweep_invalid_config_exit_one(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path, lambdas=[1.5])
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 1
+
+    def test_simulate_non_finite_result_exit_two(self, tmp_path, capsys):
+        # a Pareto mean of 1e304 draws infinite gaps; the spread overflows
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({
+            "lam": 1e-304, "mu": 1.0, "n": 1000, "replications": 3,
+            "interarrival": {"kind": "pareto", "shape": 1.0001, "scale": 1e300},
+            "service": {"kind": "exponential", "rate": 1.0}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numeric error: replication results are not finite: ")
+
+    def test_sweep_out_may_be_a_device(self, tmp_path, capsys):
+        config = self.sweep_config(tmp_path, **self.SWEEP)
+        assert main(["sweep", "--config", str(config), "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == f"wrote 3 rows -> {os.devnull}\n"
+
+    def test_sweep_out_directory_exit_three(self, tmp_path, capsys):
+        config = self.sweep_config(tmp_path, **self.SWEEP)
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+
+    def test_outputs_are_rewritten_in_place(self, tmp_path, capsys, monkeypatch):
+        # an O_TRUNC open stalls on a file whose old contents are still dirty
+        report = tmp_path / "r.csv"
+        theta, rows = tmp_path / "theta.json", tmp_path / "rows.csv"
+        outputs = (report, theta, rows)
+        for path in outputs:
+            path.write_text("stale contents, longer than any of the outputs\n" * 200)
+        opened = []
+        os_open = os.open
+
+        def recorded(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recorded)
+        config = self.sweep_config(tmp_path, **self.SWEEP)
+        assert main(["sweep", "--config", str(config), "--out", str(report)]) == 0
+        # a fit needs three rows of rank 3
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"n": 2000, "replications": 2, "points": [
+            {"lam": 0.8, "interarrival": {"kind": "exponential", "rate": 0.8},
+             "service": {"kind": "exponential", "rate": 1.0}},
+            {"lam": 0.8, "interarrival": {"kind": "uniform", "mean": 1.25},
+             "service": {"kind": "uniform", "mean": 1.0}},
+            {"lam": 0.85, "interarrival": {"kind": "exponential", "rate": 0.85},
+             "service": {"kind": "folded_normal", "location": 1.0, "scale": 0.5}}]}))
+        assert main(["calibrate", "--scenario", "single", "--grid", str(grid),
+                     "--out", str(theta), "--dataset-out", str(rows)]) == 0
+        for path in outputs:
+            flags = [f for p, f in opened if p == str(path)]
+            assert len(flags) == 1
+            assert not flags[0] & os.O_TRUNC
+        assert read_report_csv(report).error_percents.keys() == {"kingman", "robust1", "robust2"}
+        assert json.loads(theta.read_text())["provenance"]["rows"] == 3
+        assert len(rows.read_text().splitlines()) == 4
 
     def test_missing_file_exit_three(self, tmp_path, capsys):
         assert main(["sweep", "--config", str(tmp_path / "nope.json"),

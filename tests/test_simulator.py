@@ -185,6 +185,16 @@ class TestMergeArrivals:
             cross_ties += len(np.intersect1d(a1, a2)) > 0
         assert cross_ties > 100
 
+    # the merge sorts the times' bit patterns as integers, which orders
+    # neither a set sign bit nor NaN as the floats would
+    @pytest.mark.parametrize("bad", [-1.0, -0.0, math.nan], ids=["negative", "negative-zero",
+                                                                 "nan"])
+    def test_rejects_times_that_do_not_sort_as_bits(self, bad):
+        with pytest.raises(ValidationError, match="arrival times"):
+            merge_arrivals([0.0, 1.0], [bad, 2.0])
+        with pytest.raises(ValidationError, match="arrival times"):
+            simulate_two_source([1.0], [bad], None, 0, services=[1.0, 1.0])
+
 
 class TestTwoSource:
     def test_hand_merge(self):
