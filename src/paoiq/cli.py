@@ -116,7 +116,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     calibration.write_theta_json(
         theta, args.out, {"grid_file": grid_file, "rows": len(dataset), **settings})
     print(f"fitted theta=({fmt(theta.theta0)}, {fmt(theta.theta1)}, {fmt(theta.theta2)}) "
-          f"from {len(dataset)} rows -> {args.out}")
+          f"from {len(dataset)} rows -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -128,7 +128,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ):
         raise NumericError("every grid point failed; no bound could be evaluated")
     experiments.report_csv(report, args.out)
-    print(f"wrote {len(report.rows)} rows -> {args.out}")
+    print(f"wrote {len(report.rows)} rows -> {args.out}", file=sys.stderr)
     return 0
 
 

@@ -11,6 +11,7 @@ import contextlib
 import json
 import os
 import stat
+import sys
 
 
 class PaoiqError(Exception):
@@ -76,22 +77,42 @@ def write_text(path, text: str) -> None:
     to the bytes written.  On ext4 an ``O_TRUNC`` open of a file whose last
     contents are still dirty in the page cache blocks for tens of
     milliseconds, and rerunning a command onto the same output path does
-    exactly that.  A device or FIFO (``/dev/stdout``, ``/dev/null``) is only
-    written.  If a write fails, the file keeps the bytes already written and
-    no tail of its old contents.
+    exactly that.  A device or FIFO (``/dev/null``) is only written.  If a
+    write fails, the file keeps the bytes already written and no tail of its
+    old contents.
+
+    A path that opens the process's own stdout file (``/dev/stdout``, or the
+    file stdout is redirected to) is written through ``sys.stdout`` and not
+    cut: a fresh descriptor would start at offset 0 and ignore ``O_APPEND``,
+    overwriting what the shell's ``>>`` or earlier output put there.
     """
     data = memoryview(text.encode())
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
+        st = os.fstat(fd)
+        if _is_stdout(st):
+            sys.stdout.flush()
+            sys.stdout.buffer.write(data)
+            sys.stdout.buffer.flush()
+            return
         written = 0
         try:
             while written < len(data):
                 written += os.write(fd, data[written:])
         finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
+            if stat.S_ISREG(st.st_mode):
                 os.ftruncate(fd, written)
     finally:
         os.close(fd)
+
+
+def _is_stdout(st: os.stat_result) -> bool:
+    """Whether ``st`` describes the file open as descriptor 1."""
+    try:
+        out = os.fstat(1)
+    except OSError:  # stdout is closed
+        return False
+    return (st.st_dev, st.st_ino) == (out.st_dev, out.st_ino)
 
 
 def json_int(value, name: str) -> int:

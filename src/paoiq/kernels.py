@@ -1,17 +1,18 @@
 """NumPy kernels: the FCFS waiting-time recursion and the worst-case enumeration.
 
-The Lindley recursion is evaluated in its prefix-sum max form so it
-vectorizes:
+The Lindley recursion W_1 = 0, W_i = max(0, W_{i-1} + X_{i-1} - T_i) is
+evaluated in its reflected-random-walk form so it vectorizes:
 
-    S_n = max_{1<=k<=n} (sum_{i=k}^n X_i - sum_{i=k+1}^n T_i)
-        = CX_n - CT_n + max_{1<=k<=n} (CT_k - CX_{k-1})
+    C_i = sum_{j<=i} U_j,   U_1 = 0,  U_j = X_{j-1} - T_j,
+    W_i = C_i - min_{k<=i} C_k,       S_i = X_i + W_i,
 
-with CX, CT the cumulative sums of services and interarrivals.  Both sums
-come from one ``cumsum`` over complex128 values whose real lane holds the
-services and imaginary lane the interarrivals: a complex add adds the two
-lanes separately, each with the bits of one float64 add, so one serial scan
-gives CX and CT bit for bit.  The running max is a single
-``np.fmax.accumulate``.
+one ``cumsum`` for the walk C and one ``np.fmin.accumulate`` for its running
+minimum.  W is a float64 difference of C_i and a value C_k that the scan
+itself produced, so W >= 0 with no rounding in the comparison, and W is
+exactly 0 wherever C_i is its own running minimum: at the first update and
+at every update that finds the queue empty.  The rounding errors of C up
+to the minimum cancel in the difference, so W carries only those of the
+current busy period, not those of the whole path.
 
 ``window_bound`` is the one worst-case window expression; ``_exact_max``
 enumerates it over m = 0, 1/k, ..., n/k - 1.  It raises one grid
@@ -40,10 +41,14 @@ def lindley_system_times(interarrivals: np.ndarray, services: np.ndarray,
     ``work`` is an optional caller-owned float64 array of shape (3, n); the
     result is then written to ``work[2]`` and returned as that view, so a
     caller that reuses a C-contiguous ``work`` allocates nothing here.
-    ``work[:2]`` holds the paired cumulative sums (see ``_lanes``).
-    ``services`` may be ``work[2]``, which is read before it is written;
-    ``interarrivals`` must not overlap ``work[:2]``, and no other overlap
-    with ``work`` is allowed.
+    ``work[0]`` ends holding the waiting times and ``work[1]`` the running
+    minimum of the walk C.  ``services`` may be ``work[2]``, which is read
+    after ``work[:2]`` is built and before it is written; no other input may
+    overlap ``work``.
+
+    T_1 is never read: the first update finds the queue empty.  A NaN in
+    X_i, or in T_i for i >= 2, makes S NaN from update i on: C is NaN from
+    there, ``fmin`` skips it in the running minimum, and C - min C keeps it.
     """
     x = np.asarray(services, dtype=np.float64)
     t = np.asarray(interarrivals, dtype=np.float64)
@@ -56,28 +61,25 @@ def lindley_system_times(interarrivals: np.ndarray, services: np.ndarray,
             f"work must be a float64 array of shape (3, {n}), got "
             f"{getattr(work, 'dtype', type(work).__name__)} {np.shape(work)}"
         )
-    pairs, cx, ct = _lanes(work)
-    d = work[2]
-    if n == 0:
-        return d
-    np.copyto(cx, x)
-    np.copyto(ct, t)
-    np.cumsum(pairs, out=pairs)
-    # d[k-1] = CT_k - CX_{k-1}
-    d[0] = ct[0]
-    np.subtract(ct[1:], cx[:-1], out=d[1:])
-    # S = (CX - CT) + running max of d, each step in place.
-    # fmax is faster than maximum and gives the same S: a NaN input makes
-    # CX - CT, and so S, NaN from its position on either way.
-    np.subtract(cx, ct, out=cx)
-    np.fmax.accumulate(d, out=d)
-    return np.add(cx, d, out=d)
+    c = work[0]
+    # U_1 = 0, U_i = X_{i-1} - T_i, summed in place into the walk C; every
+    # slice is empty for n = 0
+    c[:1] = 0.0
+    np.subtract(x[:-1], t[1:], out=c[1:])
+    np.cumsum(c, out=c)
+    # W = C - running min C; fmin is faster than minimum and gives the same W
+    np.fmin.accumulate(c, out=work[1])
+    c -= work[1]
+    return np.add(x, c, out=work[2])
 
 
 def _lanes(work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``work[:2]`` of a (3, n) float64 ``work`` as n complex128 values, with
     their real and imaginary lanes as strided float64 views; all three are
-    views into ``work`` when it is C-contiguous."""
+    views into ``work`` when it is C-contiguous.  ``simulator.replicate``
+    takes both arrival-time prefix sums of a two-source path from one
+    ``cumsum`` over these lanes: a complex add adds each lane on its own,
+    with the bits of one float64 add."""
     pairs = work[:2].reshape(2 * work.shape[1]).view(np.complex128)
     lanes = pairs.view(np.float64).reshape(-1, 2)
     return pairs, lanes[:, 0], lanes[:, 1]

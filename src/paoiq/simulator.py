@@ -327,8 +327,9 @@ def replicate(
     src_means = np.empty((replications, 2)) if params.sources == 2 else None
     # one workspace for every replication, in the layout of
     # ``kernels.lindley_system_times``: services are sampled into work[2],
-    # where the kernel leaves the system times, and work[:2] holds its paired
-    # cumulative sums; work[0] or work[1] then takes the post-warmup peaks
+    # where the kernel leaves the system times, and work[0] and work[1] hold
+    # the prefix sums of U_i = X_{i-1} - T_i and their running min; work[0]
+    # or work[1] then takes the post-warmup peaks
     work = np.empty((3, n))
     x = work[2]
     ws = _kept(n, warmup_fraction)  # first post-warmup system time

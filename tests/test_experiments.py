@@ -7,8 +7,11 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,14 +39,14 @@ QUICK = dict(n=3000, replications=3, master_seed=9)
 # change to sampling or to the queue arithmetic updates them and says so in
 # CHANGES.md.
 GOLDEN_REPORT_SHA256 = {
-    "single": "f3df2cf2137ad29eeb0fbeae5b1e0603288abf1e7b2f1fef804f8231faefa835",
+    "single": "9af2781ddd8099053ce9dd1910834ae25646100e15862fb3590f8810370c61db",
     "two": "e0de1dd9798dd7be31ff27c9e890d514750bd6cbd90ba286c36d59e0dac1ffe6",
 }
 # sha256 of the report CSV of each full default sweep (n=1e5, 50
 # replications, master seed 0), under the same rule.
 DEFAULT_REPORT_SHA256 = {
-    "single": "721caf8e5dd3d806f9a351845d3494c50ae880c5c126df521275f6fc7f2ea804",
-    "two": "082eeed9b5cc67cf282dccb8db8357e16e2aedaa6a96beb35da74a23e724cbec",
+    "single": "88559874d0f28e0d7628600698efa0c4edaf3e1c185787d80b5c03a902970721",
+    "two": "9e680947f4f81097c9958e19a8b48c477afcf7b84dd02de832d0b4774e09b3db",
 }
 
 
@@ -313,6 +316,21 @@ class TestCli:
         row = dict(zip(header, out[1].split(",")))
         assert float(row["mean_paoi"]) == pytest.approx(4.0, rel=0.1)
         assert row["master_seed"] == "4"
+
+    def test_simulate_light_load_mean_system_time_is_the_mean_service(self, tmp_path, capsys):
+        # with the same uniforms, nobody waits at either rate, so S == X and
+        # both print the post-warmup mean service time
+        printed = []
+        for lam in (1e-11, 1e-9):
+            config = tmp_path / f"sim-{lam}.json"
+            config.write_text(json.dumps({
+                "lam": lam, "mu": 1.0, "n": 100_000, "replications": 3,
+                "interarrival": {"kind": "exponential", "rate": lam},
+                "service": {"kind": "exponential", "rate": 1.0}}))
+            assert main(["simulate", "--config", str(config)]) == 0
+            header, row = capsys.readouterr().out.splitlines()
+            printed.append(dict(zip(header.split(","), row.split(",")))["mean_system_time"])
+        assert printed[0] == printed[1]
 
     def test_simulate_missing_field_exit_one(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
@@ -737,7 +755,28 @@ class TestCli:
     def test_sweep_out_may_be_a_device(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path, **self.SWEEP)
         assert main(["sweep", "--config", str(config), "--out", os.devnull]) == 0
-        assert capsys.readouterr().out == f"wrote 3 rows -> {os.devnull}\n"
+        assert capsys.readouterr().err == f"wrote 3 rows -> {os.devnull}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    @pytest.mark.parametrize("redirect", [">", ">>"])
+    def test_sweep_out_stdout_keeps_the_shell_redirect(self, tmp_path, redirect):
+        # `paoiq sweep --out /dev/stdout > f` or `>> f`: the report goes
+        # through the shell's descriptor, at its offset, and nothing else does
+        config = self.sweep_config(tmp_path, lambdas=[0.5], n=2000)
+        report = report_to_csv_text(run_sweep(config_from_json(json.loads(config.read_text()))))
+        target = tmp_path / "f"
+        target.write_bytes(b"HEADER-LINE\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with open(target, "wb" if redirect == ">" else "ab") as out:
+            proc = subprocess.run([sys.executable, "-m", "paoiq.cli", "sweep", "--config",
+                                   str(config), "--out", "/dev/stdout"],
+                                  env=env, stdout=out, stderr=subprocess.PIPE, text=True,
+                                  timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "wrote 3 rows -> /dev/stdout\n")
+        earlier = "HEADER-LINE\n" if redirect == ">>" else ""
+        assert target.read_text() == earlier + report
 
     def test_sweep_out_directory_exit_three(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path, **self.SWEEP)

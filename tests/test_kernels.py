@@ -6,6 +6,7 @@ import pytest
 import paoiq
 from paoiq import kernels
 from paoiq.errors import ValidationError
+from paoiq.stochastic import make_exponential, sample_stream
 
 
 def tuples(count, seed, two_source=False):
@@ -117,6 +118,19 @@ def test_lindley_services_may_alias_the_result_row():
         out = kernels.lindley_system_times(t, work[2], work)
         assert np.shares_memory(out, work[2])
         assert np.array_equal(out, kernels.lindley_system_times(t, x))
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-11])
+def test_lindley_light_load_waits_are_never_negative(lam):
+    # a difference of horizon-sized prefix sums gave S < X for 50,003 and
+    # 56,532 of these updates, and S off by up to 1.99 at lam = 1e-11
+    n = 100_000
+    t = sample_stream(make_exponential(lam), n, 1)
+    x = sample_stream(make_exponential(1.0), n, 2)
+    s = kernels.lindley_system_times(t, x)
+    assert not np.any(s < x)
+    if lam == 1e-11:  # no update waits
+        assert np.array_equal(s, x)
 
 
 @pytest.mark.parametrize("work", [

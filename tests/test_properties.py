@@ -10,6 +10,7 @@ import io
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,29 +47,27 @@ def test_lindley_matches_scalar_recursion(pairs):
                                rtol=1e-9, atol=1e-14 * horizon)
 
 
-def two_scan_lindley(t, x):
-    """The prefix-sum max form with one float64 ``cumsum`` per stream."""
-    cx = np.cumsum(x)
-    ct = np.cumsum(t)
-    d = np.empty_like(cx)
-    d[0] = ct[0]
-    np.subtract(ct[1:], cx[:-1], out=d[1:])
-    return (cx - ct) + np.fmax.accumulate(d)
+def waiting_time_lindley(t, x):
+    """The reflected-walk form with plain NumPy calls: S = X + C - min C,
+    C the prefix sums of U_1 = 0, U_i = X_{i-1} - T_i."""
+    c = np.cumsum(np.concatenate(([0.0], x[:-1] - t[1:])))
+    return x + (c - np.minimum.accumulate(c))
 
 
 @DETERMINISTIC
 @given(st.integers(min_value=1, max_value=3000), st.integers(min_value=0, max_value=2**32),
        st.sampled_from(["none", "work", "services in work[2]"]),
        st.one_of(st.none(), st.tuples(st.sampled_from(["t", "x"]), st.floats(0.0, 1.0))))
-def test_lindley_paired_scan_is_bitwise_two_scans(n, seed, layout, nan_at):
+def test_lindley_is_bitwise_the_waiting_time_form(n, seed, layout, nan_at):
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3, 3)
     t = rng.exponential(scale, n)
     x = rng.exponential(scale * rng.uniform(0.2, 1.5), n)
     if nan_at is not None:
         stream, where = nan_at
-        (t if stream == "t" else x)[min(int(where * n), n - 1)] = np.nan
-    expected = two_scan_lindley(t, x)
+        at = min(int(where * n), n - 1)
+        (t if stream == "t" else x)[at] = np.nan
+    expected = waiting_time_lindley(t, x)
     if layout == "none":
         got = lindley_system_times(t, x)
     else:
@@ -80,6 +79,53 @@ def test_lindley_paired_scan_is_bitwise_two_scans(n, seed, layout, nan_at):
             got = lindley_system_times(t, work[2], work)
         assert np.shares_memory(got, work)
     assert np.array_equal(got, expected, equal_nan=nan_at is not None)
+    if nan_at is not None:
+        # S is NaN from the planted position on; T_1 is never read
+        first = n if (stream, at) == ("t", 0) else at
+        assert not np.isnan(got[:first]).any()
+        assert np.isnan(got[first:]).all()
+
+
+def light_to_overloaded_path(n, seed):
+    """Exponential interarrivals and services at a load drawn from 1e-12 to 2."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    load = 10.0 ** rng.uniform(-12, 0.3)
+    return rng.exponential(scale / load, n), rng.exponential(scale, n)
+
+
+@DETERMINISTIC
+@given(st.integers(min_value=1, max_value=3000), st.integers(min_value=0, max_value=2**32))
+def test_lindley_never_waits_less_than_zero(n, seed):
+    t, x = light_to_overloaded_path(n, seed)
+    s = lindley_system_times(t, x)
+    assert s[0] == x[0]  # the first update finds the queue empty
+    assert np.all(s >= x)
+
+
+@DETERMINISTIC
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**32))
+def test_lindley_within_the_summation_bound_of_the_exact_recursion(n, seed):
+    t, x = light_to_overloaded_path(n, seed)
+    s = lindley_system_times(t, x)
+    # W*_i = max(0, W*_{i-1} + X_{i-1} - T_i) in exact rational arithmetic
+    exact, w = [], Fraction(0)
+    for i in range(n):
+        if i:
+            w = max(Fraction(0), w + Fraction(x[i - 1]) - Fraction(t[i]))
+        exact.append(w + Fraction(x[i]))
+    # With u = 2**-53 and C_i the float64 prefix sums of U_i = fl(X_{i-1} - T_i),
+    # the recursive-summation bound gives, for every k <= i,
+    # |(C_i - C_k) - sum_{k<j<=i} (X_{j-1} - T_j)| <= u sum_{j<=i} (|U_j| + |C_j|)
+    # to first order, so max_k (C_i - C_k) is as far from W*_i.  The rounded
+    # differences W = C - min C and S = X + W add u W and u S.  Doubling u
+    # covers the terms of order u**2.
+    u = np.concatenate(([0.0], x[:-1] - t[1:]))
+    c = np.cumsum(u)
+    w = c - np.minimum.accumulate(c)
+    bound = 2 * 2.0**-53 * (np.cumsum(np.abs(u) + np.abs(c)) + w + s)
+    error = np.array([float(abs(Fraction(si) - ei)) for si, ei in zip(s, exact)])
+    assert np.all(error <= bound)
 
 
 # small integer steps make equal arrival times across the sources common
