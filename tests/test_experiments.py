@@ -778,6 +778,22 @@ class TestCli:
         earlier = "HEADER-LINE\n" if redirect == ">>" else ""
         assert target.read_text() == earlier + report
 
+    def test_calibrate_progress_line_goes_to_stderr(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"n": 2000, "replications": 2, "points": [
+            {"lam": 0.8, "interarrival": {"kind": "exponential", "rate": 0.8},
+             "service": {"kind": "exponential", "rate": 1.0}},
+            {"lam": 0.8, "interarrival": {"kind": "uniform", "mean": 1.25},
+             "service": {"kind": "uniform", "mean": 1.0}},
+            {"lam": 0.85, "interarrival": {"kind": "exponential", "rate": 0.85},
+             "service": {"kind": "folded_normal", "location": 1.0, "scale": 0.5}}]}))
+        theta = tmp_path / "theta.json"
+        assert main(["calibrate", "--scenario", "single", "--grid", str(grid),
+                     "--out", str(theta)]) == 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("fitted theta=(") and err.endswith(f" -> {theta}\n")
+
     def test_sweep_out_directory_exit_three(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path, **self.SWEEP)
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 3

@@ -117,13 +117,13 @@ def test_lindley_within_the_summation_bound_of_the_exact_recursion(n, seed):
     # With u = 2**-53 and C_i the float64 prefix sums of U_i = fl(X_{i-1} - T_i),
     # the recursive-summation bound gives, for every k <= i,
     # |(C_i - C_k) - sum_{k<j<=i} (X_{j-1} - T_j)| <= u sum_{j<=i} (|U_j| + |C_j|)
-    # to first order, so max_k (C_i - C_k) is as far from W*_i.  The rounded
-    # differences W = C - min C and S = X + W add u W and u S.  Doubling u
-    # covers the terms of order u**2.
-    u = np.concatenate(([0.0], x[:-1] - t[1:]))
-    c = np.cumsum(u)
-    w = c - np.minimum.accumulate(c)
-    bound = 2 * 2.0**-53 * (np.cumsum(np.abs(u) + np.abs(c)) + w + s)
+    # to first order, so max_k (C_i - C_k) is within that of W*_i.  The
+    # rounded differences W = C - min C and S = X + W add u W and u S.
+    # Doubling u covers the terms of order u**2.
+    steps = np.concatenate(([0.0], x[:-1] - t[1:]))
+    c = np.cumsum(steps)
+    waits = c - np.minimum.accumulate(c)
+    bound = 2 * 2.0**-53 * (np.cumsum(np.abs(steps) + np.abs(c)) + waits + s)
     error = np.array([float(abs(Fraction(si) - ei)) for si, ei in zip(s, exact)])
     assert np.all(error <= bound)
 
