@@ -116,12 +116,16 @@ def map_variability(
 ) -> tuple[float, float]:
     """(gamma_a, gamma_s) from the moment mapping.
 
+    The sigmas must be finite and >= 0, the load ``rho`` finite and > 0.
     A negative radicand is an error (the regression is being evaluated far
     outside its fitted region); a real but negative gamma_s is clamped to 0
     with a warning, since the uncertainty set needs gamma_s >= 0.
     """
-    if sigma_a < 0 or sigma_s < 0:
-        raise ValidationError("sigma values must be >= 0")
+    if not (0 <= sigma_a < math.inf and 0 <= sigma_s < math.inf):
+        raise ValidationError(
+            f"sigma values must be finite and >= 0, got sigma_a={sigma_a}, sigma_s={sigma_s}")
+    if not 0 < rho < math.inf:
+        raise ValidationError(f"rho must be finite and > 0, got {rho}")
     radicand = theta.theta0 + theta.theta1 * sigma_s**2 + theta.theta2 * sigma_a**2 * rho**2
     if radicand < 0:
         raise CalibrationRangeError(

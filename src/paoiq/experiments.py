@@ -181,15 +181,18 @@ class SweepReport:
 
 
 def error_percent(simulated, bound) -> float:
-    """Grid-averaged absolute relative deviation, as a percentage."""
+    """Grid-averaged absolute relative deviation, as a percentage, of finite
+    bounds from finite, positive simulated values."""
     sim = np.asarray(simulated, dtype=np.float64)
     bnd = np.asarray(bound, dtype=np.float64)
     if sim.shape != bnd.shape or sim.size == 0:
         raise ValidationError(
             f"series must be non-empty and equal length, got {sim.shape} vs {bnd.shape}"
         )
-    if not np.all(sim > 0):
-        raise ValidationError("simulated values must be positive")
+    if not np.all((sim > 0) & (sim < np.inf)):
+        raise ValidationError("simulated values must be finite and positive")
+    if not np.all(np.isfinite(bnd)):
+        raise ValidationError("bound values must be finite")
     return float(np.mean(np.abs(bnd - sim) / sim) * 100.0)
 
 

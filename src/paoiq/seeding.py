@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import check_int
 
 # Stream roles used by the simulator when deriving per-replication seeds.
 ROLE_ARRIVAL_1 = 0
@@ -23,8 +23,10 @@ ROLE_ARRIVAL_2 = 2
 
 
 def derive_seed(master: int, *key: int) -> int:
-    """Derive a 64-bit child seed from a master seed and an integer key path."""
-    if master < 0:
-        raise ValidationError(f"seeds must be non-negative, got {master}")
+    """Derive a 64-bit child seed from a master seed and an integer key path,
+    all non-negative integers."""
+    check_int(master, "master seed", 0)
+    for k in key:
+        check_int(k, "seed key", 0)
     ss = np.random.SeedSequence(entropy=(int(master), *(int(k) for k in key)))
     return int(ss.generate_state(1, np.uint64)[0])

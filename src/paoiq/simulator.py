@@ -22,14 +22,13 @@ leading fraction of samples before averaging.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_int
 from .seeding import ROLE_ARRIVAL_1, ROLE_ARRIVAL_2, ROLE_SERVICE, derive_seed
 from .stochastic import DistributionSpec, sample_stream
 
@@ -54,10 +53,7 @@ class SystemParams:
             raise ValidationError(f"lam must be finite and > 0, got {self.lam}")
         if not 0 < self.mu < math.inf:
             raise ValidationError(f"mu must be finite and > 0, got {self.mu}")
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValidationError(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValidationError(f"n must be >= 1, got {self.n}")
+        check_int(self.n, "n", 1)
         if self.sources not in (1, 2):
             raise ValidationError(f"sources must be 1 or 2, got {self.sources}")
 
@@ -290,15 +286,15 @@ def replicate(
 ) -> ReplicationSummary:
     """Average post-warmup PAoI over independent seeded replications.
 
-    Deterministic in ``master_seed``: replication r derives its stream
-    seeds as (master_seed, r, role).  Unstable parameter sets still run but
-    are flagged (their means need not converge).  Every source needs at
-    least one post-warmup peak, so n must be >= 2 per source; n and
-    ``replications`` are capped at MAX_REPLICATE_N and MAX_REPLICATIONS.
+    Deterministic in ``master_seed``, a non-negative integer: replication r
+    derives its stream seeds as (master_seed, r, role).  Unstable parameter
+    sets still run but are flagged (their means need not converge).  Every
+    source needs at least one post-warmup peak, so n must be >= 2 per
+    source; n and the integer ``replications`` are capped at MAX_REPLICATE_N
+    and MAX_REPLICATIONS.
     A mean or CI half-width that is not finite raises NumericError.
     """
-    if replications < 1:
-        raise ValidationError(f"replications must be >= 1, got {replications}")
+    check_int(replications, "replications", 1)
     if params.n > MAX_REPLICATE_N or replications > MAX_REPLICATIONS:
         raise ValidationError(
             f"replicate is capped at n <= {MAX_REPLICATE_N} and replications <= "

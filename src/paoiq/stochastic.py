@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, json_float
+from .errors import ValidationError, check_int, json_float
 
 KINDS = ("exponential", "folded_normal", "uniform", "pareto")
 
@@ -181,14 +181,15 @@ def spec_from_dict(doc: dict) -> DistributionSpec:
 
 def sample_stream(spec: DistributionSpec, count: int, seed: int,
                   out: np.ndarray | None = None) -> np.ndarray:
-    """Draw ``count`` i.i.d. values from ``spec``, deterministic in (spec, seed, count).
+    """Draw ``count`` i.i.d. values from ``spec``, deterministic in (spec, seed, count),
+    for an integer ``count`` >= 1 and an integer ``seed`` >= 0.
 
     Returns the float64 array it filled: ``out`` when given, which must be
     a caller-owned, C-contiguous, writeable array of shape (count,), or a
     new array otherwise.
     """
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
+    check_int(count, "count", 1)
+    check_int(seed, "seed", 0)
     if out is None:
         out = np.empty(count)
     elif not (isinstance(out, np.ndarray) and out.dtype == np.float64

@@ -61,15 +61,6 @@ def single_grid_results():
             "elapsed": time.perf_counter() - t0}
 
 
-@pytest.fixture(scope="module")
-def table_sweeps():
-    """Shared default-grid sweeps used by the Table-II criteria."""
-    t0 = time.perf_counter()
-    single = run_sweep(SweepConfig(scenario="single", master_seed=0))
-    two = run_sweep(SweepConfig(scenario="two", master_seed=0))
-    return {"single": single, "two": two, "elapsed": time.perf_counter() - t0}
-
-
 def test_criterion_1_single_source_oracle_equality(single_grid_results):
     r = single_grid_results
     ok = r["worst_rel"] <= REL_TOL and r["elapsed"] < 10.0

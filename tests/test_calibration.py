@@ -71,6 +71,14 @@ class TestMapVariability:
         with pytest.raises(CalibrationRangeError, match="-0.376"):
             map_variability(0.0, 0.0, 0.5, builtin_theta("single"))
 
+    @pytest.mark.parametrize("sigma_a, sigma_s, rho", [
+        (math.nan, 1.0, 0.5), (1.0, math.nan, 0.5), (math.inf, 1.0, 0.5), (1.0, math.inf, 0.5),
+        (1.0, 1.0, math.nan), (1.0, 1.0, math.inf), (1.0, 1.0, -0.5), (1.0, 1.0, 0.0),
+    ])
+    def test_non_finite_or_non_positive_inputs_rejected(self, sigma_a, sigma_s, rho):
+        with pytest.raises(ValidationError, match="must be finite"):
+            map_variability(sigma_a, sigma_s, rho, builtin_theta("single"))
+
     def test_negative_gamma_s_clamps_with_warning(self):
         # sigma_a large enough that sqrt(radicand) < sigma_a
         with pytest.warns(RuntimeWarning, match="clamped"):

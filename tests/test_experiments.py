@@ -4,6 +4,7 @@ import errno
 import functools
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import pytest
 from paoiq import calibration, cli, experiments, simulator
 from paoiq.calibration import CalibrationCoefficients
 from paoiq.cli import main
-from paoiq.errors import ValidationError, write_text
+from paoiq.errors import PaoiqError, ValidationError, write_text
 from paoiq.experiments import (
     FAMILIES,
     SweepConfig,
@@ -64,6 +65,15 @@ class TestErrorPercent:
             error_percent([], [])
         with pytest.raises(ValidationError):
             error_percent([0.0, 1.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("simulated, bound", [
+        ([1.0, 2.0], [1.0, math.nan]), ([1.0, 2.0], [math.inf, 1.0]),
+        ([1.0, 2.0], [-math.inf, 1.0]), ([1.0, math.inf], [1.0, 2.0]),
+        ([math.nan, 2.0], [1.0, 2.0]),
+    ])
+    def test_non_finite_values_rejected(self, simulated, bound):
+        with pytest.raises(ValidationError, match="must be finite"):
+            error_percent(simulated, bound)
 
 
 class TestFamilies:
@@ -214,6 +224,21 @@ class TestRunSweep:
         config = config_from_json({"scenario": scenario, "n": 20_000, "replications": 5})
         text = report_to_csv_text(run_sweep(config))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_SHA256[scenario]
+
+    @pytest.mark.filterwarnings("ignore:mapped gamma_s:RuntimeWarning")
+    def test_every_family_pair_gives_finite_error_percents(self):
+        # every (scenario, arrival family, service family) sweep on the
+        # default grid ends in a finite error percent per method, or in a
+        # PaoiqError, which the CLI maps to its documented exit code
+        for scenario in ("single", "two"):
+            for arrivals, services in itertools.product(FAMILIES, repeat=2):
+                config = SweepConfig(scenario=scenario, interarrival_family=arrivals,
+                                     service_family=services, n=20_000, replications=5)
+                try:
+                    percents = run_sweep(config).error_percents
+                except PaoiqError:
+                    continue
+                assert all(map(math.isfinite, percents.values())), (config, percents)
 
     def test_deterministic(self):
         config = SweepConfig(scenario="single", lambdas=(0.4, 0.8), **QUICK)
@@ -656,14 +681,14 @@ class TestCli:
                               f"{'robust2':<10} {'n/a':>14} {'n/a':>10}",
                               f"{'robust3':<10} {'n/a':>14} {'n/a':>10}"]
 
-    @pytest.mark.filterwarnings("ignore:mapped gamma_s:RuntimeWarning")
-    def test_report_prints_standard_errors_of_the_default_sweeps(self, tmp_path, capsys):
+    def test_report_prints_standard_errors_of_the_default_sweeps(self, tmp_path, capsys,
+                                                                table_sweeps):
         expected = {"single": {"kingman": ("33.53%", "0.088"), "robust1": ("35.13%", "0.082"),
                                "robust2": ("5.94%", "0.080")},
                     "two": {"robust3": ("13.18%", "0.218")}}
         for scenario, cells in expected.items():
             path = tmp_path / f"{scenario}.csv"
-            report_csv(run_sweep(SweepConfig(scenario=scenario)), path)
+            report_csv(table_sweeps[scenario], path)
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             assert digest == DEFAULT_REPORT_SHA256[scenario]
             assert main(["report", "--in", str(path)]) == 0

@@ -103,10 +103,28 @@ def test_lindley_never_waits_less_than_zero(n, seed):
     assert np.all(s >= x)
 
 
+def exponential_path(n, load, seed):
+    """n exponential interarrivals of mean 1 and services of mean ``load``."""
+    rng = np.random.default_rng(seed)
+    return rng.exponential(1.0, n), rng.exponential(load, n)
+
+
+# seeded exponential paths from light load to overload, and paths of
+# arbitrary interarrivals and services from 1e-3 to 10
+paths = st.one_of(
+    st.builds(light_to_overloaded_path, st.integers(min_value=1, max_value=300),
+              st.integers(min_value=0, max_value=2**32)),
+    st.lists(st.tuples(positive, positive), min_size=1, max_size=300).map(
+        lambda pairs: tuple(np.array(column) for column in zip(*pairs))),
+)
+
+
 @DETERMINISTIC
-@given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**32))
-def test_lindley_within_the_summation_bound_of_the_exact_recursion(n, seed):
-    t, x = light_to_overloaded_path(n, seed)
+@given(paths)
+@example(exponential_path(2000, 0.9, seed=1))  # long busy periods at high load
+def test_lindley_within_the_summation_bound_of_the_exact_recursion(path):
+    t, x = path
+    n = len(x)
     s = lindley_system_times(t, x)
     # W*_i = max(0, W*_{i-1} + X_{i-1} - T_i) in exact rational arithmetic
     exact, w = [], Fraction(0)
@@ -206,15 +224,21 @@ def test_robust1_dominates_exact(alpha, ga, gs, load, mu, n):
 
 @DETERMINISTIC
 @given(st.sampled_from([1, 2]), alphas, gammas, gammas, loads, mus, sizes,
-       st.floats(min_value=0.0, max_value=5.0), st.integers(min_value=0, max_value=50))
-def test_monotone_in_gammas_and_n(sources, alpha, ga, gs, load, mu, n, dg, dn):
+       st.floats(min_value=0.0, max_value=5.0), st.integers(min_value=0, max_value=50),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_monotone_in_gammas_and_n(sources, alpha, ga, gs, load, mu, n, dg, dn, slowdown):
+    # the closed form rises with gamma_a, gamma_s and the mean service time
+    # 1/mu, the enumeration with n
     exact, closed = SOURCES[sources]
     sysp = scenario(sources, load, mu, n)
-    base = closed(sysp, rb.UncertaintyParams(alpha, ga, gs)).value
+    unc = rb.UncertaintyParams(alpha, ga, gs)
+    base = closed(sysp, unc).value
     tol = 1e-12 * base
     assert closed(sysp, rb.UncertaintyParams(alpha, ga + dg, gs)).value >= base - tol
     assert closed(sysp, rb.UncertaintyParams(alpha, ga, gs + dg)).value >= base - tol
-    unc = rb.UncertaintyParams(alpha, ga, gs)
+    slower = SystemParams(sysp.lam, mu / (1.0 + slowdown), n, sources)
+    if slower.stable:
+        assert closed(slower, unc).value >= base - tol
     longer = scenario(sources, load, mu, n + dn)
     shorter = exact(sysp, unc).value
     assert exact(longer, unc).value >= shorter - 1e-12 * shorter

@@ -1,4 +1,9 @@
-"""Worst-case bounds: hand values, oracle equality, dominance, monotonicity."""
+"""Worst-case bounds: hand values, edge cases, numeric limits, monotonicity.
+
+Closed form = enumeration and robust1 >= enumeration over the input space
+are gated by tests/test_acceptance.py (criteria 1-3) and by the properties
+in tests/test_properties.py.
+"""
 
 import math
 
@@ -23,46 +28,6 @@ from paoiq.robust_bounds import (
     worst_case_exact_two,
 )
 from paoiq.simulator import SystemParams, simulate_fcfs
-
-
-def py_enum_single(lam, mu, alpha, ga, gs, n):
-    """Plain-Python enumeration, independent of the kernel backends."""
-    ia = 1.0 / alpha
-    return max((m + 1) / mu - m / lam + gs * (m + 1) ** ia + ga * m**ia for m in range(n))
-
-
-def py_enum_two(lam, mu, alpha, ga, gs, n):
-    ia = 1.0 / alpha
-    best = 1.0 / mu + gs  # m = -1/2 boundary
-    for j in range(1, n):
-        m = 0.5 * j - 0.5
-        v = 2 * (m + 1) / mu - m / lam + 2 * gs * (m + 1) ** ia + ga * m**ia
-        best = max(best, v)
-    return best
-
-
-def random_single_tuples(count, seed):
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        alpha = 2.0 if i % 10 == 0 else float(rng.uniform(1.05, 2.0))
-        mu = float(rng.uniform(0.5, 2.0))
-        lam = float(rng.uniform(0.05, 0.95)) * mu
-        ga = 0.0 if i % 17 == 0 else float(rng.uniform(0.0, 10.0))
-        gs = 0.0 if i % 23 == 0 else float(rng.uniform(0.0, 10.0))
-        n = int(rng.integers(1, 501))
-        yield SystemParams(lam, mu, n, 1), UncertaintyParams(alpha, ga, gs)
-
-
-def random_two_tuples(count, seed):
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        alpha = 2.0 if i % 10 == 0 else float(rng.uniform(1.05, 2.0))
-        mu = float(rng.uniform(0.5, 2.0))
-        lam = float(rng.uniform(0.05, 0.95)) * mu / 2.0
-        ga = 0.0 if i % 17 == 0 else float(rng.uniform(0.0, 10.0))
-        gs = 0.0 if i % 23 == 0 else float(rng.uniform(0.0, 10.0))
-        n = int(rng.integers(1, 501))
-        yield SystemParams(lam, mu, n, 2), UncertaintyParams(alpha, ga, gs)
 
 
 class TestUncertaintyParams:
@@ -101,14 +66,6 @@ class TestExactSingle:
         assert res.value == pytest.approx(5.0 - 4.0 / 2.0)
         assert res.m_star == 4
 
-    def test_matches_plain_python_enumeration(self):
-        for sysp, unc in random_single_tuples(300, seed=31):
-            if sysp.n > 60:
-                continue
-            res = worst_case_exact_single(sysp, unc)
-            ref = py_enum_single(sysp.lam, sysp.mu, unc.alpha, unc.gamma_a, unc.gamma_s, sysp.n)
-            assert res.value == pytest.approx(ref, rel=1e-12)
-
     def test_rejects_two_source_params(self):
         with pytest.raises(ValidationError):
             worst_case_exact_single(SystemParams(0.2, 1.0, 5, 2), UncertaintyParams(2, 1, 1))
@@ -127,20 +84,8 @@ class TestRobust1:
         with pytest.raises(StabilityError):
             bound_robust1_single(SystemParams(1.0, 1.0, 100, 1), UncertaintyParams(2, 1, 1))
 
-    def test_dominates_exact(self):
-        for sysp, unc in random_single_tuples(2000, seed=7):
-            exact = worst_case_exact_single(sysp, unc).value
-            relaxed = bound_robust1_single(sysp, unc).value
-            assert exact <= relaxed * (1 + 1e-12) + 1e-12
-
 
 class TestRobust2:
-    def test_equals_enumeration_oracle(self):
-        for sysp, unc in random_single_tuples(2000, seed=42):
-            exact = worst_case_exact_single(sysp, unc).value
-            closed = bound_robust2_single(sysp, unc).value
-            assert abs(closed - exact) <= 1e-9 * abs(exact)
-
     def test_candidate_example_frozen_from_oracle(self):
         # alpha=2, gammas=1, lam=0.5, mu=1: l=1, candidates {0,1,2},
         # enumeration at n=100 gives f(1) = 1 + sqrt(2)
@@ -176,22 +121,8 @@ class TestExactTwo:
         assert res.value == pytest.approx(1.0 + 0.5)
         assert res.m_star == -0.5
 
-    def test_matches_plain_python_enumeration(self):
-        for sysp, unc in random_two_tuples(300, seed=13):
-            if sysp.n > 60:
-                continue
-            res = worst_case_exact_two(sysp, unc)
-            ref = py_enum_two(sysp.lam, sysp.mu, unc.alpha, unc.gamma_a, unc.gamma_s, sysp.n)
-            assert res.value == pytest.approx(ref, rel=1e-12)
-
 
 class TestRobust3:
-    def test_equals_enumeration_oracle(self):
-        for sysp, unc in random_two_tuples(2000, seed=314):
-            exact = worst_case_exact_two(sysp, unc).value
-            closed = bound_robust3_two(sysp, unc).value
-            assert abs(closed - exact) <= 1e-9 * abs(exact)
-
     def test_deterministic_hand_case(self):
         res = bound_robust3_two(SystemParams(0.2, 1.0, 10, 2), UncertaintyParams(2, 0, 0))
         assert res.value == pytest.approx(2.0)

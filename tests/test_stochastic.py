@@ -13,6 +13,7 @@ import pytest
 import paoiq
 from paoiq.errors import ValidationError
 from paoiq.seeding import derive_seed
+from paoiq.simulator import SystemParams, replicate
 from paoiq.stochastic import (
     make_exponential,
     make_folded_normal,
@@ -134,6 +135,29 @@ def test_sample_stream_rejects_zero_count():
         sample_stream(make_exponential(1.0), 0, 1)
 
 
+REPLICATION = (SystemParams(0.5, 1.0, 100, 1), make_exponential(0.5), make_exponential(1.0))
+
+
+@pytest.mark.parametrize("fn, args, kwargs", [
+    (derive_seed, (1.5, 0), {}),
+    (derive_seed, (True, 0), {}),
+    (derive_seed, (1, 0.0), {}),
+    (derive_seed, (1, -1), {}),
+    (sample_stream, (make_exponential(1.0), 2.5, 0), {}),
+    (sample_stream, (make_exponential(1.0), 10, 1.5), {}),
+    (sample_stream, (make_exponential(1.0), 10, -1), {}),
+    (replicate, REPLICATION, {"master_seed": 1.5}),
+    (replicate, REPLICATION, {"replications": 2.5}),
+    (replicate, REPLICATION, {"replications": True}),
+], ids=["float-master", "bool-master", "float-key", "negative-key", "float-count",
+        "float-seed", "negative-seed", "replicate-float-seed", "float-replications",
+        "bool-replications"])
+def test_seeds_and_counts_must_be_non_negative_integers(fn, args, kwargs):
+    # int() would truncate a float seed or count to another valid one
+    with pytest.raises(ValidationError, match="must be"):
+        fn(*args, **kwargs)
+
+
 def test_sample_stream_law_of_large_numbers():
     s = sample_stream(make_exponential(1.0), 1_000_000, 42)
     assert abs(s.mean() - 1.0) < 0.005
@@ -190,7 +214,7 @@ from paoiq.cli import main
 for sources in (1, 2):
     replicate(SystemParams(0.2, 1.0, 1000, sources), make_exponential(0.2),
               make_exponential(1.0), replications=2)
-print("scipy" in sys.modules)
+print(sys.modules.get("scipy") is not None)
 if sys.argv[1] == "factory":
     make_folded_normal(1.0, 0.5)
     print(main(["calibrate", "--scenario", "single", "--grid", sys.argv[2],
@@ -198,7 +222,7 @@ if sys.argv[1] == "factory":
 else:
     spec = eval(sys.argv[1], {"DistributionSpec": DistributionSpec})
     print(sample_stream(spec, 10_000, 42).tobytes().hex())
-print("scipy" in sys.modules)
+print(sys.modules.get("scipy") is not None)
 """
 
 
