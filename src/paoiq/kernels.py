@@ -20,6 +20,15 @@ e = 0, 1/k, ..., n/k to the power 1/alpha: m^(1/alpha) and (m+1)^(1/alpha)
 are its first n - k + 1 and its last n - k + 1 points.  The grid of m is
 empty only for k = 2 and n = 1, where the two-source ``EMPTY_WINDOW`` is
 the worst case.
+
+The grid is kept, read-only, one per k, and replaced only when a larger n
+arrives; a call slices off its first n + 1 points.  Each point i/k is
+exact, so the slice has the bits of a fresh grid.  The cost of the reuse is
+the kept grids themselves, 8 bytes per point of the largest n enumerated so
+far, per k, until the process exits.  The window expression updates its
+value in place, so an enumeration peaks at 32 bytes per grid point: the
+grid, its powers, the value and one temporary; on a kept grid the call
+itself adds 24 of them.
 """
 
 from __future__ import annotations
@@ -99,8 +108,15 @@ def window_bound(m: float | np.ndarray, k: int, lam: float, mu: float, alpha: fl
 def _combine(m: float | np.ndarray, p: float | np.ndarray, m_pow: float | np.ndarray,
              p_pow: float | np.ndarray, k: int, lam: float, mu: float,
              gamma_a: float, gamma_s: float) -> float | np.ndarray:
-    """``window_bound`` from m, p = m + 1 and their powers 1/alpha."""
-    return k * p / mu - m / lam + k * gamma_s * p_pow + gamma_a * m_pow
+    """``window_bound`` from m, p = m + 1 and their powers 1/alpha.  The first
+    product is a new value, updated in place with the roundings, in the
+    order, of k * p / mu - m / lam + k * gamma_s * p_pow + gamma_a * m_pow."""
+    v = k * p
+    v /= mu
+    v -= m / lam
+    v += k * gamma_s * p_pow
+    v += gamma_a * m_pow
+    return v
 
 
 def exact_single_max(lam: float, mu: float, alpha: float,
@@ -115,6 +131,21 @@ def exact_two_max(lam: float, mu: float, alpha: float,
     return _exact_max(2, lam, mu, alpha, gamma_a, gamma_s, n)
 
 
+# The kept grid e = 0, 1/k, ... of each k; see the module docstring.
+_GRIDS: dict[int, np.ndarray] = {}
+
+
+def _grid(k: int, n: int) -> np.ndarray:
+    """The first n + 1 points of the kept grid of k, grown to exactly n + 1
+    points when it is shorter."""
+    e = _GRIDS.get(k)
+    if e is None or e.shape[0] <= n:
+        e = np.arange(0.0, (n + 1) / k, 1.0 / k)
+        e.flags.writeable = False
+        _GRIDS[k] = e
+    return e[:n + 1]
+
+
 def _exact_max(k: int, lam: float, mu: float, alpha: float,
                gamma_a: float, gamma_s: float, n: int) -> tuple[float, float]:
     """(max, argmax) of ``window_bound`` over m = 0, 1/k, ..., n/k - 1, ties to
@@ -125,7 +156,7 @@ def _exact_max(k: int, lam: float, mu: float, alpha: float,
     # e = 0, 1/k, ..., n/k holds m and m + 1 with the same bits as m + 1.0:
     # each point i/k is exact, so one power pass serves both terms
     size = n - k + 1
-    e = np.arange(0.0, (n + 1) / k, 1.0 / k)
+    e = _grid(k, n)
     pw = e ** (1.0 / alpha)
     vals = _combine(e[:size], e[k:], pw[:size], pw[k:], k, lam, mu, gamma_a, gamma_s)
     i = int(vals.argmax())

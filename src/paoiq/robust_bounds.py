@@ -36,8 +36,10 @@ SOURCES = {"exact_single": 1, "robust1": 1, "robust2": 1, "exact_two": 2, "robus
 METHODS = (*SOURCES, "kingman")
 
 # Enumeration peaks at 32 bytes per grid point, four float64 arrays: the grid,
-# its powers, the sum and one temporary (tracemalloc, n = 10**6 and 10**7,
-# both k); this keeps one under about 0.3 GB.
+# its powers, the value and one temporary (tracemalloc, n = 10**6 and 10**7,
+# both k).  On a kept grid a call adds 24 bytes per point to the grid's 8,
+# which stay until exit (``kernels._grid``).  This keeps one enumeration
+# under about 0.32 GB, and a kept grid under 80 MB per k.
 MAX_ENUMERATION_N = 10**7
 
 

@@ -96,6 +96,23 @@ def test_exact_max_tie_breaks_to_smallest_m(k):
     assert m == 0
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_kept_grid_has_the_bits_of_a_fresh_one(k, monkeypatch):
+    # grow, shrink, grow again: a smaller n slices the kept grid, and each
+    # call must return what window_bound gives on a fresh grid of m
+    monkeypatch.setattr(kernels, "_GRIDS", {})
+    lam, mu, alpha, ga, gs = 0.8 / k, 1.0, 1.37, 2.5, 4.0
+    for n in (3000, 7, 3000):
+        value, m_star = kernels._exact_max(k, lam, mu, alpha, ga, gs, n)
+        grid = np.arange(0.0, (n - k + 1) / k, 1 / k)
+        vals = kernels.window_bound(grid, k, lam, mu, alpha, ga, gs)
+        i = int(np.argmax(vals))
+        assert (value, m_star) == (vals[i], grid[i])
+        assert kernels._GRIDS[k].shape == (3001,)
+    with pytest.raises(ValueError, match="read-only"):
+        kernels._GRIDS[k][0] = 1.0
+
+
 def test_lindley_work_matches_allocating_call():
     rng = np.random.default_rng(4)
     for n in (1, 2, 1000):

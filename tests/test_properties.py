@@ -41,7 +41,8 @@ def test_lindley_matches_scalar_recursion(pairs):
         if k:
             w = max(0.0, w + x[k - 1] - t[k])
         expected.append(w + x[k])
-    # the prefix-sum form rounds at the scale of the whole path's horizon
+    # W = C - min C carries the roundings of the walk's prefix sums C, which
+    # the whole path's horizon bounds in size
     horizon = t.sum() + x.sum()
     np.testing.assert_allclose(lindley_system_times(t, x), expected,
                                rtol=1e-9, atol=1e-14 * horizon)
@@ -182,6 +183,9 @@ def scenario(sources, load, mu, n):
 
 @DETERMINISTIC
 @given(st.sampled_from([1, 2]), alphas, gammas, gammas, loads, mus, sizes)
+# robust3's worst case at its candidate floor(l) - 1: m_star = 26.0, l ~ 27.12
+@example(2, 1.6116185723987844, 0.3389225051650624, 1.8679367935380853,
+         0.6711956075260819, 1.3558468969287474, 266)
 def test_closed_forms_equal_enumeration(sources, alpha, ga, gs, load, mu, n):
     sysp, unc = scenario(sources, load, mu, n), rb.UncertaintyParams(alpha, ga, gs)
     exact, closed = (bound(sysp, unc).value for bound in SOURCES[sources])
