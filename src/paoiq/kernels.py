@@ -108,9 +108,10 @@ def window_bound(m: float | np.ndarray, k: int, lam: float, mu: float, alpha: fl
 def _combine(m: float | np.ndarray, p: float | np.ndarray, m_pow: float | np.ndarray,
              p_pow: float | np.ndarray, k: int, lam: float, mu: float,
              gamma_a: float, gamma_s: float) -> float | np.ndarray:
-    """``window_bound`` from m, p = m + 1 and their powers 1/alpha.  The first
-    product is a new value, updated in place with the roundings, in the
-    order, of k * p / mu - m / lam + k * gamma_s * p_pow + gamma_a * m_pow."""
+    """``window_bound`` from m, p = m + 1 and their powers 1/alpha: the new
+    value k * p, updated in place with the roundings, in the order, of
+    k * p / mu - m / lam + k * gamma_s * p_pow + gamma_a * m_pow.  No input
+    is written."""
     v = k * p
     v /= mu
     v -= m / lam
@@ -131,7 +132,8 @@ def exact_two_max(lam: float, mu: float, alpha: float,
     return _exact_max(2, lam, mu, alpha, gamma_a, gamma_s, n)
 
 
-# The kept grid e = 0, 1/k, ... of each k; see the module docstring.
+# The kept grid e = 0, 1/k, ... of each k; see the module docstring.  Two
+# threads that grow it at once at worst build a grid twice: each uses its own.
 _GRIDS: dict[int, np.ndarray] = {}
 
 
