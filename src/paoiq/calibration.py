@@ -33,6 +33,8 @@ from .errors import (
     NoSolutionError,
     SingularDesignError,
     ValidationError,
+    check_nonnegative,
+    check_positive,
     fmt,
     load_json,
     parsing,
@@ -121,11 +123,9 @@ def map_variability(
     outside its fitted region); a real but negative gamma_s is clamped to 0
     with a warning, since the uncertainty set needs gamma_s >= 0.
     """
-    if not (0 <= sigma_a < math.inf and 0 <= sigma_s < math.inf):
-        raise ValidationError(
-            f"sigma values must be finite and >= 0, got sigma_a={sigma_a}, sigma_s={sigma_s}")
-    if not 0 < rho < math.inf:
-        raise ValidationError(f"rho must be finite and > 0, got {rho}")
+    check_nonnegative(sigma_a, "sigma_a")
+    check_nonnegative(sigma_s, "sigma_s")
+    check_positive(rho, "rho")
     radicand = theta.theta0 + theta.theta1 * sigma_s**2 + theta.theta2 * sigma_a**2 * rho**2
     if radicand < 0:
         raise CalibrationRangeError(

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, the one check of counts and
-seeds, the one reader and writer of the numbers in outside files, and the
-one way the package writes a file.
+"""Exception types shared across the package, the one check of each scalar
+input rule (``check_int`` for counts and seeds, ``check_positive`` and
+``check_nonnegative`` for reals), the one reader and writer of the numbers
+in outside files, and the one way the package writes a file.
 
 The CLI maps the exceptions onto exit codes: validation problems exit 1,
 numeric failures exit 2, I/O errors exit 3.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import numbers
 import os
 import stat
@@ -117,9 +119,9 @@ def _is_stdout(st: os.stat_result) -> bool:
     return (st.st_dev, st.st_ino) == (out.st_dev, out.st_ino)
 
 
-def check_int(value, name: str, minimum: int) -> None:
-    """Reject a count or seed that is not an integer (a bool is not one) or
-    is below ``minimum``; ``int()`` would truncate 2.5 to 2 without a word."""
+def check_int(value, name: str, minimum: int) -> int:
+    """The count or seed ``value``, if it is an integer (a bool is not one) of
+    at least ``minimum``; ``int()`` would truncate 2.5 to 2 without a word."""
     # replicate checks a few seeds per replication: a plain int skips the
     # ABC check, which costs about 0.2 us
     if type(value) is not int and (isinstance(value, bool)
@@ -127,17 +129,19 @@ def check_int(value, name: str, minimum: int) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
-
-
-def json_int(value, name: str) -> int:
-    """A count read from outside input: only an integer (not a bool) passes.
-
-    ``int()`` would truncate 2.7 to 2 and accept "10"; a malformed count
-    raises ValidationError instead, as ``SystemParams`` does for ``n``.
-    """
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def check_positive(value: float, name: str) -> None:
+    """Reject a real that is not finite and > 0 (NaN is not)."""
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{name} must be finite and > 0, got {value}")
+
+
+def check_nonnegative(value: float, name: str) -> None:
+    """Reject a real that is not finite and >= 0 (NaN is not)."""
+    if not 0 <= value < math.inf:
+        raise ValidationError(f"{name} must be finite and >= 0, got {value}")
 
 
 def json_float(value, name: str) -> float:
@@ -155,7 +159,8 @@ def json_float(value, name: str) -> float:
 
 
 # The type of every number field of a JSON document paoiq reads, by name.
-_READERS = {**dict.fromkeys(("n", "sources", "replications", "master_seed"), json_int),
+_READERS = {**dict.fromkeys(("n", "sources", "replications", "master_seed"),
+                            lambda value, name: check_int(value, name, 0)),
             **dict.fromkeys(("lam", "mu", "warmup_fraction", "theta0", "theta1", "theta2"),
                             json_float)}
 
@@ -165,9 +170,10 @@ def read_fields(doc, known, what: str) -> dict:
 
     A field outside ``known`` is rejected: a misspelt optional field would
     otherwise fall back to its default without a word.  Counts (``n``,
-    ``sources``, ``replications``, ``master_seed``) go through ``json_int``,
-    reals (``lam``, ``mu``, ``warmup_fraction``, ``theta0``..``theta2``)
-    through ``json_float``; any other field is returned as it is.
+    ``sources``, ``replications``, ``master_seed``) go through ``check_int``
+    with minimum 0 (the library holds the tighter minimums), reals (``lam``,
+    ``mu``, ``warmup_fraction``, ``theta0``..``theta2``) through
+    ``json_float``; any other field is returned as it is.
     """
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object, got {type(doc).__name__}")

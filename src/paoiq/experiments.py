@@ -29,6 +29,7 @@ from .calibration import (
 from .errors import (
     NumericError,
     ValidationError,
+    check_positive,
     fmt,
     json_float,
     parsing,
@@ -64,8 +65,7 @@ def family_spec(family: str, mean: float) -> DistributionSpec:
     within 0.9% of the target and the effective rate used downstream is
     taken from the realized moments.
     """
-    if not 0 < mean < math.inf:
-        raise ValidationError(f"{family} mean must be finite and > 0, got {mean}")
+    check_positive(mean, f"{family} mean")
     if family == "exponential":
         return make_exponential(1.0 / mean)
     if family == "normal":
@@ -90,20 +90,18 @@ class SweepConfig:
     methods: tuple[str, ...] | None = None        # None -> scenario default
 
     def __post_init__(self) -> None:
-        # n, replications, warmup_fraction, master_seed and the families are
-        # checked by replicate, derive_seed and family_spec at the first rate
+        # n is checked with the rates, by SystemParams; replications,
+        # warmup_fraction, master_seed and the families by replicate,
+        # derive_seed and family_spec at the first rate
         scenario = get_scenario(self.scenario)
-        if not 0 < self.mu < math.inf:
-            raise ValidationError(f"mu must be finite and > 0, got {self.mu}")
+        check_positive(self.mu, "mu")
         if self.lambdas is not None and not self.lambdas:
             raise ValidationError("lambdas must not be empty; omit it for the default grid")
         rates = self.grid()
         if len(set(rates)) < len(rates):
             raise ValidationError(f"arrival rates must not repeat, got {rates}")
         for lam in rates:
-            if not lam > 0:
-                raise ValidationError(f"arrival rates must be > 0, got {lam}")
-            if not scenario.sources * lam < self.mu:
+            if not SystemParams(lam, self.mu, self.n, scenario.sources).stable:
                 raise ValidationError(
                     f"rate {lam} violates {self.scenario}-scenario stability "
                     f"({scenario.sources}*lam < mu = {self.mu})"

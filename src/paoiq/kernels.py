@@ -65,11 +65,11 @@ def lindley_system_times(interarrivals: np.ndarray, services: np.ndarray,
     if work is None:
         work = np.empty((3, n))
     elif not (isinstance(work, np.ndarray) and work.dtype == np.float64
-              and work.shape == (3, n)):
+              and work.shape == (3, n) and work.flags.writeable):
+        got = (f"{work.dtype} {work.shape}, writeable={work.flags.writeable}"
+               if isinstance(work, np.ndarray) else f"{type(work).__name__} {np.shape(work)}")
         raise ValidationError(
-            f"work must be a float64 array of shape (3, {n}), got "
-            f"{getattr(work, 'dtype', type(work).__name__)} {np.shape(work)}"
-        )
+            f"work must be a writeable float64 array of shape (3, {n}), got {got}")
     c = work[0]
     # U_1 = 0, U_i = X_{i-1} - T_i, summed in place into the walk C; every
     # slice is empty for n = 0

@@ -28,7 +28,13 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .errors import NumericError, StabilityError, ValidationError
+from .errors import (
+    NumericError,
+    StabilityError,
+    ValidationError,
+    check_nonnegative,
+    check_positive,
+)
 from .simulator import SystemParams
 
 # Sources of every worst-case method; kingman takes variances instead.
@@ -54,11 +60,8 @@ class UncertaintyParams:
     def __post_init__(self) -> None:
         if not 1.0 < self.alpha <= 2.0:
             raise ValidationError(f"alpha must be in (1, 2], got {self.alpha}")
-        if not (0 <= self.gamma_a < math.inf and 0 <= self.gamma_s < math.inf):
-            raise ValidationError(
-                f"variability parameters must be finite and >= 0, got "
-                f"gamma_a={self.gamma_a}, gamma_s={self.gamma_s}"
-            )
+        check_nonnegative(self.gamma_a, "gamma_a")
+        check_nonnegative(self.gamma_s, "gamma_s")
 
 
 @dataclass(frozen=True)
@@ -154,14 +157,12 @@ def kingman_bound(lam: float, mu: float, var_a: float | None, var_s: float | Non
     """Mean-variance bound on the expected system time:
     (lam/2) * (var_a + var_s) / (1 - rho) + 1/mu, for rho = lam/mu < 1.
     """
-    if not (0 < lam < math.inf and 0 < mu < math.inf):
-        raise ValidationError(f"rates must be finite and positive, got lam={lam}, mu={mu}")
+    check_positive(lam, "lam")
+    check_positive(mu, "mu")
     if var_a is None or var_s is None:
         raise ValidationError("kingman bound requires finite variances")
-    if not (0 <= var_a < math.inf and 0 <= var_s < math.inf):
-        raise ValidationError(
-            f"variances must be finite and >= 0, got var_a={var_a}, var_s={var_s}"
-        )
+    check_nonnegative(var_a, "var_a")
+    check_nonnegative(var_s, "var_s")
     rho = lam / mu
     if rho >= 1.0:
         raise StabilityError(f"kingman bound requires lam < mu, got rho={rho}")
@@ -183,8 +184,7 @@ def system_bound(method: str, lam: float, mu: float, n: int,
 
 def paoi_from_system_bound(bound: BoundResult, lam: float) -> float:
     """Peak-age value of a system-time bound: bound + mean interarrival time."""
-    if not lam > 0:
-        raise ValidationError(f"lam must be > 0, got {lam}")
+    check_positive(lam, "lam")
     paoi = bound.value + 1.0 / lam
     if not math.isfinite(paoi):
         raise NumericError(f"peak-age bound is not finite: {paoi}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import NumericError, ValidationError, check_int
+from .errors import NumericError, ValidationError, check_int, check_positive
 from .seeding import ROLE_ARRIVAL_1, ROLE_ARRIVAL_2, ROLE_SERVICE, derive_seed
 from .stochastic import DistributionSpec, sample_stream
 
@@ -49,10 +49,8 @@ class SystemParams:
     sources: int = 1
 
     def __post_init__(self) -> None:
-        if not 0 < self.lam < math.inf:
-            raise ValidationError(f"lam must be finite and > 0, got {self.lam}")
-        if not 0 < self.mu < math.inf:
-            raise ValidationError(f"mu must be finite and > 0, got {self.mu}")
+        check_positive(self.lam, "lam")
+        check_positive(self.mu, "mu")
         check_int(self.n, "n", 1)
         if self.sources not in (1, 2):
             raise ValidationError(f"sources must be 1 or 2, got {self.sources}")

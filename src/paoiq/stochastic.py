@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_int, json_float
+from .errors import ValidationError, check_int, check_positive, json_float
 
 KINDS = ("exponential", "folded_normal", "uniform", "pareto")
 
@@ -82,8 +82,7 @@ def _moments_in_range(kind: str, **params: float):
 
 def make_exponential(rate: float) -> DistributionSpec:
     """Exponential law with the given rate; mean 1/rate, variance 1/rate^2."""
-    if not 0 < rate < math.inf:
-        raise ValidationError(f"exponential rate must be finite and > 0, got {rate}")
+    check_positive(rate, "exponential rate")
     with _moments_in_range("exponential", rate=rate):
         return DistributionSpec(
             kind="exponential",
@@ -102,8 +101,7 @@ def make_folded_normal(location: float, scale: float) -> DistributionSpec:
     """
     if not math.isfinite(location):
         raise ValidationError(f"folded-normal location must be finite, got {location}")
-    if not 0 < scale < math.inf:
-        raise ValidationError(f"folded-normal scale must be finite and > 0, got {scale}")
+    check_positive(scale, "folded-normal scale")
     z = location / scale
     mean = scale * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * z * z) + location * (
         1.0 - 2.0 * _norm_cdf(-z)
@@ -120,8 +118,7 @@ def make_folded_normal(location: float, scale: float) -> DistributionSpec:
 
 def make_uniform_mean(mean: float) -> DistributionSpec:
     """Uniform on [0, 2*mean]; variance mean^2/3."""
-    if not 0 < mean < math.inf:
-        raise ValidationError(f"uniform mean must be finite and > 0, got {mean}")
+    check_positive(mean, "uniform mean")
     with _moments_in_range("uniform", mean=mean):
         variance = mean**2 / 3.0
     return DistributionSpec(
@@ -140,8 +137,7 @@ def make_pareto(shape: float, scale: float) -> DistributionSpec:
     """
     if not 1 < shape < math.inf:
         raise ValidationError(f"pareto shape must be finite and > 1 (finite mean), got {shape}")
-    if not 0 < scale < math.inf:
-        raise ValidationError(f"pareto scale must be finite and > 0, got {scale}")
+    check_positive(scale, "pareto scale")
     mean = shape * scale / (shape - 1.0)
     if shape > 2:
         with _moments_in_range("pareto", shape=shape, scale=scale):

@@ -49,6 +49,14 @@ DEFAULT_REPORT_SHA256 = {
     "single": "88559874d0f28e0d7628600698efa0c4edaf3e1c185787d80b5c03a902970721",
     "two": "9e680947f4f81097c9958e19a8b48c477afcf7b84dd02de832d0b4774e09b3db",
 }
+# sha256 of the theta JSON (``--out``) and the dataset CSV (``--dataset-out``)
+# of each default ``paoiq calibrate`` grid, under the same rule.
+DEFAULT_CALIBRATE_SHA256 = {
+    "single": ("24d47f283b13f5347db749c64e692e2ca574a72ccdd4559bca9985bf9243a79d",
+               "03be2786f36c9b7512574bd85c1a986970006c3a5c43e813f665a0a8093d0ff0"),
+    "two": ("fc3b6606cd4ba9d07b66cb306831176a769949995513b775b1424d2e91042d98",
+            "99f83939a9f649d428870d82b47b758947e09e6f37a71371df6326835df8ecf9"),
+}
 
 
 class TestErrorPercent:
@@ -893,6 +901,16 @@ class TestCli:
         assert doc["scenario"] == "single"
         assert all(k in doc for k in ("theta0", "theta1", "theta2", "provenance"))
         assert ds_path.read_text().startswith("rho,sigma_a,sigma_s,gamma_s_star")
+
+    @pytest.mark.parametrize("scenario", ["single", "two"])
+    @pytest.mark.filterwarnings("ignore:skipping grid point")
+    def test_calibrate_default_grid_golden_bytes(self, tmp_path, capsys, scenario):
+        theta_path, ds_path = tmp_path / "theta.json", tmp_path / "ds.csv"
+        assert main(["calibrate", "--scenario", scenario, "--out", str(theta_path),
+                     "--dataset-out", str(ds_path)]) == 0
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in (theta_path, ds_path))
+        assert digests == DEFAULT_CALIBRATE_SHA256[scenario]
 
     def test_sweep_with_theta_file(self, tmp_path, capsys):
         from paoiq.calibration import builtin_theta, write_theta_json

@@ -156,7 +156,8 @@ def test_lindley_light_load_waits_are_never_negative(lam):
     np.empty((3, 10), dtype=np.float32),
     np.empty(30),
     [[0.0] * 10] * 3,
-], ids=["rows", "length", "float32", "flat", "list"])
+    np.broadcast_to(np.zeros(10), (3, 10)),
+], ids=["rows", "length", "float32", "flat", "list", "read-only"])
 def test_lindley_work_rejects_wrong_shape_or_dtype(work):
     with pytest.raises(ValidationError, match="work must be"):
         kernels.lindley_system_times(np.ones(10), np.ones(10), work=work)

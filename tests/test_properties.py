@@ -1,6 +1,6 @@
 """Property-based checks of the queue recursion, the two-source merge, the
-worst-case bounds, their inversion in gamma_s and every subcommand of the
-command line.
+worst-case bounds, their inversion in gamma_s, the scalar input rules and
+every subcommand of the command line.
 
 The examples are derandomized, so every run checks the same cases.
 """
@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 
 from paoiq import kernels
 from paoiq import robust_bounds as rb
-from paoiq.calibration import invert_gamma_s
+from paoiq.calibration import CalibrationCoefficients, invert_gamma_s, map_variability
 from paoiq.cli import main
-from paoiq.errors import NumericError
-from paoiq.experiments import read_report_csv
+from paoiq.errors import NumericError, ValidationError
+from paoiq.experiments import SweepConfig, family_spec, read_report_csv
 from paoiq.kernels import lindley_system_times
 from paoiq.simulator import SystemParams, merge_arrivals
+from paoiq.stochastic import make_exponential, make_folded_normal, make_pareto, make_uniform_mean
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -370,6 +371,50 @@ def test_two_source_witness_attains_integer_windows(alpha, ga_frac, gs, load, mu
     assert s_n <= exact.value * (1 + 1e-10)
     if exact.m_star.is_integer():
         assert s_n == pytest.approx(exact.value, rel=1e-10)
+
+
+# Every site of the two scalar range rules: (rule, the name its message
+# gives, a call with that one value varied and every other input valid).
+_THETA = CalibrationCoefficients(1.0, 1.0, 1.0, "single")
+RANGE_SITES = [
+    ("> 0", "lam", lambda v: SystemParams(v, 1.0, 10)),
+    ("> 0", "mu", lambda v: SystemParams(0.5, v, 10)),
+    ("> 0", "exponential rate", make_exponential),
+    ("> 0", "folded-normal scale", lambda v: make_folded_normal(1.0, v)),
+    ("> 0", "uniform mean", make_uniform_mean),
+    ("> 0", "pareto scale", lambda v: make_pareto(2.5, v)),
+    *[("> 0", f"{family} mean", lambda v, family=family: family_spec(family, v))
+      for family in ("exponential", "normal", "uniform")],
+    ("> 0", "mu", lambda v: SweepConfig("single", mu=v)),
+    ("> 0", "lam", lambda v: SweepConfig("single", mu=1e101, lambdas=(v,))),
+    ("> 0", "rho", lambda v: map_variability(0.0, 1.0, v, _THETA)),
+    ("> 0", "lam", lambda v: rb.kingman_bound(v, 2 * v, 1.0, 1.0)),
+    ("> 0", "mu", lambda v: rb.kingman_bound(1e-300, v, 1.0, 1.0)),
+    ("> 0", "lam", lambda v: rb.paoi_from_system_bound(rb.BoundResult(1.0, "robust2"), v)),
+    (">= 0", "sigma_a", lambda v: map_variability(v, 1.0, 1.0, _THETA)),
+    (">= 0", "sigma_s", lambda v: map_variability(0.0, v, 1.0, _THETA)),
+    (">= 0", "gamma_a", lambda v: rb.UncertaintyParams(1.5, v, 0.0)),
+    (">= 0", "gamma_s", lambda v: rb.UncertaintyParams(1.5, 0.0, v)),
+    (">= 0", "var_a", lambda v: rb.kingman_bound(0.5, 1.0, v, 1.0)),
+    (">= 0", "var_s", lambda v: rb.kingman_bound(0.5, 1.0, 1.0, v)),
+]
+OUT_OF_RANGE = {
+    "> 0": st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]) | st.floats(max_value=0.0),
+    ">= 0": st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(max_value=-5e-324),
+}
+IN_RANGE = {"> 0": st.floats(1e-100, 1e100), ">= 0": st.floats(0.0, 1e100)}
+
+
+@pytest.mark.parametrize("rule, name, call", RANGE_SITES,
+                         ids=[f"{name}-{i}" for i, (_, name, _) in enumerate(RANGE_SITES)])
+@settings(DETERMINISTIC, max_examples=40)
+@given(st.data())
+def test_scalar_range_rules_hold_at_every_site(rule, name, call, data):
+    bad = data.draw(OUT_OF_RANGE[rule], label="out of range")
+    with pytest.raises(ValidationError) as exc:
+        call(bad)
+    assert str(exc.value).startswith(f"{name} must be finite and {rule}, got ")
+    call(data.draw(IN_RANGE[rule], label="in range"))
 
 
 def run_main(argv):

@@ -210,6 +210,11 @@ class TestPaoiConversion:
 
         assert paoi_from_system_bound(BoundResult(0.0, "robust2"), 1.0) == pytest.approx(1.0)
 
+    def test_infinite_rate_rejected(self):
+        # 1/inf = 0 would return the system-time bound as a peak-age bound
+        with pytest.raises(ValidationError, match="lam must be finite and > 0, got inf"):
+            paoi_from_system_bound(BoundResult(5.0, "robust2"), math.inf)
+
 
 class TestNumericLimits:
     @pytest.mark.parametrize("sysp, unc", [
