@@ -233,17 +233,15 @@ def build_calibration_dataset(
     Rows whose inversion fails (target below the gamma_s = 0 bound; typical
     at light load, where the worst case already exceeds the mean) are
     reported and skipped.  Heavy-tailed specs are rejected: this path needs
-    finite sigma values.
+    finite sigma values.  Stability is checked, and the bound inverted, at
+    each point's nominal ``lam`` and ``mu``, not at the rates 1/mean its
+    laws realize (ROADMAP item 7).
     """
     sources = get_scenario(scenario).sources
     dataset = CalibrationDataset(scenario=scenario)
     for i, (lam, spec_a, spec_s) in enumerate(grid):
         params = SystemParams(lam=lam, mu=mu, n=n, sources=sources)
-        if not params.stable:
-            raise ValidationError(
-                f"grid point {i} is unstable for the {scenario} scenario: "
-                f"lam={lam}, mu={mu}"
-            )
+        params.require_stable(f"{scenario} calibration grid point {i}")
         sigma_a = spec_a.std
         sigma_s = spec_s.std
         seed = derive_seed(master_seed, i)

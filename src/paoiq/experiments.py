@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -62,8 +63,9 @@ def family_spec(family: str, mean: float) -> DistributionSpec:
     """A distribution from one of the sweep families, pinned to a target mean.
 
     The normal family folds N(mean, (mean/2)^2); its post-folding mean is
-    within 0.9% of the target and the effective rate used downstream is
-    taken from the realized moments.
+    within 0.9% of the target, so the system it simulates runs at the rates
+    ``SystemParams.realized`` reads off the means, and a sweep judges
+    stability and evaluates its bounds there.
     """
     check_positive(mean, f"{family} mean")
     if family == "exponential":
@@ -90,9 +92,9 @@ class SweepConfig:
     methods: tuple[str, ...] | None = None        # None -> scenario default
 
     def __post_init__(self) -> None:
-        # n is checked with the rates, by SystemParams; replications,
-        # warmup_fraction, master_seed and the families by replicate,
-        # derive_seed and family_spec at the first rate
+        # n and the families are checked with the rates, by points();
+        # replications, warmup_fraction and master_seed by replicate and
+        # derive_seed at the first rate
         scenario = get_scenario(self.scenario)
         check_positive(self.mu, "mu")
         if self.lambdas is not None and not self.lambdas:
@@ -100,12 +102,8 @@ class SweepConfig:
         rates = self.grid()
         if len(set(rates)) < len(rates):
             raise ValidationError(f"arrival rates must not repeat, got {rates}")
-        for lam in rates:
-            if not SystemParams(lam, self.mu, self.n, scenario.sources).stable:
-                raise ValidationError(
-                    f"rate {lam} violates {self.scenario}-scenario stability "
-                    f"({scenario.sources}*lam < mu = {self.mu})"
-                )
+        for lam, system, _, _ in self.points():
+            system.require_stable(f"rate {lam} of the {self.scenario} sweep")
         methods = self.method_list()
         for m in methods:
             if m not in scenario.methods:
@@ -127,6 +125,16 @@ class SweepConfig:
         rates = get_scenario(self.scenario).sweep_rates
         # 12 significant digits, so that distinct rates stay distinct at any mu
         return tuple(float(fmt(lam * self.mu)) for lam in rates)
+
+    def points(self) -> Iterator[tuple[float, SystemParams, DistributionSpec, DistributionSpec]]:
+        """(nominal rate, system at the laws' realized rates, interarrival law,
+        service law) per grid rate; the nominal rate labels the report rows."""
+        sources = get_scenario(self.scenario).sources
+        svc_spec = family_spec(self.service_family, 1.0 / self.mu)
+        for lam in self.grid():
+            check_positive(lam, "lam")
+            ia_spec = family_spec(self.interarrival_family, 1.0 / lam)
+            yield lam, SystemParams.realized(ia_spec, svc_spec, self.n, sources), ia_spec, svc_spec
 
     def method_list(self) -> tuple[str, ...]:
         if self.methods is None:
@@ -219,32 +227,21 @@ def _scored(rows: list[SweepRow], method: str) -> list[SweepRow]:
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Simulate every grid rate and evaluate every requested bound."""
-    sources = get_scenario(config.scenario).sources
     theta = config.theta or builtin_theta(config.scenario)
     methods = config.method_list()
     # Kingman's bound reads the variances; only the worst-case ones need theta
     needs_theta = any(m in SOURCES for m in methods)
     report = SweepReport()
 
-    for gi, lam in enumerate(config.grid()):
-        ia_spec = family_spec(config.interarrival_family, 1.0 / lam)
-        svc_spec = family_spec(config.service_family, 1.0 / config.mu)
-        # effective rates from the realized (post-folding) moments
-        lam_eff = 1.0 / ia_spec.mean
-        mu_eff = 1.0 / svc_spec.mean
-        summary = replicate(
-            SystemParams(lam=lam, mu=config.mu, n=config.n, sources=sources),
-            ia_spec,
-            svc_spec,
-            replications=config.replications,
-            warmup_fraction=config.warmup_fraction,
-            master_seed=derive_seed(config.master_seed, gi),
-        )
+    for gi, (lam, system, ia_spec, svc_spec) in enumerate(config.points()):
+        summary = replicate(system, ia_spec, svc_spec, replications=config.replications,
+                            warmup_fraction=config.warmup_fraction,
+                            master_seed=derive_seed(config.master_seed, gi))
         unc = None
         if needs_theta:
             try:
                 gamma_a, gamma_s = map_variability(
-                    ia_spec.std, svc_spec.std, rho=lam_eff / mu_eff, theta=theta
+                    ia_spec.std, svc_spec.std, rho=system.lam / system.mu, theta=theta
                 )
                 unc = UncertaintyParams(CALIBRATION_ALPHA, gamma_a, gamma_s)
             except NumericError as exc:
@@ -255,12 +252,13 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         for method in methods:
             try:
                 if method == "kingman":
-                    bound = kingman_bound(lam_eff, mu_eff, ia_spec.variance, svc_spec.variance)
+                    bound = kingman_bound(system.lam, system.mu, ia_spec.variance,
+                                          svc_spec.variance)
                 elif unc is None:
                     raise NumericError("no variability parameters for this grid point")
                 else:
-                    bound = system_bound(method, lam_eff, mu_eff, config.n, unc)
-                bound_paoi = paoi_from_system_bound(bound, lam_eff)
+                    bound = system_bound(method, system.lam, system.mu, config.n, unc)
+                bound_paoi = paoi_from_system_bound(bound, system.lam)
             except NumericError as exc:
                 warnings.warn(
                     f"bound {method} failed at lam={lam}: {exc}", RuntimeWarning, stacklevel=2

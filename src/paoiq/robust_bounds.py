@@ -28,13 +28,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .errors import (
-    NumericError,
-    StabilityError,
-    ValidationError,
-    check_nonnegative,
-    check_positive,
-)
+from .errors import NumericError, ValidationError, check_nonnegative, check_positive
 from .simulator import SystemParams
 
 # Sources of every worst-case method; kingman takes variances instead.
@@ -103,7 +97,7 @@ def bound_robust1_single(sys: SystemParams, unc: UncertaintyParams) -> BoundResu
             + 1/lam
     """
     _require_sources(sys, 1)
-    _require_stable(sys)
+    sys.require_stable("robust1")
     a = unc.alpha
     beta = a / (a - 1.0)
     drift = 1.0 / sys.lam - 1.0 / sys.mu
@@ -157,16 +151,13 @@ def kingman_bound(lam: float, mu: float, var_a: float | None, var_s: float | Non
     """Mean-variance bound on the expected system time:
     (lam/2) * (var_a + var_s) / (1 - rho) + 1/mu, for rho = lam/mu < 1.
     """
-    check_positive(lam, "lam")
-    check_positive(mu, "mu")
+    sys = SystemParams(lam, mu, 1)  # the bound does not depend on n
     if var_a is None or var_s is None:
         raise ValidationError("kingman bound requires finite variances")
     check_nonnegative(var_a, "var_a")
     check_nonnegative(var_s, "var_s")
-    rho = lam / mu
-    if rho >= 1.0:
-        raise StabilityError(f"kingman bound requires lam < mu, got rho={rho}")
-    value = 0.5 * lam * (var_a + var_s) / (1.0 - rho) + 1.0 / mu
+    sys.require_stable("kingman")
+    value = 0.5 * lam * (var_a + var_s) / (1.0 - lam / mu) + 1.0 / mu
     return BoundResult(value, "kingman")
 
 
@@ -198,14 +189,6 @@ def _require_sources(sys: SystemParams, expected: int) -> None:
         )
 
 
-def _require_stable(sys: SystemParams) -> None:
-    if not sys.stable:
-        raise StabilityError(
-            f"bound requires load < 1, got load={sys.load} "
-            f"(lam={sys.lam}, mu={sys.mu}, sources={sys.sources})"
-        )
-
-
 def _enumerate(sys: SystemParams, unc: UncertaintyParams, method: str) -> BoundResult:
     """Exact worst case over the k-source grid, by enumeration."""
     if sys.n > MAX_ENUMERATION_N:
@@ -226,10 +209,10 @@ def _closed_form(sys: SystemParams, unc: UncertaintyParams, method: str) -> Boun
     if l is at or past the grid's end, f still increases there and the top
     point n/k-1 wins; at k = 2, n = 1 that top point is the empty window.
     Ties go to the smallest m.  Deterministic inputs (gamma_a = gamma_s = 0)
-    take l's limit 0: f then decreases, as k*lam < mu, and the first window
-    wins, or the empty window when k = 2, n = 1.
+    take l's limit 0: f then decreases, as the load k*lam/mu is below 1, and
+    the first window wins, or the empty window when k = 2, n = 1.
     """
-    _require_stable(sys)
+    sys.require_stable(method)
     k, lam, mu, n = sys.sources, sys.lam, sys.mu, sys.n
     a, ga, gs = unc.alpha, unc.gamma_a, unc.gamma_s
     g = ga + k * gs

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import NumericError, ValidationError, check_int, check_positive
+from .errors import NumericError, StabilityError, ValidationError, check_int, check_positive
 from .seeding import ROLE_ARRIVAL_1, ROLE_ARRIVAL_2, ROLE_SERVICE, derive_seed
 from .stochastic import DistributionSpec, sample_stream
 
@@ -64,6 +64,20 @@ class SystemParams:
     def stable(self) -> bool:
         # ``load`` inlined: bounds check this on every call
         return self.sources * self.lam / self.mu < 1.0
+
+    def require_stable(self, what: str) -> None:
+        """The one stability rule: raise StabilityError, naming ``what``, unless load < 1."""
+        if not self.stable:
+            raise StabilityError(
+                f"{what} violates stability: load={self.load} >= 1 "
+                f"(lam={self.lam}, mu={self.mu}, sources={self.sources})"
+            )
+
+    @classmethod
+    def realized(cls, interarrival: DistributionSpec, service: DistributionSpec, n: int,
+                 sources: int) -> SystemParams:
+        """The system two laws simulate: each rate is 1/mean of its law."""
+        return cls(1.0 / interarrival.mean, 1.0 / service.mean, n, sources)
 
 
 @dataclass
@@ -285,8 +299,10 @@ def replicate(
     """Average post-warmup PAoI over independent seeded replications.
 
     Deterministic in ``master_seed``, a non-negative integer: replication r
-    derives its stream seeds as (master_seed, r, role).  Unstable parameter
-    sets still run but are flagged (their means need not converge).  Every
+    derives its stream seeds as (master_seed, r, role).  ``params`` gives n
+    and the number of sources; the rates are those of the two laws
+    (``SystemParams.realized``).  A system they load at or above 1 still
+    runs but is flagged (its means need not converge).  Every
     source needs at least one post-warmup peak, so n must be >= 2 per
     source; n and the integer ``replications`` are capped at MAX_REPLICATE_N
     and MAX_REPLICATIONS.
@@ -307,9 +323,10 @@ def replicate(
             f"n must be >= {2 * params.sources} for a {params.sources}-source replication "
             f"(each source needs a post-warmup peak), got {params.n}"
         )
-    if not params.stable:
+    simulated = SystemParams.realized(interarrival_spec, service_spec, params.n, params.sources)
+    if not simulated.stable:
         warnings.warn(
-            f"unstable configuration (load {params.load:.3f} >= 1); "
+            f"unstable configuration (load {simulated.load:.3f} >= 1); "
             "simulation runs but means may diverge",
             RuntimeWarning,
             stacklevel=2,
@@ -396,6 +413,6 @@ def replicate(
         per_source_paoi=(
             tuple(float(v) for v in src_means.mean(axis=0)) if src_means is not None else None
         ),
-        stable=params.stable,
+        stable=simulated.stable,
         paoi_rep_means=paoi_means,
     )

@@ -57,6 +57,11 @@ DEFAULT_CALIBRATE_SHA256 = {
     "two": ("fc3b6606cd4ba9d07b66cb306831176a769949995513b775b1424d2e91042d98",
             "99f83939a9f649d428870d82b47b758947e09e6f37a71371df6326835df8ecf9"),
 }
+# sha256 of the 18 report CSVs of every (scenario, arrival family, service
+# family) default grid at n=2e4, 5 replications, master seed 0, in the loop
+# order of test_every_family_pair_gives_finite_error_percents, under the same
+# rule.  Only these sweeps run the normal and uniform families.
+FAMILY_PAIRS_SHA256 = "15f53cd369e82457f5d0e4016079bb790059f56c90d71804bbae308ee7e67591"
 
 
 class TestErrorPercent:
@@ -123,6 +128,9 @@ class TestConfigValidation:
             SweepConfig(scenario="single", lambdas=(0.5, 1.0))
         with pytest.raises(ValidationError, match="stability"):
             SweepConfig(scenario="two", lambdas=(0.5,))
+        # stability is judged at the realized rates: the folded normal's mean
+        # is 1.0085 times its target, so the load here is 0.9916
+        SweepConfig(scenario="single", lambdas=(1.0,), interarrival_family="normal")
 
     def test_theta_scenario_mismatch(self):
         from paoiq.calibration import builtin_theta
@@ -237,16 +245,21 @@ class TestRunSweep:
     def test_every_family_pair_gives_finite_error_percents(self):
         # every (scenario, arrival family, service family) sweep on the
         # default grid ends in a finite error percent per method, or in a
-        # PaoiqError, which the CLI maps to its documented exit code
+        # PaoiqError, which the CLI maps to its documented exit code; the
+        # report texts, in loop order, hash to FAMILY_PAIRS_SHA256
+        digest = hashlib.sha256()
         for scenario in ("single", "two"):
             for arrivals, services in itertools.product(FAMILIES, repeat=2):
                 config = SweepConfig(scenario=scenario, interarrival_family=arrivals,
                                      service_family=services, n=20_000, replications=5)
                 try:
-                    percents = run_sweep(config).error_percents
+                    report = run_sweep(config)
                 except PaoiqError:
                     continue
+                percents = report.error_percents
                 assert all(map(math.isfinite, percents.values())), (config, percents)
+                digest.update(report_to_csv_text(report).encode())
+        assert digest.hexdigest() == FAMILY_PAIRS_SHA256
 
     def test_deterministic(self):
         config = SweepConfig(scenario="single", lambdas=(0.4, 0.8), **QUICK)
@@ -728,11 +741,14 @@ class TestCli:
         {"warmup_fraction": 0.6},
         {"master_seed": -1},
         {"interarrival_family": "weibull"},
+        # stable at the nominal rate 0.995, not at the realized 0.995 * 1.0085
+        {"lambdas": [0.5, 0.995], "service_family": "normal", "n": 2000, "replications": 2},
     ], ids=["n-1", "two-source-n-3", "no-replications", "warmup-0.6", "negative-seed",
-            "unknown-family"])
+            "unknown-family", "unstable-at-realized-rates"])
     def test_sweep_rejected_before_sampling(self, tmp_path, capsys, monkeypatch, overrides):
-        # these checks belong to replicate, derive_seed and family_spec, which
-        # make them at the first grid point
+        # the families and the stability of every grid point are checked when
+        # the config is built; replications, warmup and seed by replicate and
+        # derive_seed at the first grid point
         calls = []
         sample_stream = simulator.sample_stream
 

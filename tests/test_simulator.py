@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +329,17 @@ class TestReplicate:
                                 replications=2, master_seed=0)
         assert not summary.stable
         assert np.isfinite(summary.mean_paoi)
+        # the verdict reads the laws that are sampled, not the rates of params
+        with pytest.warns(RuntimeWarning, match="unstable"):
+            summary = replicate(SystemParams(0.5, 1.0, 20_000, 1), make_exponential(1.5),
+                                make_exponential(1.0), replications=3, master_seed=0)
+        assert not summary.stable
+        assert np.isfinite(summary.mean_paoi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = replicate(SystemParams(1.5, 1.0, 20_000, 1), make_exponential(0.5),
+                                make_exponential(1.0), replications=3, master_seed=0)
+        assert summary.stable
 
     @pytest.mark.parametrize("sources, n", [(1, 1), (2, 2), (2, 3)])
     def test_short_paths_rejected(self, sources, n):
