@@ -5,10 +5,11 @@ The mapping is
     gamma_a = sigma_a
     gamma_s = sqrt(theta0 + theta1*sigma_s^2 + theta2*sigma_a^2*rho^2) - sigma_a
 
-with rho = lam/mu the per-source traffic density.  Built-in (theta0,
-theta1, theta2) triples ship for the one- and two-source scenarios;
-``fit_theta`` re-derives them from simulation data by ordinary least
-squares on the linearized form y = (gamma_s* + sigma_a)^2 against
+with rho = lam/mu the per-source load at the rates the simulated laws
+realize (``SystemParams.realized``).  Built-in (theta0, theta1, theta2)
+triples ship for the one- and two-source scenarios; ``fit_theta``
+re-derives them from simulation data by ordinary least squares on the
+linearized form y = (gamma_s* + sigma_a)^2 against
 [1, sigma_s^2, sigma_a^2*rho^2], which inverts the mapping exactly.
 
 Target gamma_s* values are extracted per instance by inverting the
@@ -219,28 +220,27 @@ def fit_theta(dataset: CalibrationDataset) -> CalibrationCoefficients:
 
 
 def build_calibration_dataset(
-    grid: list[tuple[float, DistributionSpec, DistributionSpec]],
+    grid: list[tuple[DistributionSpec, DistributionSpec]],
     scenario: str,
-    mu: float,
     n: int = 20_000,
     replications: int = 10,
     warmup_fraction: float = 0.1,
     master_seed: int = 0,
 ) -> CalibrationDataset:
-    """Simulate every (lam, interarrival spec, service spec) grid point and
+    """Simulate every (interarrival spec, service spec) grid point and
     invert the bound against its mean system time.
 
-    Rows whose inversion fails (target below the gamma_s = 0 bound; typical
-    at light load, where the worst case already exceeds the mean) are
-    reported and skipped.  Heavy-tailed specs are rejected: this path needs
-    finite sigma values.  Stability is checked, and the bound inverted, at
-    each point's nominal ``lam`` and ``mu``, not at the rates 1/mean its
-    laws realize (ROADMAP item 7).
+    Stability, the inversion and each row's rho are taken at the rates the
+    laws realize (``SystemParams.realized``), as in the sweep that applies
+    theta.  Rows whose inversion fails (target below the gamma_s = 0 bound;
+    typical at light load, where the worst case already exceeds the mean)
+    are reported and skipped.  Heavy-tailed specs are rejected: this path
+    needs finite sigma values.
     """
     sources = get_scenario(scenario).sources
     dataset = CalibrationDataset(scenario=scenario)
-    for i, (lam, spec_a, spec_s) in enumerate(grid):
-        params = SystemParams(lam=lam, mu=mu, n=n, sources=sources)
+    for i, (spec_a, spec_s) in enumerate(grid):
+        params = SystemParams.realized(spec_a, spec_s, n, sources)
         params.require_stable(f"{scenario} calibration grid point {i}")
         sigma_a = spec_a.std
         sigma_s = spec_s.std
@@ -256,13 +256,12 @@ def build_calibration_dataset(
                 params, CALIBRATION_ALPHA, sigma_a, summary.mean_system_time
             )
         except NoSolutionError as exc:
-            warnings.warn(
-                f"skipping grid point {i} (lam={lam}): {exc}", RuntimeWarning, stacklevel=2
-            )
+            warnings.warn(f"skipping grid point {i} (lam={fmt(params.lam)}): {exc}",
+                          RuntimeWarning, stacklevel=2)
             continue
         dataset.rows.append(
             CalibrationRow(
-                rho=lam / mu,
+                rho=params.lam / params.mu,
                 sigma_a=sigma_a,
                 sigma_s=sigma_s,
                 gamma_s_star=gamma_s_star,
@@ -328,13 +327,14 @@ def read_theta_json(path) -> CalibrationCoefficients:
     return theta_from_json(load_json(path), f"theta file {path}")
 
 
-def grid_from_config(doc: dict) -> list[tuple[float, DistributionSpec, DistributionSpec]]:
-    """The points of a calibrate grid document, {"points": [{"lam", "interarrival",
-    "service"}]}; its other fields are the settings the caller reads."""
+def grid_from_config(doc: dict) -> list[tuple[DistributionSpec, DistributionSpec]]:
+    """The (interarrival, service) laws of a calibrate grid document,
+    {"points": [{"interarrival", "service"}]}; its other fields are the
+    settings the caller reads.  A point's optional ``lam`` is typed, unused."""
     if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise ValidationError("calibration grid config needs a 'points' list")
     points = [read_fields(p, ("lam", "interarrival", "service"), "calibration grid point")
               for p in doc["points"]]
     with parsing("calibration grid point"):
-        return [(p["lam"], spec_from_dict(p["interarrival"]), spec_from_dict(p["service"]))
+        return [(spec_from_dict(p["interarrival"]), spec_from_dict(p["service"]))
                 for p in points]

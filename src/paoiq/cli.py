@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import itertools
 import math
 import sys
 
@@ -36,15 +35,15 @@ def _defaults(fn) -> dict:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     doc = read_fields(load_json(args.config), (
-        "lam", "mu", "n", "sources", "interarrival", "service", "replications",
+        "n", "sources", "interarrival", "service", "replications",
         "warmup_fraction", "master_seed"), "simulate config")
     # n has no library default
     doc = {"n": 100_000, **_defaults(SystemParams), **_defaults(replicate), **doc}
     seed = args.seed if args.seed is not None else doc["master_seed"]
     with parsing("simulate config"):
-        params = SystemParams(doc["lam"], doc["mu"], doc["n"], doc["sources"])
         ia_spec = spec_from_dict(doc["interarrival"])
         svc_spec = spec_from_dict(doc["service"])
+        params = SystemParams.realized(ia_spec, svc_spec, doc["n"], doc["sources"])
     summary = replicate(params, ia_spec, svc_spec, replications=doc["replications"],
                         warmup_fraction=doc["warmup_fraction"], master_seed=seed)
     src1, src2 = summary.per_source_paoi or ("", "")
@@ -84,31 +83,17 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_calibration_grid(scenario: str, mu: float):
-    grid = []
-    for fam_a, fam_s in itertools.product(experiments.FAMILIES, repeat=2):
-        for rho in calibration.SCENARIOS[scenario].calibration_rates:
-            lam = rho * mu
-            grid.append((
-                lam,
-                experiments.family_spec(fam_a, 1.0 / lam),
-                experiments.family_spec(fam_s, 1.0 / mu),
-            ))
-    return grid
-
-
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    # mu has no library default; the others are build_calibration_dataset's
-    settings = {**_defaults(calibration.build_calibration_dataset), "mu": 1.0}
+    settings = _defaults(calibration.build_calibration_dataset)
     if args.grid is None:
-        grid = _default_calibration_grid(args.scenario, settings["mu"])
+        grid = experiments.default_calibration_grid(args.scenario)
         grid_file = "builtin-default"
     else:
-        doc = read_fields(load_json(args.grid), ("points", *settings),
+        # "mu" is read and typed but not used: the laws carry the rates
+        doc = read_fields(load_json(args.grid), ("points", "mu", *settings),
                           "calibration grid config")
         grid, grid_file = calibration.grid_from_config(doc), args.grid
-        del doc["points"]
-        settings.update(doc)
+        settings.update({k: v for k, v in doc.items() if k not in ("points", "mu")})
     dataset = calibration.build_calibration_dataset(grid, args.scenario, **settings)
     if args.dataset_out:
         calibration.write_dataset_csv(dataset, args.dataset_out)

@@ -77,6 +77,14 @@ def family_spec(family: str, mean: float) -> DistributionSpec:
     raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
+def default_calibration_grid(scenario: str) -> list[tuple[DistributionSpec, DistributionSpec]]:
+    """The (interarrival, service) laws of ``paoiq calibrate``'s default grid:
+    every pairing of the families at each calibration rate, with mu = 1."""
+    return [(family_spec(fam_a, 1.0 / rho), family_spec(fam_s, 1.0))
+            for fam_a in FAMILIES for fam_s in FAMILIES
+            for rho in get_scenario(scenario).calibration_rates]
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     scenario: str

@@ -76,7 +76,12 @@ class SystemParams:
     @classmethod
     def realized(cls, interarrival: DistributionSpec, service: DistributionSpec, n: int,
                  sources: int) -> SystemParams:
-        """The system two laws simulate: each rate is 1/mean of its law."""
+        """The system two laws simulate, the one source of every command's rates:
+        each rate is 1/mean of its law, and a law without a finite one is named."""
+        for role, law in (("interarrival", interarrival), ("service", service)):
+            if 1.0 / law.mean == math.inf:
+                raise ValidationError(
+                    f"{role} law {law.kind} has mean {law.mean}, whose rate 1/mean is not finite")
         return cls(1.0 / interarrival.mean, 1.0 / service.mean, n, sources)
 
 
@@ -301,11 +306,11 @@ def replicate(
     Deterministic in ``master_seed``, a non-negative integer: replication r
     derives its stream seeds as (master_seed, r, role).  ``params`` gives n
     and the number of sources; the rates are those of the two laws
-    (``SystemParams.realized``).  A system they load at or above 1 still
-    runs but is flagged (its means need not converge).  Every
-    source needs at least one post-warmup peak, so n must be >= 2 per
-    source; n and the integer ``replications`` are capped at MAX_REPLICATE_N
-    and MAX_REPLICATIONS.
+    (``SystemParams.realized``), read again here whatever ``params`` holds.
+    A system they load at or above 1 still runs but is flagged (its means
+    need not converge).  Every source needs at least one post-warmup peak,
+    so n must be >= 2 per source; n and the integer ``replications`` are
+    capped at MAX_REPLICATE_N and MAX_REPLICATIONS.
     A mean or CI half-width that is not finite raises NumericError.
     """
     check_int(replications, "replications", 1)

@@ -11,6 +11,7 @@ from paoiq.calibration import (
     build_calibration_dataset,
     builtin_theta,
     fit_theta,
+    grid_from_config,
     invert_gamma_s,
     map_variability,
     read_dataset_csv,
@@ -181,10 +182,10 @@ class TestFitTheta:
 
 class TestDatasetPipeline:
     def grid(self, lams):
-        return [(lam, make_exponential(lam), make_exponential(1.0)) for lam in lams]
+        return [(make_exponential(lam), make_exponential(1.0)) for lam in lams]
 
     def test_smoke_three_rows(self):
-        ds = build_calibration_dataset(self.grid((0.6, 0.7, 0.8)), "single", mu=1.0,
+        ds = build_calibration_dataset(self.grid((0.6, 0.7, 0.8)), "single",
                                        n=10_000, replications=4, master_seed=3)
         assert len(ds) == 3
         assert all(np.isfinite(r.gamma_s_star) for r in ds.rows)
@@ -192,7 +193,7 @@ class TestDatasetPipeline:
     def test_deterministic_to_the_byte(self, tmp_path):
         paths = []
         for name in ("a.csv", "b.csv"):
-            ds = build_calibration_dataset(self.grid((0.6, 0.8)), "single", mu=1.0,
+            ds = build_calibration_dataset(self.grid((0.6, 0.8)), "single",
                                            n=5_000, replications=3, master_seed=3)
             path = tmp_path / name
             write_dataset_csv(ds, path)
@@ -202,18 +203,18 @@ class TestDatasetPipeline:
     def test_infeasible_rows_skipped_with_warning(self):
         # at light load the gamma_s = 0 bound already exceeds the mean system time
         with pytest.warns(RuntimeWarning, match="skipping"):
-            ds = build_calibration_dataset(self.grid((0.2, 0.7)), "single", mu=1.0,
+            ds = build_calibration_dataset(self.grid((0.2, 0.7)), "single",
                                            n=5_000, replications=3, master_seed=1)
         assert len(ds) == 1
 
     def test_heavy_tailed_spec_rejected(self):
-        grid = [(0.6, make_pareto(1.5, 1.0), make_exponential(1.0))]
+        grid = [(make_pareto(1.5, 1.0), make_exponential(1.0))]
         with pytest.raises(ValidationError):
-            build_calibration_dataset(grid, "single", mu=1.0, n=1_000, replications=2)
+            build_calibration_dataset(grid, "single", n=1_000, replications=2)
 
     def test_unstable_grid_point_rejected(self):
         with pytest.raises(ValidationError):
-            build_calibration_dataset(self.grid((1.2,)), "single", mu=1.0,
+            build_calibration_dataset(self.grid((1.2,)), "single",
                                       n=1_000, replications=2)
 
     def test_end_to_end_theta_reproduces_targets(self):
@@ -227,8 +228,8 @@ class TestDatasetPipeline:
         for fam_a in ("exponential", "uniform", "normal"):
             for fam_s in ("exponential", "uniform"):
                 for lam in (0.6, 0.7, 0.8, 0.9):
-                    grid.append((lam, family_spec(fam_a, 1.0 / lam), family_spec(fam_s, 1.0)))
-        ds = build_calibration_dataset(grid, "single", mu=1.0,
+                    grid.append((family_spec(fam_a, 1.0 / lam), family_spec(fam_s, 1.0)))
+        ds = build_calibration_dataset(grid, "single",
                                        n=20_000, replications=5, master_seed=12)
         assert len(ds) >= 12
         theta = fit_theta(ds)
@@ -245,8 +246,19 @@ class TestDatasetPipeline:
             rel_errors.append(abs(bound - target) / target)
         assert float(np.mean(rel_errors)) < 0.15
 
+    def test_rho_is_the_realized_load(self):
+        # a grid file's folded-normal point: its lam of 0.75 is a label, and
+        # the law's post-folding mean 1/0.7437 sets the load the row records
+        grid = grid_from_config({"points": [{
+            "lam": 0.75,
+            "interarrival": {"kind": "folded_normal", "location": 4 / 3, "scale": 2 / 3},
+            "service": {"kind": "exponential", "rate": 1.0}}]})
+        ds = build_calibration_dataset(grid, "single", n=5_000, replications=3, master_seed=2)
+        assert [r.rho for r in ds.rows] == [0.7436855868417047]
+        assert ds.rows[0].rho == 1.0 / grid[0][0].mean
+
     def test_csv_round_trip(self, tmp_path):
-        ds = build_calibration_dataset(self.grid((0.7, 0.8)), "single", mu=1.0,
+        ds = build_calibration_dataset(self.grid((0.7, 0.8)), "single",
                                        n=5_000, replications=3, master_seed=3)
         path = tmp_path / "ds.csv"
         write_dataset_csv(ds, path)

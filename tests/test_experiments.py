@@ -3,6 +3,7 @@
 import errno
 import functools
 import hashlib
+import importlib.util
 import inspect
 import itertools
 import json
@@ -52,10 +53,10 @@ DEFAULT_REPORT_SHA256 = {
 # sha256 of the theta JSON (``--out``) and the dataset CSV (``--dataset-out``)
 # of each default ``paoiq calibrate`` grid, under the same rule.
 DEFAULT_CALIBRATE_SHA256 = {
-    "single": ("24d47f283b13f5347db749c64e692e2ca574a72ccdd4559bca9985bf9243a79d",
-               "03be2786f36c9b7512574bd85c1a986970006c3a5c43e813f665a0a8093d0ff0"),
-    "two": ("fc3b6606cd4ba9d07b66cb306831176a769949995513b775b1424d2e91042d98",
-            "99f83939a9f649d428870d82b47b758947e09e6f37a71371df6326835df8ecf9"),
+    "single": ("5b2837eb552cdd91a3c20b8166ef08d32073dbb8f6856072501a1c8fdee9183b",
+               "90dcaaf2d386475a4abf5db48c52ad5e4bf507dd5648a7f997d39fa9f67215e2"),
+    "two": ("399159b55f895ee8df2f6e52ae0001f627f5fe10084fec29ec09b970b7f0cd4f",
+            "caebb5a4ee61d20bebc683a2d65f438c232d8fbd36f4f3f7a42cf5bba65cca5e"),
 }
 # sha256 of the 18 report CSVs of every (scenario, arrival family, service
 # family) default grid at n=2e4, 5 replications, master seed 0, in the loop
@@ -196,7 +197,7 @@ class TestConfigValidation:
         for make in (lambda: SweepConfig(scenario=scenario),
                      lambda: CalibrationCoefficients(0.0, 1.0, 0.0, scenario),
                      lambda: builtin_theta(scenario),
-                     lambda: build_calibration_dataset([], scenario, mu=1.0)):
+                     lambda: build_calibration_dataset([], scenario)):
             with pytest.raises(ValidationError) as info:
                 make()
             assert str(info.value) == message
@@ -352,7 +353,7 @@ class TestCli:
     def test_simulate(self, tmp_path, capsys):
         config = tmp_path / "sim.json"
         config.write_text(json.dumps({
-            "sources": 1, "lam": 0.5, "mu": 1.0, "n": 5000, "replications": 3,
+            "sources": 1, "n": 5000, "replications": 3,
             "interarrival": {"kind": "exponential", "rate": 0.5},
             "service": {"kind": "exponential", "rate": 1.0},
         }))
@@ -363,6 +364,17 @@ class TestCli:
         assert float(row["mean_paoi"]) == pytest.approx(4.0, rel=0.1)
         assert row["master_seed"] == "4"
 
+    def test_simulate_prints_the_rates_of_its_laws(self, tmp_path, capsys):
+        # a folded normal's mean is not its location, so its rate is no round label
+        arrivals = {"kind": "folded_normal", "location": 4 / 3, "scale": 2 / 3}
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"n": 2000, "replications": 2, "interarrival": arrivals,
+                                      "service": {"kind": "uniform", "mean": 0.5}}))
+        assert main(["simulate", "--config", str(config)]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        row = dict(zip(header.split(","), row.split(",")))
+        assert (row["lam"], row["mu"]) == ("0.743685586842", "2")
+
     def test_simulate_light_load_mean_system_time_is_the_mean_service(self, tmp_path, capsys):
         # with the same uniforms, nobody waits at either rate, so S == X and
         # both print the post-warmup mean service time
@@ -370,7 +382,7 @@ class TestCli:
         for lam in (1e-11, 1e-9):
             config = tmp_path / f"sim-{lam}.json"
             config.write_text(json.dumps({
-                "lam": lam, "mu": 1.0, "n": 100_000, "replications": 3,
+                "n": 100_000, "replications": 3,
                 "interarrival": {"kind": "exponential", "rate": lam},
                 "service": {"kind": "exponential", "rate": 1.0}}))
             assert main(["simulate", "--config", str(config)]) == 0
@@ -380,7 +392,7 @@ class TestCli:
 
     def test_simulate_missing_field_exit_one(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
-        config.write_text(json.dumps({"lam": 0.5}))
+        config.write_text(json.dumps({"n": 5000}))
         assert main(["simulate", "--config", str(config)]) == 1
 
     @pytest.mark.parametrize("command", ["simulate", "calibrate"])
@@ -389,7 +401,7 @@ class TestCli:
         exp = {"kind": "exponential", "rate": 1.0}
         module, name, doc = {
             "simulate": (cli, "replicate",
-                         {"lam": 0.5, "mu": 1.0, "interarrival": exp, "service": exp}),
+                         {"interarrival": exp, "service": exp}),
             "calibrate": (calibration, "build_calibration_dataset",
                           {"points": [{"lam": 0.5, "interarrival": exp, "service": exp}]}),
         }[command]
@@ -423,7 +435,7 @@ class TestCli:
     def test_simulate_short_path_exit_one(self, tmp_path, capsys, sources, n):
         config = tmp_path / "short.json"
         config.write_text(json.dumps({
-            "sources": sources, "lam": 0.2, "mu": 1.0, "n": n, "replications": 3,
+            "sources": sources, "n": n, "replications": 3,
             "interarrival": {"kind": "exponential", "rate": 0.2},
             "service": {"kind": "exponential", "rate": 1.0},
         }))
@@ -505,7 +517,7 @@ class TestCli:
         assert exc.value.code == 0
         assert "--method" in capsys.readouterr().out
 
-    SIM = {"lam": 0.5, "mu": 1.0, "n": 100,
+    SIM = {"n": 100,
            "interarrival": {"kind": "exponential", "rate": 0.5},
            "service": {"kind": "exponential", "rate": 1.0}}
     REPORT = "lambda,sim_paoi_mean,sim_paoi_ci95,method,bound_paoi,rel_error\n"
@@ -791,7 +803,7 @@ class TestCli:
         # a Pareto mean of 1e304 draws infinite gaps; the spread overflows
         config = tmp_path / "sim.json"
         config.write_text(json.dumps({
-            "lam": 1e-304, "mu": 1.0, "n": 1000, "replications": 3,
+            "n": 1000, "replications": 3,
             "interarrival": {"kind": "pareto", "shape": 1.0001, "scale": 1e300},
             "service": {"kind": "exponential", "rate": 1.0}}))
         with warnings.catch_warnings():
@@ -927,6 +939,20 @@ class TestCli:
         digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
                         for p in (theta_path, ds_path))
         assert digests == DEFAULT_CALIBRATE_SHA256[scenario]
+
+    @pytest.mark.parametrize("scenario", ["single", "two"])
+    def test_benchmark_measures_the_default_calibrate_grid(self, monkeypatch, scenario):
+        # the calibrate workload writes its own grid files; read, not run, and
+        # without writing bytecode next to it
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(bench))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("perfbench_worker", bench / "worker.py")
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+        doc = worker.calibration_grid_doc(scenario, 0, worker.SIZES["small"])
+        assert (calibration.grid_from_config(doc)
+                == experiments.default_calibration_grid(scenario))
 
     def test_sweep_with_theta_file(self, tmp_path, capsys):
         from paoiq.calibration import builtin_theta, write_theta_json

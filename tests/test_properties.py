@@ -505,7 +505,7 @@ def run_with_file(tmp_path_factory, name, content, argv):
 
 @FUZZ
 @given(documents({
-    "lam": st.sampled_from([0.2, 0.5]), "mu": st.just(1.0), "n": st.sampled_from([4, 2000]),
+    "n": st.sampled_from([4, 2000]),
     "sources": st.sampled_from([1, 2]), "replications": st.sampled_from([1, 3]),
     "warmup_fraction": st.sampled_from([0.0, 0.5]), "master_seed": st.just(7),
     "interarrival": specs, "service": specs,

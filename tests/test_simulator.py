@@ -75,6 +75,13 @@ class TestSystemParams:
     def test_numpy_integer_n_accepted(self):
         assert SystemParams(0.5, 1.0, np.int64(10)).n == 10
 
+    @pytest.mark.parametrize("role", ["interarrival", "service"])
+    def test_realized_names_a_law_without_a_finite_rate(self, role):
+        laws = {"interarrival": make_exponential(0.5), "service": make_exponential(1.0),
+                role: make_uniform_mean(1e-310)}
+        with pytest.raises(ValidationError, match=f"^{role} law uniform has mean 1e-310, "):
+            SystemParams.realized(laws["interarrival"], laws["service"], 10, 1)
+
     def test_stability(self):
         assert SystemParams(0.5, 1.0, 10).stable
         assert not SystemParams(1.0, 1.0, 10).stable
