@@ -57,19 +57,13 @@ _DATASET_HEADER = ("rho", "sigma_a", "sigma_s", "gamma_s_star", "kind_a", "kind_
 class Scenario:
     """What one scenario fixes; rates are per source, as fractions of mu.
 
-    The sweep grids start at moderate load.  Below it (exponential
-    families, built-in theta, n = 1e5, 10 replications) single-source
-    robust2 stays close, +2.1 % at lam 0.02, +4.6 % at 0.05 and +7.9 % at
-    0.1, but two-source robust3 overshoots by +28.7 %, +34.1 % and +35.4 %
-    at per-source lam 0.05, 0.1 and 0.2: its worst case there is the
-    window m = 1/2, whose arrival span m/lam - gamma_a*sqrt(m) is negative.
     Values only: a stored function would bypass perfbench's tracer, which
     rebinds module attributes.
     """
 
     sources: int
     theta: tuple[float, float, float]     # built-in (theta0, theta1, theta2)
-    methods: tuple[str, ...]              # the sweep's default and only bounds
+    methods: tuple[str, ...]              # the bounds every sweep evaluates
     sweep_rates: tuple[float, ...]        # default sweep grid
     calibration_rates: tuple[float, ...]  # default calibrate grid
 
@@ -238,12 +232,14 @@ def build_calibration_dataset(
     needs finite sigma values.
     """
     sources = get_scenario(scenario).sources
-    dataset = CalibrationDataset(scenario=scenario)
+    # every point is checked before the first is simulated
+    points = []
     for i, (spec_a, spec_s) in enumerate(grid):
         params = SystemParams.realized(spec_a, spec_s, n, sources)
         params.require_stable(f"{scenario} calibration grid point {i}")
-        sigma_a = spec_a.std
-        sigma_s = spec_s.std
+        points.append((params, spec_a, spec_s, spec_a.std, spec_s.std))
+    dataset = CalibrationDataset(scenario=scenario)
+    for i, (params, spec_a, spec_s, sigma_a, sigma_s) in enumerate(points):
         seed = derive_seed(master_seed, i)
         summary = replicate(
             params, spec_a, spec_s,

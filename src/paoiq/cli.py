@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import calibration, experiments
-from .errors import NumericError, ValidationError, fmt, load_json, parsing, read_fields
+from .errors import NumericError, ValidationError, check_int, fmt, load_json, parsing, read_fields
 from .robust_bounds import (
     METHODS,
     UncertaintyParams,
@@ -39,19 +39,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "warmup_fraction", "master_seed"), "simulate config")
     # n has no library default
     doc = {"n": 100_000, **_defaults(SystemParams), **_defaults(replicate), **doc}
-    seed = args.seed if args.seed is not None else doc["master_seed"]
     with parsing("simulate config"):
         ia_spec = spec_from_dict(doc["interarrival"])
         svc_spec = spec_from_dict(doc["service"])
         params = SystemParams.realized(ia_spec, svc_spec, doc["n"], doc["sources"])
     summary = replicate(params, ia_spec, svc_spec, replications=doc["replications"],
-                        warmup_fraction=doc["warmup_fraction"], master_seed=seed)
+                        warmup_fraction=doc["warmup_fraction"], master_seed=doc["master_seed"])
     src1, src2 = summary.per_source_paoi or ("", "")
     print("sources,lam,mu,n,replications,warmup_fraction,master_seed,"
           "mean_paoi,ci95_paoi,mean_system_time,paoi_source1,paoi_source2,stable")
     print(",".join([
         str(params.sources), fmt(params.lam), fmt(params.mu), str(params.n),
-        str(summary.replications), fmt(doc["warmup_fraction"]), str(seed),
+        str(summary.replications), fmt(doc["warmup_fraction"]), str(doc["master_seed"]),
         fmt(summary.mean_paoi), fmt(summary.ci95_paoi), fmt(summary.mean_system_time),
         fmt(src1) if src1 != "" else "", fmt(src2) if src2 != "" else "",
         str(int(summary.stable)),
@@ -63,6 +62,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     method = args.method.replace("-", "_")
     if method not in METHODS:
         raise ValidationError(f"unknown method {args.method!r}; expected one of {METHODS}")
+    # checked for every method, as the row echoes them
+    unc = UncertaintyParams(args.alpha, args.gamma_a, args.gamma_s)
+    check_int(args.n, "n", 1)
     # an enumeration that overflows ends in NumericError, so NumPy's
     # overflow warnings would only repeat it, with a source path
     with np.errstate(all="ignore"):
@@ -71,7 +73,6 @@ def _cmd_bound(args: argparse.Namespace) -> int:
                 raise ValidationError("kingman needs --var-a and --var-s")
             result = kingman_bound(args.lam, args.mu, args.var_a, args.var_s)
         else:
-            unc = UncertaintyParams(args.alpha, args.gamma_a, args.gamma_s)
             result = system_bound(method, args.lam, args.mu, args.n, unc)
     paoi = paoi_from_system_bound(result, args.lam)
     print("method,lambda,mu,alpha,gamma_a,gamma_s,n,system_bound,paoi_bound")
@@ -108,9 +109,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = experiments.config_from_json(load_json(args.config))
     report = experiments.run_sweep(config)
-    if report.error_percents and all(
-        math.isnan(v) for v in report.error_percents.values()
-    ):
+    if all(math.isnan(v) for v in report.error_percents.values()):
         raise NumericError("every grid point failed; no bound could be evaluated")
     experiments.report_csv(report, args.out)
     print(f"wrote {len(report.rows)} rows -> {args.out}", file=sys.stderr)
@@ -140,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run replicated simulations from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override the config master seed")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("bound", help="evaluate one bound; prints a CSV row")

@@ -2,8 +2,10 @@
 
 A sweep simulates every arrival rate in a grid, maps the configured
 distributions' analytic moments to variability parameters, evaluates each
-requested bound, and reports per-point relative errors plus a per-method
-error percent (the grid average of |bound - simulated| / simulated).
+of its scenario's bounds, and reports per-point relative errors plus a
+per-method error percent (the grid average of |bound - simulated| /
+simulated).  Time is measured in mean service times (mu = 1), the unit
+theta is fitted in.
 
 The whole sweep is a pure function of its config document, master seed
 included, so repeated runs produce byte-identical reports.
@@ -38,7 +40,6 @@ from .errors import (
     write_text,
 )
 from .robust_bounds import (
-    SOURCES,
     UncertaintyParams,
     kingman_bound,
     paoi_from_system_bound,
@@ -88,7 +89,6 @@ def default_calibration_grid(scenario: str) -> list[tuple[DistributionSpec, Dist
 @dataclass(frozen=True)
 class SweepConfig:
     scenario: str
-    mu: float = 1.0
     lambdas: tuple[float, ...] | None = None      # None -> scenario default
     interarrival_family: str = "exponential"
     service_family: str = "exponential"
@@ -97,14 +97,12 @@ class SweepConfig:
     warmup_fraction: float = 0.1
     master_seed: int = 0
     theta: CalibrationCoefficients | None = None  # None -> builtin for scenario
-    methods: tuple[str, ...] | None = None        # None -> scenario default
 
     def __post_init__(self) -> None:
-        # n and the families are checked with the rates, by points();
+        # the scenario first; n and the families with the rates, by points();
         # replications, warmup_fraction and master_seed by replicate and
         # derive_seed at the first rate
-        scenario = get_scenario(self.scenario)
-        check_positive(self.mu, "mu")
+        get_scenario(self.scenario)
         if self.lambdas is not None and not self.lambdas:
             raise ValidationError("lambdas must not be empty; omit it for the default grid")
         rates = self.grid()
@@ -112,15 +110,6 @@ class SweepConfig:
             raise ValidationError(f"arrival rates must not repeat, got {rates}")
         for lam, system, _, _ in self.points():
             system.require_stable(f"rate {lam} of the {self.scenario} sweep")
-        methods = self.method_list()
-        for m in methods:
-            if m not in scenario.methods:
-                raise ValidationError(
-                    f"method {m!r} is not applicable to the {self.scenario} scenario; "
-                    f"allowed: {scenario.methods}"
-                )
-        if len(set(methods)) < len(methods):
-            raise ValidationError(f"methods must not repeat, got {methods}")
         if self.theta is not None and self.theta.scenario != self.scenario:
             raise ValidationError(
                 f"theta is calibrated for the {self.theta.scenario!r} scenario, "
@@ -128,26 +117,18 @@ class SweepConfig:
             )
 
     def grid(self) -> tuple[float, ...]:
-        if self.lambdas is not None:
-            return self.lambdas
-        rates = get_scenario(self.scenario).sweep_rates
-        # 12 significant digits, so that distinct rates stay distinct at any mu
-        return tuple(float(fmt(lam * self.mu)) for lam in rates)
+        # an empty lambdas is rejected before this is called
+        return self.lambdas or get_scenario(self.scenario).sweep_rates
 
     def points(self) -> Iterator[tuple[float, SystemParams, DistributionSpec, DistributionSpec]]:
         """(nominal rate, system at the laws' realized rates, interarrival law,
         service law) per grid rate; the nominal rate labels the report rows."""
         sources = get_scenario(self.scenario).sources
-        svc_spec = family_spec(self.service_family, 1.0 / self.mu)
+        svc_spec = family_spec(self.service_family, 1.0)
         for lam in self.grid():
             check_positive(lam, "lam")
             ia_spec = family_spec(self.interarrival_family, 1.0 / lam)
             yield lam, SystemParams.realized(ia_spec, svc_spec, self.n, sources), ia_spec, svc_spec
-
-    def method_list(self) -> tuple[str, ...]:
-        if self.methods is None:
-            return get_scenario(self.scenario).methods
-        return self.methods
 
 
 def config_from_json(doc: dict) -> SweepConfig:
@@ -155,14 +136,11 @@ def config_from_json(doc: dict) -> SweepConfig:
     kwargs = read_fields(doc, [f.name for f in fields(SweepConfig)], "sweep config")
     if "scenario" not in kwargs:
         raise ValidationError("sweep config needs a 'scenario'")
-    for name, items in (("lambdas", "numbers"), ("methods", "method names")):
-        if not isinstance(kwargs.get(name, []), list):
-            raise ValidationError(f"{name} must be a list of {items}, got {kwargs[name]!r}")
+    if not isinstance(kwargs.get("lambdas", []), list):
+        raise ValidationError(f"lambdas must be a list of numbers, got {kwargs['lambdas']!r}")
     with parsing("sweep config"):
         if "lambdas" in kwargs:
             kwargs["lambdas"] = tuple(json_float(x, "lambdas entry") for x in kwargs["lambdas"])
-        if "methods" in kwargs:
-            kwargs["methods"] = tuple(kwargs["methods"])
         theta = kwargs.get("theta")
         if theta == "builtin":
             kwargs["theta"] = None
@@ -234,11 +212,9 @@ def _scored(rows: list[SweepRow], method: str) -> list[SweepRow]:
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
-    """Simulate every grid rate and evaluate every requested bound."""
+    """Simulate every grid rate and evaluate each of the scenario's bounds."""
     theta = config.theta or builtin_theta(config.scenario)
-    methods = config.method_list()
-    # Kingman's bound reads the variances; only the worst-case ones need theta
-    needs_theta = any(m in SOURCES for m in methods)
+    methods = get_scenario(config.scenario).methods
     report = SweepReport()
 
     for gi, (lam, system, ia_spec, svc_spec) in enumerate(config.points()):
@@ -246,17 +222,16 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                             warmup_fraction=config.warmup_fraction,
                             master_seed=derive_seed(config.master_seed, gi))
         unc = None
-        if needs_theta:
-            try:
-                gamma_a, gamma_s = map_variability(
-                    ia_spec.std, svc_spec.std, rho=system.lam / system.mu, theta=theta
-                )
-                unc = UncertaintyParams(CALIBRATION_ALPHA, gamma_a, gamma_s)
-            except NumericError as exc:
-                warnings.warn(
-                    f"variability mapping failed at lam={lam}: {exc}",
-                    RuntimeWarning, stacklevel=2,
-                )
+        try:
+            gamma_a, gamma_s = map_variability(
+                ia_spec.std, svc_spec.std, rho=system.lam / system.mu, theta=theta
+            )
+            unc = UncertaintyParams(CALIBRATION_ALPHA, gamma_a, gamma_s)
+        except NumericError as exc:
+            warnings.warn(
+                f"variability mapping failed at lam={lam}: {exc}",
+                RuntimeWarning, stacklevel=2,
+            )
         for method in methods:
             try:
                 if method == "kingman":

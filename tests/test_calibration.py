@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from paoiq import calibration
 from paoiq.calibration import (
     CalibrationDataset,
     CalibrationRow,
@@ -207,15 +208,26 @@ class TestDatasetPipeline:
                                            n=5_000, replications=3, master_seed=1)
         assert len(ds) == 1
 
-    def test_heavy_tailed_spec_rejected(self):
-        grid = [(make_pareto(1.5, 1.0), make_exponential(1.0))]
-        with pytest.raises(ValidationError):
-            build_calibration_dataset(grid, "single", n=1_000, replications=2)
+    def simulated(self, monkeypatch):
+        """The calls ``build_calibration_dataset`` makes to ``replicate``."""
+        calls = []
+        monkeypatch.setattr(calibration, "replicate", lambda *args, **kw: calls.append(args))
+        return calls
 
-    def test_unstable_grid_point_rejected(self):
-        with pytest.raises(ValidationError):
-            build_calibration_dataset(self.grid((1.2,)), "single",
+    def test_heavy_tailed_spec_rejected(self, monkeypatch):
+        # the bad point comes after a good one, and nothing is simulated
+        calls = self.simulated(monkeypatch)
+        grid = [*self.grid((0.5,)), (make_pareto(1.5, 1.0), make_exponential(1.0))]
+        with pytest.raises(ValidationError, match="infinite variance"):
+            build_calibration_dataset(grid, "single", n=1_000, replications=2)
+        assert calls == []
+
+    def test_unstable_grid_point_rejected(self, monkeypatch):
+        calls = self.simulated(monkeypatch)
+        with pytest.raises(ValidationError, match="grid point 1 violates stability"):
+            build_calibration_dataset(self.grid((0.5, 1.2)), "single",
                                       n=1_000, replications=2)
+        assert calls == []
 
     def test_end_to_end_theta_reproduces_targets(self):
         # fit on simulated rows, map back, and compare bound values to the

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -21,7 +22,7 @@ import pytest
 from paoiq import calibration, cli, experiments, simulator
 from paoiq.calibration import CalibrationCoefficients
 from paoiq.cli import main
-from paoiq.errors import PaoiqError, ValidationError, write_text
+from paoiq.errors import PaoiqError, ValidationError, read_fields, write_text
 from paoiq.experiments import (
     FAMILIES,
     SweepConfig,
@@ -116,14 +117,6 @@ class TestFamilies:
 
 
 class TestConfigValidation:
-    def test_method_scenario_gating(self):
-        with pytest.raises(ValidationError, match="robust3"):
-            SweepConfig(scenario="single", lambdas=(0.5,), methods=("robust3",))
-        with pytest.raises(ValidationError, match="kingman"):
-            SweepConfig(scenario="two", lambdas=(0.2,), methods=("kingman",))
-        with pytest.raises(ValidationError, match="robust2"):
-            SweepConfig(scenario="two", lambdas=(0.2,), methods=("robust2",))
-
     def test_stability_gating(self):
         with pytest.raises(ValidationError, match="stability"):
             SweepConfig(scenario="single", lambdas=(0.5, 1.0))
@@ -148,13 +141,6 @@ class TestConfigValidation:
         rates = calibration.get_scenario(scenario).sweep_rates
         assert SweepConfig(scenario=scenario).grid() == rates
 
-    def test_default_grid_keeps_distinct_rates_at_tiny_mu(self):
-        # rounding to 12 decimal places once merged 0.15e-11 and 0.2e-11
-        rates = calibration.get_scenario("single").sweep_rates
-        grid = SweepConfig(scenario="single", mu=1e-11).grid()
-        assert len(set(grid)) == len(rates) == 16
-        assert grid == pytest.approx([lam * 1e-11 for lam in rates], rel=1e-11)
-
     def test_from_json_rejects_unknown_fields(self):
         with pytest.raises(ValidationError, match="unknown"):
             config_from_json({"scenario": "single", "lambda_grid": [0.5]})
@@ -164,21 +150,16 @@ class TestConfigValidation:
         assert config_from_json({"scenario": scenario}) == SweepConfig(scenario=scenario)
 
     def test_from_json_reads_every_field(self):
-        doc = {"scenario": "single", "mu": 2.0, "lambdas": [0.5, 1], "n": 300,
+        doc = {"scenario": "single", "lambdas": [0.5, 0.25], "n": 300,
                "interarrival_family": "uniform", "service_family": "normal",
                "replications": 2, "warmup_fraction": 0.2, "master_seed": 4,
-               "theta": {"theta0": -0.376, "theta1": 3.978, "theta2": 0.5},
-               "methods": ["robust2"]}
+               "theta": {"theta0": -0.376, "theta1": 3.978, "theta2": 0.5}}
         assert set(doc) == {f.name for f in fields(SweepConfig)}
         assert config_from_json(doc) == SweepConfig(
-            scenario="single", mu=2.0, lambdas=(0.5, 1.0), n=300,
+            scenario="single", lambdas=(0.5, 0.25), n=300,
             interarrival_family="uniform", service_family="normal", replications=2,
             warmup_fraction=0.2, master_seed=4,
-            theta=CalibrationCoefficients(-0.376, 3.978, 0.5, "single"), methods=("robust2",))
-
-    def test_repeated_method(self):
-        with pytest.raises(ValidationError, match="repeat"):
-            SweepConfig(scenario="single", lambdas=(0.5,), methods=("robust2", "robust2"))
+            theta=CalibrationCoefficients(-0.376, 3.978, 0.5, "single"))
 
     def test_repeated_rate(self):
         with pytest.raises(ValidationError, match="arrival rates must not repeat"):
@@ -211,25 +192,11 @@ class TestRunSweep:
         assert keys == sorted(keys)
         assert set(report.error_percents) == {"kingman", "robust1", "robust2"}
 
-    def test_empty_method_set(self):
-        report = run_sweep(SweepConfig(scenario="single", lambdas=(0.5,), methods=(), **QUICK))
-        assert len(report.rows) == 0
-        assert report.error_percents == {}
-
     def test_bounds_include_interarrival_term(self):
         config = SweepConfig(scenario="single", lambdas=(0.3, 0.7), **QUICK)
         report = run_sweep(config)
         for row in report.rows:
             assert row.bound_paoi >= 1.0 / row.lam
-
-    def test_kingman_alone_maps_no_variability(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(experiments, "map_variability",
-                            lambda *args, **kwargs: calls.append(args))
-        report = run_sweep(SweepConfig(scenario="single", lambdas=(0.5,), methods=("kingman",),
-                                       **QUICK))
-        assert calls == []
-        assert math.isfinite(report.error_percents["kingman"])
 
     def test_two_source_sweep(self):
         report = run_sweep(SweepConfig(scenario="two", lambdas=(0.3, 0.4), **QUICK))
@@ -349,20 +316,42 @@ class TestCli:
     def test_bound_validation_exit_code(self, capsys):
         assert main(["bound", "--method", "robust2", "--lambda", "2", "--mu", "1"]) == 1
         assert main(["bound", "--method", "unknown", "--lambda", "0.5", "--mu", "1"]) == 1
+        # kingman reads neither n nor the uncertainty set, but its row echoes them
+        kingman = ["bound", "--method", "kingman", "--lambda", "0.5", "--mu", "1",
+                   "--var-a", "4", "--var-s", "1"]
+        for bad in (["--n", "-5"], ["--alpha", "7"], ["--gamma-a", "-3"]):
+            assert main([*kingman, *bad]) == 1
 
     def test_simulate(self, tmp_path, capsys):
         config = tmp_path / "sim.json"
         config.write_text(json.dumps({
-            "sources": 1, "n": 5000, "replications": 3,
+            "sources": 1, "n": 5000, "replications": 3, "master_seed": 4,
             "interarrival": {"kind": "exponential", "rate": 0.5},
             "service": {"kind": "exponential", "rate": 1.0},
         }))
-        assert main(["simulate", "--config", str(config), "--seed", "4"]) == 0
+        assert main(["simulate", "--config", str(config)]) == 0
         out = capsys.readouterr().out.strip().split("\n")
         header = out[0].split(",")
         row = dict(zip(header, out[1].split(",")))
         assert float(row["mean_paoi"]) == pytest.approx(4.0, rel=0.1)
         assert row["master_seed"] == "4"
+
+    def test_readme_config_examples_are_accepted(self, tmp_path, capsys):
+        # the simulate, sweep and calibrate examples under README "Config files"
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config files\n", 1)[1].split("\n## ", 1)[0]
+        sim, sweep, grid = (json.loads(block)
+                            for block in re.findall(r"```json\n(.*?)```", section, re.S))
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps(sim))
+        assert main(["simulate", "--config", str(config)]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        row = dict(zip(header.split(","), row.split(",")))
+        assert (row["lam"], row["mu"]) == ("0.5", "1")  # as the README says
+        config_from_json(sweep)
+        settings = cli._defaults(calibration.build_calibration_dataset)
+        doc = read_fields(grid, ("points", "mu", *settings), "calibration grid config")
+        assert calibration.grid_from_config(doc)
 
     def test_simulate_prints_the_rates_of_its_laws(self, tmp_path, capsys):
         # a folded normal's mean is not its location, so its rate is no round label
@@ -682,8 +671,11 @@ class TestCli:
          "lambdas must be a list of numbers, got '0.5'"),
         ("sweep", "sweep.json", {**SWEEP, "lambdas": {"0.5": 1}},
          "lambdas must be a list of numbers, got {'0.5': 1}"),
+        ("sweep", "sweep.json", {**SWEEP, "mu": 1.0}, "unknown sweep config fields: ['mu']"),
+        ("sweep", "sweep.json", {**SWEEP, "methods": ["robust2"]},
+         "unknown sweep config fields: ['methods']"),
     ], ids=["simulate", "calibrate", "calibrate-point", "sweep-text-lambdas",
-            "sweep-object-lambdas"])
+            "sweep-object-lambdas", "sweep-mu", "sweep-methods"])
     def test_unknown_fields_named(self, tmp_path, capsys, command, name, content, message):
         path = tmp_path / name
         path.write_text(json.dumps(content))

@@ -376,6 +376,12 @@ def test_two_source_witness_attains_integer_windows(alpha, ga_frac, gs, load, mu
 # Every site of the two scalar range rules: (rule, the name its message
 # gives, a call with that one value varied and every other input valid).
 _THETA = CalibrationCoefficients(1.0, 1.0, 1.0, "single")
+
+
+def _sweep_rate(v):
+    return SweepConfig("single", lambdas=(v,))
+
+
 RANGE_SITES = [
     ("> 0", "lam", lambda v: SystemParams(v, 1.0, 10)),
     ("> 0", "mu", lambda v: SystemParams(0.5, v, 10)),
@@ -385,8 +391,9 @@ RANGE_SITES = [
     ("> 0", "pareto scale", lambda v: make_pareto(2.5, v)),
     *[("> 0", f"{family} mean", lambda v, family=family: family_spec(family, v))
       for family in ("exponential", "normal", "uniform")],
-    ("> 0", "mu", lambda v: SweepConfig("single", mu=v)),
-    ("> 0", "lam", lambda v: SweepConfig("single", mu=1e101, lambdas=(v,))),
+    ("> 0", "mu", lambda v: rb.system_bound("robust2", 1e-300, v, 10,
+                                            rb.UncertaintyParams(2.0, 0.0, 0.0))),
+    ("> 0", "lam", _sweep_rate),
     ("> 0", "rho", lambda v: map_variability(0.0, 1.0, v, _THETA)),
     ("> 0", "lam", lambda v: rb.kingman_bound(v, 2 * v, 1.0, 1.0)),
     ("> 0", "mu", lambda v: rb.kingman_bound(1e-300, v, 1.0, 1.0)),
@@ -403,6 +410,8 @@ OUT_OF_RANGE = {
     ">= 0": st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(max_value=-5e-324),
 }
 IN_RANGE = {"> 0": st.floats(1e-100, 1e100), ">= 0": st.floats(0.0, 1e100)}
+# a sweep's rates are in units of mu = 1, so one in range must also be stable
+IN_RANGE_AT = {_sweep_rate: st.floats(1e-100, 0.99)}
 
 
 @pytest.mark.parametrize("rule, name, call", RANGE_SITES,
@@ -414,7 +423,7 @@ def test_scalar_range_rules_hold_at_every_site(rule, name, call, data):
     with pytest.raises(ValidationError) as exc:
         call(bad)
     assert str(exc.value).startswith(f"{name} must be finite and {rule}, got ")
-    call(data.draw(IN_RANGE[rule], label="in range"))
+    call(data.draw(IN_RANGE_AT.get(call, IN_RANGE[rule]), label="in range"))
 
 
 def run_main(argv):
@@ -471,10 +480,9 @@ specs = st.sampled_from([
 ])
 
 
-def documents(fields: dict, extra=()):
-    """Valid documents of ``fields`` with at most one entry corrupted;
-    ``extra`` names fields that only ever appear with invalid values."""
-    names = [None, None, None, "replicatons", *fields, *extra,
+def documents(fields: dict):
+    """Valid documents of ``fields`` with at most one entry corrupted."""
+    names = [None, None, None, "replicatons", *fields,
              *(f"{k}.param" for k in fields if k in ("interarrival", "service"))]
     return st.builds(_corrupt, st.fixed_dictionaries(fields), st.sampled_from(names), INVALID)
 
@@ -520,13 +528,13 @@ def test_simulate_cli_exits_cleanly(tmp_path_factory, doc):
 
 @FUZZ
 @given(documents({
-    "scenario": st.sampled_from(["single", "two"]), "mu": st.just(1.0),
+    "scenario": st.sampled_from(["single", "two"]),
     "lambdas": st.sampled_from([[0.2], [0.4, 0.2]]), "n": st.just(2000),
     "replications": st.sampled_from([1, 3]), "warmup_fraction": st.just(0.1),
     "interarrival_family": st.sampled_from(["exponential", "normal"]),
     "service_family": st.sampled_from(["exponential", "uniform"]),
     "master_seed": st.just(0), "theta": st.just("builtin"),
-}, extra=("methods",)))
+}))
 def test_sweep_cli_exits_cleanly(tmp_path_factory, doc):
     code, _, workdir = run_with_file(tmp_path_factory, "sweep.json", json.dumps(doc),
                                      ["sweep", "--config", "{file}", "--out", "{dir}/r.csv"])

@@ -195,8 +195,7 @@ class TestSystemBound:
         monkeypatch.setattr(robust_bounds, "bound_robust2_single", spy)
         system_bound("robust2", 0.5, 1.0, 100, UncertaintyParams(2.0, 1.0, 1.0))
         assert len(calls) == 1
-        run_sweep(SweepConfig(scenario="single", lambdas=(0.5,), n=200, replications=1,
-                              methods=("robust2",)))
+        run_sweep(SweepConfig(scenario="single", lambdas=(0.5,), n=200, replications=1))
         assert len(calls) == 2
 
 
