@@ -7,9 +7,18 @@ kernel's system times, which no step rewrites.
 
 ``replicate`` runs these steps on plain float64 arrays and reduces them
 straight to means: ``sample_stream`` fills and returns the arrays of one
-workspace allocated per call, no step builds a per-path object or re-checks
-what the sampler already guarantees, and every warmup cut is an index fixed
-before the replication loop.  ``simulate_fcfs``, ``paoi_trace_single``,
+workspace allocated per process, no step builds a per-path object or
+re-checks what the sampler already guarantees, and every warmup cut is an
+index fixed before the replication loop.  A call of at least
+``FORK_MIN_UPDATES`` updates in all splits its replications into k
+contiguous blocks, k at most the CPUs it may run on and
+``MAX_REPLICATE_N // n``, and runs blocks 1..k-1 in forked children that
+write their means into one shared block of rows; each replication seeds
+its own streams, so the result has the bits of a serial run.  Where
+``os.fork`` or ``os.sched_getaffinity`` is missing, or another Python
+thread runs, the call stays serial.  Python 3.12 and later may emit a
+``DeprecationWarning`` at the fork while other OS threads exist, such as
+an OpenBLAS pool.  ``simulate_fcfs``, ``paoi_trace_single``,
 ``merge_arrivals``, ``simulate_two_source`` and ``paoi_trace_two_source``
 are inspection wrappers over the same private steps: they validate their
 input and return the per-update arrays as dataclasses.
@@ -22,6 +31,10 @@ leading fraction of samples before averaging.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -33,10 +46,15 @@ from .seeding import ROLE_ARRIVAL_1, ROLE_ARRIVAL_2, ROLE_SERVICE, derive_seed
 from .stochastic import DistributionSpec, sample_stream
 
 
-# Size caps of ``replicate``: its workspace takes about 40 bytes per update
-# for one source and about 57 for two, so n = 10**7 needs 0.4 to 0.6 GB.
+# Size caps of ``replicate``: the workspace of each of its processes takes
+# about 40 bytes per update for one source and about 57 for two, so
+# n = 10**7 needs 0.4 to 0.6 GB.  A call runs at most MAX_REPLICATE_N // n
+# processes, so together they hold no more than one process at the cap.
 MAX_REPLICATE_N = 10**7
 MAX_REPLICATIONS = 10**6
+# Fewest updates, n * replications, for which ``replicate`` forks: on
+# shorter calls the fork and its copy-on-write faults eat the gain.
+FORK_MIN_UPDATES = 10**6
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,7 +328,9 @@ def replicate(
     A system they load at or above 1 still runs but is flagged (its means
     need not converge).  Every source needs at least one post-warmup peak,
     so n must be >= 2 per source; n and the integer ``replications`` are
-    capped at MAX_REPLICATE_N and MAX_REPLICATIONS.
+    capped at MAX_REPLICATE_N and MAX_REPLICATIONS.  A call of at least
+    FORK_MIN_UPDATES updates in all spreads its replications over forked
+    processes (see the module docstring) and returns the same bits.
     A mean or CI half-width that is not finite raises NumericError.
     """
     check_int(replications, "replications", 1)
@@ -338,66 +358,15 @@ def replicate(
         )
 
     n = params.n
-    paoi_means = np.empty(replications)
-    system_means = np.empty(replications)
-    src_means = np.empty((replications, 2)) if params.sources == 2 else None
-    # one workspace for every replication, in the layout of
-    # ``kernels.lindley_system_times``: services are sampled into work[2],
-    # where the kernel leaves the system times, and work[0] and work[1] hold
-    # the prefix sums of U_i = X_{i-1} - T_i and their running min; work[0]
-    # or work[1] then takes the post-warmup peaks
-    work = np.empty((3, n))
-    x = work[2]
-    ws = _kept(n, warmup_fraction)  # first post-warmup system time
-
-    if params.sources == 1:
-        t = np.empty(n)
-        w = _kept(n - 1, warmup_fraction)
-        peaks = work[0, :n - 1 - w]
-        for r in range(replications):
-            sample_stream(interarrival_spec, n, derive_seed(master_seed, r, ROLE_ARRIVAL_1),
-                          out=t)
-            sample_stream(service_spec, n, derive_seed(master_seed, r, ROLE_SERVICE), out=x)
-            s = kernels.lindley_system_times(t, x, work)
-            # peaks of the post-warmup deliveries only
-            _single_peaks(t[w:], s[w:], out=peaks)
-            paoi_means[r] = peaks.mean()
-            system_means[r] = s[ws:].mean()
-    else:
-        n1, n2 = (n + 1) // 2, n // 2
-        # source 1's arrival times, then source 2's
-        times = np.empty(n)
-        a1, a2 = times[:n1], times[n1:]
-        # the merged gaps, then per-source system times in the layout of times
-        by_source = np.empty(n)
-        s1, s2 = by_source[:n1], by_source[n1:]
-        w1 = _kept(n1 - 1, warmup_fraction)
-        w2 = _kept(n2 - 1, warmup_fraction)
-        k1 = n1 - 1 - w1
-        # both sources' post-warmup peaks side by side
-        peaks = work[1, :k1 + n2 - 1 - w2]
-        # both interarrival streams in the lanes of one paired cumsum; source
-        # 2's lane is one entry longer when n is odd and ends in a zero
-        pairs, lane1, lane2 = (v[:n1] for v in kernels._lanes(work))
-        for r in range(replications):
-            for a, lane, role in ((a1, lane1, ROLE_ARRIVAL_1), (a2, lane2, ROLE_ARRIVAL_2)):
-                sample_stream(interarrival_spec, len(a),
-                              derive_seed(master_seed, r, role), out=a)
-                lane[:len(a)] = a
-            lane2[n2:] = 0.0
-            np.cumsum(pairs, out=pairs)
-            a1[:] = lane1
-            a2[:] = lane2[:n2]
-            sample_stream(service_spec, n, derive_seed(master_seed, r, ROLE_SERVICE), out=x)
-            merged, order = _merge(times, out=work[0])
-            s = _merged_system_times(merged, x, by_source, work)
-            # order[i] is the source-layout index of the i-th merged update
-            by_source[order] = s
-            _source_peaks(a1[w1:], s1[w1:], out=peaks[:k1])
-            _source_peaks(a2[w2:], s2[w2:], out=peaks[k1:])
-            src_means[r] = peaks[:k1].mean(), peaks[k1:].mean()
-            paoi_means[r] = peaks.mean()
-            system_means[r] = s[ws:].mean()
+    # row r: replication r's mean peak age and mean system time and, for two
+    # sources, each source's mean peak age, written by whichever process ran it
+    res = np.frombuffer(mmap.mmap(-1, replications * 4 * 8)).reshape(replications, 4)
+    _run_blocks(_single_block if params.sources == 1 else _two_block, res,
+                _processes(n, replications),
+                (n, (interarrival_spec, service_spec), warmup_fraction, master_seed))
+    paoi_means = res[:, 0].copy()
+    system_means = res[:, 1].copy()
+    src_means = res[:, 2:].copy() if params.sources == 2 else None
 
     # a sum or spread that overflows, or is inf - inf, is reported below as not finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -421,3 +390,122 @@ def replicate(
         stable=simulated.stable,
         paoi_rep_means=paoi_means,
     )
+
+
+def _processes(n: int, replications: int) -> int:
+    """How many processes share the replications of one ``replicate`` call."""
+    # fork copies only the calling thread, so a lock that another thread
+    # holds would stay held in the child
+    if (n * replications < FORK_MIN_UPDATES or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), replications, MAX_REPLICATE_N // n)
+
+
+def _run_blocks(runner, res: np.ndarray, k: int, args: tuple) -> None:
+    """Run ``runner`` over k contiguous blocks of the rows of ``res``.
+
+    Blocks 1..k-1 run in forked children, which share ``res``'s memory,
+    and block 0 in this process; a block whose fork failed or whose child
+    exited non-zero runs here afterwards.  Every child is reaped before
+    this returns or raises.
+    """
+    bounds = [len(res) * i // k for i in range(k + 1)]
+    children = {}  # pid -> block
+    again = []
+    try:
+        for i in range(1, k):
+            try:
+                pid = os.fork()
+            except OSError:
+                again.append(i)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    runner(res, bounds[i], bounds[i + 1], *args)
+                    status = 0
+                finally:
+                    # no exit handler, flush or traceback: all belong to the parent
+                    os._exit(status)
+            children[pid] = i
+        runner(res, bounds[0], bounds[1], *args)
+        while children:
+            pid, status = os.waitpid(next(iter(children)), 0)
+            if status:
+                again.append(children[pid])
+            del children[pid]
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for i in again:
+        runner(res, bounds[i], bounds[i + 1], *args)
+
+
+# The two block runners of ``replicate``.  Each allocates one workspace for
+# every replication of its block, in the layout of
+# ``kernels.lindley_system_times``: services are sampled into work[2], where
+# the kernel leaves the system times, and work[0] and work[1] hold the
+# prefix sums of U_i = X_{i-1} - T_i and their running min; work[0] (one
+# source) or work[1] (two) then takes the post-warmup peaks.
+
+def _single_block(res: np.ndarray, first: int, stop: int, n: int,
+                  specs: tuple[DistributionSpec, DistributionSpec], warmup: float,
+                  master_seed: int) -> None:
+    """Single-source replications first..stop-1, each reduced into its row of ``res``."""
+    interarrival_spec, service_spec = specs
+    work = np.empty((3, n))
+    x = work[2]
+    t = np.empty(n)
+    ws = _kept(n, warmup)  # first post-warmup system time
+    w = _kept(n - 1, warmup)
+    peaks = work[0, :n - 1 - w]
+    for r in range(first, stop):
+        sample_stream(interarrival_spec, n, derive_seed(master_seed, r, ROLE_ARRIVAL_1), out=t)
+        sample_stream(service_spec, n, derive_seed(master_seed, r, ROLE_SERVICE), out=x)
+        s = kernels.lindley_system_times(t, x, work)
+        # peaks of the post-warmup deliveries only
+        _single_peaks(t[w:], s[w:], out=peaks)
+        res[r, :2] = peaks.mean(), s[ws:].mean()
+
+
+def _two_block(res: np.ndarray, first: int, stop: int, n: int,
+               specs: tuple[DistributionSpec, DistributionSpec], warmup: float,
+               master_seed: int) -> None:
+    """Two-source replications first..stop-1, each reduced into its row of ``res``."""
+    interarrival_spec, service_spec = specs
+    work = np.empty((3, n))
+    x = work[2]
+    ws = _kept(n, warmup)
+    n1, n2 = (n + 1) // 2, n // 2
+    # source 1's arrival times, then source 2's
+    times = np.empty(n)
+    a1, a2 = times[:n1], times[n1:]
+    # the merged gaps, then per-source system times in the layout of times
+    by_source = np.empty(n)
+    s1, s2 = by_source[:n1], by_source[n1:]
+    w1 = _kept(n1 - 1, warmup)
+    w2 = _kept(n2 - 1, warmup)
+    k1 = n1 - 1 - w1
+    # both sources' post-warmup peaks side by side
+    peaks = work[1, :k1 + n2 - 1 - w2]
+    # both interarrival streams in the lanes of one paired cumsum; source
+    # 2's lane is one entry longer when n is odd and ends in a zero
+    pairs, lane1, lane2 = (v[:n1] for v in kernels._lanes(work))
+    for r in range(first, stop):
+        for a, lane, role in ((a1, lane1, ROLE_ARRIVAL_1), (a2, lane2, ROLE_ARRIVAL_2)):
+            sample_stream(interarrival_spec, len(a), derive_seed(master_seed, r, role), out=a)
+            lane[:len(a)] = a
+        lane2[n2:] = 0.0
+        np.cumsum(pairs, out=pairs)
+        a1[:] = lane1
+        a2[:] = lane2[:n2]
+        sample_stream(service_spec, n, derive_seed(master_seed, r, ROLE_SERVICE), out=x)
+        merged, order = _merge(times, out=work[0])
+        s = _merged_system_times(merged, x, by_source, work)
+        # order[i] is the source-layout index of the i-th merged update
+        by_source[order] = s
+        _source_peaks(a1[w1:], s1[w1:], out=peaks[:k1])
+        _source_peaks(a2[w2:], s2[w2:], out=peaks[k1:])
+        res[r] = peaks.mean(), s[ws:].mean(), peaks[:k1].mean(), peaks[k1:].mean()

@@ -1,12 +1,16 @@
 """FCFS simulation: Lindley recursion, merging, peak-age traces, replication."""
 
+import errno
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from paoiq import simulator
 from paoiq.errors import ValidationError
 from paoiq.experiments import family_spec
 from paoiq.seeding import ROLE_ARRIVAL_1, ROLE_ARRIVAL_2, ROLE_SERVICE, derive_seed
@@ -449,6 +453,111 @@ class TestReplicateParity:
         assert np.array_equal(summary.mean_system_time, float(system.mean()))
         if sources == 2:
             assert np.array_equal(summary.per_source_paoi, per_source.mean(axis=0))
+
+
+class TestReplicateProcesses:
+    """replicate() has the same bits on one process and on every CPU, and
+    leaves no child process behind, whatever fails."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_outlives(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def run(sources, replications=11):
+        lam = 0.4 / sources
+        return replicate(SystemParams(lam, 1.0, 100_000, sources), make_exponential(lam),
+                         make_exponential(1.0), replications=replications, master_seed=5)
+
+    @classmethod
+    def serial(cls, monkeypatch, sources, replications=11):
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            return cls.run(sources, replications)
+
+    @staticmethod
+    def assert_same(got, expected):
+        assert got.mean_paoi == expected.mean_paoi
+        assert got.ci95_paoi == expected.ci95_paoi
+        assert got.mean_system_time == expected.mean_system_time
+        assert got.per_source_paoi == expected.per_source_paoi
+        assert got.paoi_rep_means.tobytes() == expected.paoi_rep_means.tobytes()
+
+    @staticmethod
+    def spy_fork(monkeypatch):
+        calls = []
+        fork = os.fork
+
+        def spy():
+            calls.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", spy)
+        return calls
+
+    @staticmethod
+    def fail_block(monkeypatch, sources, in_parent):
+        """Make the block runner raise in this process or only in its children."""
+        name = "_single_block" if sources == 1 else "_two_block"
+        runner = getattr(simulator, name)
+        parent = os.getpid()
+
+        def failing(*args):
+            if (os.getpid() == parent) == in_parent:
+                raise RuntimeError(f"block failed in pid {os.getpid()}")
+            runner(*args)
+
+        monkeypatch.setattr(simulator, name, failing)
+
+    @pytest.mark.parametrize("replications", [3, 11, 50])
+    @pytest.mark.parametrize("sources", [1, 2])
+    def test_bits_equal_across_process_counts(self, monkeypatch, sources, replications):
+        expected = self.serial(monkeypatch, sources, replications)
+        forks = self.spy_fork(monkeypatch)
+        got = self.run(sources, replications)
+        self.assert_same(got, expected)
+        # 3 x 1e5 updates stay below FORK_MIN_UPDATES
+        cpus = len(os.sched_getaffinity(0))
+        assert len(forks) == (0 if replications == 3 else min(cpus, replications) - 1)
+
+    @pytest.mark.parametrize("sources", [1, 2])
+    def test_failed_fork_runs_the_block_here(self, monkeypatch, sources):
+        expected = self.serial(monkeypatch, sources)
+
+        def refuse():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", refuse)
+        self.assert_same(self.run(sources), expected)
+
+    @pytest.mark.parametrize("sources", [1, 2])
+    def test_failed_child_block_runs_here(self, monkeypatch, sources):
+        expected = self.serial(monkeypatch, sources)
+        self.fail_block(monkeypatch, sources, in_parent=False)
+        self.assert_same(self.run(sources), expected)
+
+    @pytest.mark.parametrize("sources", [1, 2])
+    def test_failed_parent_block_propagates(self, monkeypatch, sources):
+        self.fail_block(monkeypatch, sources, in_parent=True)
+        with pytest.raises(RuntimeError, match=f"block failed in pid {os.getpid()}"):
+            self.run(sources)
+
+    def test_no_fork_beside_another_thread(self, monkeypatch):
+        expected = self.serial(monkeypatch, 1)
+        forks = self.spy_fork(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            got = self.run(1)
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert forks == []
+        self.assert_same(got, expected)
 
 
 def reference_replicate(params, ia_spec, svc_spec, replications, warmup, master_seed):
