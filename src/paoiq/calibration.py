@@ -307,20 +307,15 @@ def write_theta_json(theta: CalibrationCoefficients, path, provenance: dict | No
     write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def theta_from_json(doc, what: str) -> CalibrationCoefficients:
-    """The coefficients of a theta object, in a theta file or inline in a sweep.
-
-    Both forms hold ``theta0``..``theta2`` and ``scenario``, and may carry
-    the ``provenance`` that ``write_theta_json`` records; it is not read.
-    """
-    theta = read_fields(doc, ("theta0", "theta1", "theta2", "scenario", "provenance"), what)
+def read_theta_json(path) -> CalibrationCoefficients:
+    """The coefficients in a theta file, as ``write_theta_json`` writes it;
+    its ``provenance`` is not read."""
+    what = f"theta file {path}"
+    theta = read_fields(load_json(path),
+                        ("theta0", "theta1", "theta2", "scenario", "provenance"), what)
     with parsing(what):
         return CalibrationCoefficients(
             theta["theta0"], theta["theta1"], theta["theta2"], theta["scenario"])
-
-
-def read_theta_json(path) -> CalibrationCoefficients:
-    return theta_from_json(load_json(path), f"theta file {path}")
 
 
 def grid_from_config(doc: dict) -> list[tuple[DistributionSpec, DistributionSpec]]:

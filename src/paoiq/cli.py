@@ -59,8 +59,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    method = args.method.replace("-", "_")
-    if method not in METHODS:
+    if args.method not in METHODS:
         raise ValidationError(f"unknown method {args.method!r}; expected one of {METHODS}")
     # checked for every method, as the row echoes them
     unc = UncertaintyParams(args.alpha, args.gamma_a, args.gamma_s)
@@ -68,16 +67,16 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     # an enumeration that overflows ends in NumericError, so NumPy's
     # overflow warnings would only repeat it, with a source path
     with np.errstate(all="ignore"):
-        if method == "kingman":
+        if args.method == "kingman":
             if args.var_a is None or args.var_s is None:
                 raise ValidationError("kingman needs --var-a and --var-s")
             result = kingman_bound(args.lam, args.mu, args.var_a, args.var_s)
         else:
-            result = system_bound(method, args.lam, args.mu, args.n, unc)
+            result = system_bound(args.method, args.lam, args.mu, args.n, unc)
     paoi = paoi_from_system_bound(result, args.lam)
     print("method,lambda,mu,alpha,gamma_a,gamma_s,n,system_bound,paoi_bound")
     print(",".join([
-        method, fmt(args.lam), fmt(args.mu), fmt(args.alpha),
+        args.method, fmt(args.lam), fmt(args.mu), fmt(args.alpha),
         fmt(args.gamma_a), fmt(args.gamma_s), str(args.n),
         fmt(result.value), fmt(paoi),
     ]))

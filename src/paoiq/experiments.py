@@ -27,7 +27,6 @@ from .calibration import (
     get_scenario,
     map_variability,
     read_theta_json,
-    theta_from_json,
 )
 from .errors import (
     NumericError,
@@ -138,21 +137,13 @@ def config_from_json(doc: dict) -> SweepConfig:
         raise ValidationError("sweep config needs a 'scenario'")
     if not isinstance(kwargs.get("lambdas", []), list):
         raise ValidationError(f"lambdas must be a list of numbers, got {kwargs['lambdas']!r}")
+    if not isinstance(kwargs.get("theta", ""), str):
+        raise ValidationError(f"theta must be a theta file path, got {kwargs['theta']!r}")
     with parsing("sweep config"):
         if "lambdas" in kwargs:
             kwargs["lambdas"] = tuple(json_float(x, "lambdas entry") for x in kwargs["lambdas"])
-        theta = kwargs.get("theta")
-        if theta == "builtin":
-            kwargs["theta"] = None
-        elif isinstance(theta, dict):
-            # an inline theta is calibrated for the sweep's scenario unless it says otherwise
-            kwargs["theta"] = theta_from_json({"scenario": kwargs["scenario"], **theta},
-                                              "sweep config theta")
-        elif isinstance(theta, str):
-            kwargs["theta"] = read_theta_json(theta)
-        elif theta is not None:
-            raise ValidationError(
-                f"theta must be 'builtin', an object, or a file path: {theta!r}")
+        if "theta" in kwargs:
+            kwargs["theta"] = read_theta_json(kwargs["theta"])
         return SweepConfig(**kwargs)
 
 
@@ -288,12 +279,12 @@ def report_csv(report: SweepReport, destination) -> None:
 def read_report_csv(path) -> SweepReport:
     """Parse a persisted sweep report (inverse of report_csv)."""
     report = SweepReport()
-    with open(path, newline="") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != _REPORT_HEADER:
-        raise ValidationError(f"{path} does not look like a sweep report")
-    i = 1
     with parsing(f"sweep report {path}"):
+        with open(path, newline="") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        if not lines or lines[0] != _REPORT_HEADER:
+            raise ValidationError(f"{path} does not look like a sweep report")
+        i = 1
         while i < len(lines) and lines[i] != _SUMMARY_HEADER:
             lam, sim_mean, sim_ci, method, bound, rel = lines[i].split(",")
             report.rows.append(

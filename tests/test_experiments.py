@@ -64,6 +64,12 @@ DEFAULT_CALIBRATE_SHA256 = {
 # order of test_every_family_pair_gives_finite_error_percents, under the same
 # rule.  Only these sweeps run the normal and uniform families.
 FAMILY_PAIRS_SHA256 = "15f53cd369e82457f5d0e4016079bb790059f56c90d71804bbae308ee7e67591"
+# The light-load rates of README "At light load", below each default grid,
+# and the sha256 of the 18 report CSVs of every (scenario, arrival family,
+# service family) sweep over them at n=2e4, 5 replications, master seed 0,
+# in the loop order of test_light_load_matrix, under the same rule.
+LIGHT_LOAD_RATES = {"single": (0.02, 0.05, 0.1), "two": (0.05, 0.1, 0.2)}
+LIGHT_LOAD_SHA256 = "e78722833d08a6b95ec1e9c571f0c3ad558f7ba3a4c58a735c179ea767e9e11d"
 
 
 class TestErrorPercent:
@@ -149,11 +155,14 @@ class TestConfigValidation:
     def test_from_json_defaults_are_the_config_defaults(self, scenario):
         assert config_from_json({"scenario": scenario}) == SweepConfig(scenario=scenario)
 
-    def test_from_json_reads_every_field(self):
+    def test_from_json_reads_every_field(self, tmp_path):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(
+            {"scenario": "single", "theta0": -0.376, "theta1": 3.978, "theta2": 0.5}))
         doc = {"scenario": "single", "lambdas": [0.5, 0.25], "n": 300,
                "interarrival_family": "uniform", "service_family": "normal",
                "replications": 2, "warmup_fraction": 0.2, "master_seed": 4,
-               "theta": {"theta0": -0.376, "theta1": 3.978, "theta2": 0.5}}
+               "theta": str(theta)}
         assert set(doc) == {f.name for f in fields(SweepConfig)}
         assert config_from_json(doc) == SweepConfig(
             scenario="single", lambdas=(0.5, 0.25), n=300,
@@ -228,6 +237,24 @@ class TestRunSweep:
                 assert all(map(math.isfinite, percents.values())), (config, percents)
                 digest.update(report_to_csv_text(report).encode())
         assert digest.hexdigest() == FAMILY_PAIRS_SHA256
+
+    @pytest.mark.filterwarnings("ignore:mapped gamma_s:RuntimeWarning")
+    def test_light_load_matrix(self):
+        # a measurement, gated on its bytes only, and on the paper's
+        # single-source ordering: robust2 closer than Kingman's bound at
+        # each light rate on exponential/exponential
+        digest = hashlib.sha256()
+        for scenario, lambdas in LIGHT_LOAD_RATES.items():
+            for arrivals, services in itertools.product(FAMILIES, repeat=2):
+                report = run_sweep(SweepConfig(
+                    scenario=scenario, lambdas=lambdas, interarrival_family=arrivals,
+                    service_family=services, n=20_000, replications=5))
+                digest.update(report_to_csv_text(report).encode())
+                if (scenario, arrivals, services) == ("single", "exponential", "exponential"):
+                    rel = {(r.lam, r.method): r.rel_error for r in report.rows}
+                    for lam in lambdas:
+                        assert rel[lam, "robust2"] < rel[lam, "kingman"], lam
+        assert digest.hexdigest() == LIGHT_LOAD_SHA256
 
     def test_deterministic(self):
         config = SweepConfig(scenario="single", lambdas=(0.4, 0.8), **QUICK)
@@ -316,6 +343,8 @@ class TestCli:
     def test_bound_validation_exit_code(self, capsys):
         assert main(["bound", "--method", "robust2", "--lambda", "2", "--mu", "1"]) == 1
         assert main(["bound", "--method", "unknown", "--lambda", "0.5", "--mu", "1"]) == 1
+        # a method has one spelling
+        assert main(["bound", "--method", "exact-single", "--lambda", "0.5", "--mu", "1"]) == 1
         # kingman reads neither n nor the uncertainty set, but its row echoes them
         kingman = ["bound", "--method", "kingman", "--lambda", "0.5", "--mu", "1",
                    "--var-a", "4", "--var-s", "1"]
@@ -514,6 +543,9 @@ class TestCli:
                         "service": {"kind": "exponential", "rate": 1.0}}]}
     # one small grid point, so that a config accepted by mistake finishes quickly
     SWEEP = {"scenario": "single", "lambdas": [0.5], "n": 200, "replications": 2}
+    # a (config, theta file) pair: the config names the file "theta.json" in
+    # the working directory
+    SWEEP_THETA = json.dumps({**SWEEP, "theta": "theta.json"})
 
     @pytest.mark.parametrize("command, name, content", [
         ("simulate", "sim.json", json.dumps({**SIM, "lam": "abc"})),
@@ -521,7 +553,7 @@ class TestCli:
         ("sweep", "sweep.json", json.dumps(7)),
         ("calibrate", "grid.json", json.dumps(["points"])),
         ("calibrate", "grid.json", json.dumps({"points": [{"lam": 0.5}]})),
-        ("sweep", "sweep.json", json.dumps({"scenario": "single", "theta": {"theta0": 1.0}})),
+        ("sweep", "sweep.json", (SWEEP_THETA, json.dumps({"scenario": "single", "theta0": 1.0}))),
         ("sweep", "sweep.json", json.dumps({"scenario": "single", "n": "many"})),
         ("report", "report.csv", REPORT + "0.5,3\nmethod,error_percent\n"),
         ("report", "report.csv", REPORT + "method,error_percent\nrobust2,abc\n"),
@@ -547,8 +579,9 @@ class TestCli:
         ("calibrate", "grid.json", json.dumps({**GRID, "replications": 10**12})),
         ("sweep", "sweep.json", json.dumps(
             {**SWEEP, "methods": ["robust2", "robust2"]})),
-        ("sweep", "sweep.json", json.dumps({**SWEEP, "theta": {
-            "theta0": -0.376, "theta1": 3.978, "theta2": 0.5, "thetaa2": 9}})),
+        ("sweep", "sweep.json", (SWEEP_THETA, json.dumps({
+            "scenario": "single", "theta0": -0.376, "theta1": 3.978, "theta2": 0.5,
+            "thetaa2": 9}))),
         ("sweep", "sweep.json", json.dumps({**SWEEP, "lambdas": []})),
         ("simulate", "sim.json", json.dumps({**SIM, "lam": "0.5"})),
         ("simulate", "sim.json", json.dumps({**SIM, "mu": True})),
@@ -557,8 +590,8 @@ class TestCli:
         ("sweep", "sweep.json", json.dumps({**SWEEP, "mu": "1"})),
         ("sweep", "sweep.json", json.dumps({**SWEEP, "lambdas": ["0.5"]})),
         ("sweep", "sweep.json", json.dumps({**SWEEP, "warmup_fraction": False})),
-        ("sweep", "sweep.json", json.dumps({**SWEEP, "theta": {
-            "theta0": "-0.376", "theta1": 3.978, "theta2": 0.5}})),
+        ("sweep", "sweep.json", (SWEEP_THETA, json.dumps({
+            "scenario": "single", "theta0": "-0.376", "theta1": 3.978, "theta2": 0.5}))),
         ("calibrate", "grid.json", json.dumps({**GRID, "mu": True})),
         ("calibrate", "grid.json", json.dumps({**GRID, "warmup_fraction": "0.1"})),
         ("calibrate", "grid.json", json.dumps(
@@ -589,7 +622,13 @@ class TestCli:
             "calibrate-text-warmup", "calibrate-text-point-lam", "sweep-text-methods",
             "sweep-object-methods", "simulate-bool-rate", "calibrate-bool-point-rate",
             "sweep-repeated-lambda", "sweep-infinite-mu"])
-    def test_malformed_input_exit_one(self, tmp_path, capsys, command, name, content):
+    def test_malformed_input_exit_one(self, tmp_path, monkeypatch, capsys, command, name,
+                                      content):
+        theta = None
+        if isinstance(content, tuple):
+            content, theta = content
+            (tmp_path / "theta.json").write_text(theta)
+            monkeypatch.chdir(tmp_path)
         path = tmp_path / name
         path.write_text(content)
         flag = {"simulate": "--config", "sweep": "--config", "calibrate": "--grid",
@@ -603,6 +642,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        if theta is not None:
+            assert "theta" in err
 
     def test_theta_file_fields_are_numbers(self, tmp_path, capsys):
         theta = tmp_path / "theta.json"
@@ -643,22 +684,13 @@ class TestCli:
             f"error: unknown theta file {theta} fields: ['thetaa2']\n")
         assert not (tmp_path / "r.csv").exists()
 
-    def test_inline_theta_reads_like_theta_file(self, tmp_path, capsys):
-        # a calibrate --out file, provenance included, pasted in as the theta object
-        theta_path = tmp_path / "theta.json"
-        calibration.write_theta_json(
-            CalibrationCoefficients(-0.3, 4.1, 0.6, "single"), theta_path,
-            {"grid_file": "builtin-default", "rows": 65, "n": 20000, "replications": 10,
-             "warmup_fraction": 0.1, "master_seed": 0, "mu": 1.0})
-        reports = []
-        for name, theta in (("file", str(theta_path)),
-                            ("inline", json.loads(theta_path.read_text()))):
-            config = tmp_path / f"{name}.json"
-            config.write_text(json.dumps({**self.SWEEP, "theta": theta}))
-            out_csv = tmp_path / f"{name}.csv"
-            assert main(["sweep", "--config", str(config), "--out", str(out_csv)]) == 0
-            reports.append(out_csv.read_bytes())
-        assert reports[0] == reports[1]
+    def test_report_not_text_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "report.csv"
+        path.write_bytes(bytes(np.random.default_rng(0).integers(0, 256, 300, dtype=np.uint8)))
+        assert main(["report", "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed sweep report {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command, name, content, message", [
         ("simulate", "sim.json", {**SIM, "replicatons": 7},
@@ -674,8 +706,14 @@ class TestCli:
         ("sweep", "sweep.json", {**SWEEP, "mu": 1.0}, "unknown sweep config fields: ['mu']"),
         ("sweep", "sweep.json", {**SWEEP, "methods": ["robust2"]},
          "unknown sweep config fields: ['methods']"),
+        ("sweep", "sweep.json", {**SWEEP, "theta": None},
+         "theta must be a theta file path, got None"),
+        ("sweep", "sweep.json", {**SWEEP, "theta": {"theta0": -0.376, "theta1": 3.978}},
+         "theta must be a theta file path, got {'theta0': -0.376, 'theta1': 3.978}"),
+        ("sweep", "sweep.json", {**SWEEP, "theta": 0}, "theta must be a theta file path, got 0"),
     ], ids=["simulate", "calibrate", "calibrate-point", "sweep-text-lambdas",
-            "sweep-object-lambdas", "sweep-mu", "sweep-methods"])
+            "sweep-object-lambdas", "sweep-mu", "sweep-methods", "sweep-null-theta",
+            "sweep-object-theta", "sweep-number-theta"])
     def test_unknown_fields_named(self, tmp_path, capsys, command, name, content, message):
         path = tmp_path / name
         path.write_text(json.dumps(content))
@@ -770,8 +808,11 @@ class TestCli:
 
     def test_sweep_reports_kingman_where_mapping_fails(self, tmp_path, capsys):
         # theta0 = -50 makes the mapping's radicand negative at every rate
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(
+            {"scenario": "single", "theta0": -50.0, "theta1": 3.978, "theta2": 0.5}))
         config = self.sweep_config(tmp_path, lambdas=[0.5, 0.8], n=2000, replications=2,
-                                   theta={"theta0": -50.0, "theta1": 3.978, "theta2": 0.5})
+                                   theta=str(theta))
         out_csv = tmp_path / "r.csv"
         with pytest.warns(RuntimeWarning) as record:
             assert main(["sweep", "--config", str(config), "--out", str(out_csv)]) == 0
@@ -888,10 +929,16 @@ class TestCli:
         assert json.loads(theta.read_text())["provenance"]["rows"] == 3
         assert len(rows.read_text().splitlines()) == 4
 
-    def test_missing_file_exit_three(self, tmp_path, capsys):
+    def test_missing_file_exit_three(self, tmp_path, monkeypatch, capsys):
         assert main(["sweep", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "r.csv")]) == 3
         assert main(["report", "--in", str(tmp_path / "nope.csv")]) == 3
+        # "builtin" is a theta path like any other; the built-in theta is an omitted one
+        monkeypatch.chdir(tmp_path)
+        config = self.sweep_config(tmp_path, theta="builtin")
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 3
+        assert capsys.readouterr().err.endswith(
+            "i/o error: [Errno 2] No such file or directory: 'builtin'\n")
 
     def test_calibrate(self, tmp_path, capsys):
         grid = {
