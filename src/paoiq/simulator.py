@@ -14,7 +14,9 @@ index fixed before the replication loop.  A call of at least
 contiguous blocks, k at most the CPUs it may run on and
 ``MAX_REPLICATE_N // n``, and runs blocks 1..k-1 in forked children that
 write their means into one shared block of rows; each replication seeds
-its own streams, so the result has the bits of a serial run.  Where
+its own streams, so the result has the bits of a serial run.  A grid of
+shorter calls (``calibration.build_calibration_dataset``) spreads its
+points over processes by the same rule, ``_processes``, instead.  Where
 ``os.fork`` or ``os.sched_getaffinity`` is missing, or another Python
 thread runs, the call stays serial.  Python 3.12 and later may emit a
 ``DeprecationWarning`` at the fork while other OS threads exist, such as
@@ -392,14 +394,21 @@ def replicate(
     )
 
 
-def _processes(n: int, replications: int) -> int:
-    """How many processes share the replications of one ``replicate`` call."""
+def _processes(n: int, replications: int, points: int | None = None) -> int:
+    """How many processes share the replications of one ``replicate`` call
+    or, given ``points``, that many such calls.  The calls fork only where
+    each of them stays serial, so forks never nest."""
+    units, updates = replications, n * replications
+    if points is not None:
+        if updates >= FORK_MIN_UPDATES:
+            return 1
+        units, updates = points, points * updates
     # fork copies only the calling thread, so a lock that another thread
     # holds would stay held in the child
-    if (n * replications < FORK_MIN_UPDATES or not hasattr(os, "fork")
+    if (updates < FORK_MIN_UPDATES or not hasattr(os, "fork")
             or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1):
         return 1
-    return min(len(os.sched_getaffinity(0)), replications, MAX_REPLICATE_N // n)
+    return min(len(os.sched_getaffinity(0)), units, MAX_REPLICATE_N // n)
 
 
 def _run_blocks(runner, res: np.ndarray, k: int, args: tuple) -> None:

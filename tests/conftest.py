@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import os
 import time
 
 import pytest
@@ -14,3 +15,25 @@ def table_sweeps():
     single = run_sweep(SweepConfig(scenario="single", master_seed=0))
     two = run_sweep(SweepConfig(scenario="two", master_seed=0))
     return {"single": single, "two": two, "elapsed": time.perf_counter() - t0}
+
+
+@pytest.fixture
+def no_child_outlives():
+    """Fail a test that leaves a child process behind, reaped or not."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of the caller of each ``os.fork`` in this process."""
+    calls = []
+    fork = os.fork
+
+    def spy():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return calls

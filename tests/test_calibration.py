@@ -1,11 +1,15 @@
 """Variability mapping, bound inversion, theta fitting, dataset pipeline."""
 
+import errno
 import math
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
-from paoiq import calibration
+from paoiq import calibration, simulator
 from paoiq.calibration import (
     CalibrationDataset,
     CalibrationRow,
@@ -31,8 +35,8 @@ from paoiq.robust_bounds import (
     bound_robust2_single,
     bound_robust3_two,
 )
-from paoiq.simulator import SystemParams
-from paoiq.stochastic import make_exponential, make_pareto
+from paoiq.simulator import FORK_MIN_UPDATES, SystemParams
+from paoiq.stochastic import make_exponential, make_pareto, make_uniform_mean
 
 
 class TestBuiltinTheta:
@@ -229,6 +233,15 @@ class TestDatasetPipeline:
                                       n=1_000, replications=2)
         assert calls == []
 
+    @pytest.mark.parametrize("replications", ["10", 2.5, 0, None])
+    def test_bad_replications_rejected(self, monkeypatch, replications):
+        # checked before the fork decision multiplies it by n
+        calls = self.simulated(monkeypatch)
+        with pytest.raises(ValidationError, match="replications must be"):
+            build_calibration_dataset(self.grid((0.5,)), "single", n=1_000,
+                                      replications=replications)
+        assert calls == []
+
     def test_end_to_end_theta_reproduces_targets(self):
         # fit on simulated rows, map back, and compare bound values to the
         # simulated system times the rows were built from; the grid must mix
@@ -291,6 +304,119 @@ class TestDatasetPipeline:
         path.write_text(body)
         with pytest.raises(ValidationError):
             read_dataset_csv(path, "single")
+
+
+@pytest.mark.usefixtures("no_child_outlives")
+class TestDatasetProcesses:
+    """build_calibration_dataset() writes the same bytes and warnings on one
+    process and on every CPU, and leaves no child process behind, whatever fails."""
+
+    # 12 points of 2e4 x 5 updates: each replicate call stays serial, and
+    # the whole call reaches FORK_MIN_UPDATES; the light loads are skipped
+    GRID = [(law_a(1.0 / lam), law_s(1.0))
+            for law_a in (make_uniform_mean, lambda mean: make_exponential(1.0 / mean))
+            for law_s in (make_uniform_mean, lambda mean: make_exponential(1.0 / mean))
+            for lam in (0.2, 0.6, 0.8)]
+    SIZES = dict(n=20_000, replications=5)
+
+    @classmethod
+    def run(cls, tmp_path, name, grid=GRID, **sizes):
+        """The bytes of the theta JSON and the dataset CSV, and the warnings."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ds = build_calibration_dataset(grid, "single", master_seed=4,
+                                           **(sizes or cls.SIZES))
+        write_theta_json(fit_theta(ds), tmp_path / f"{name}.json")
+        write_dataset_csv(ds, tmp_path / f"{name}.csv")
+        return ((tmp_path / f"{name}.json").read_bytes(), (tmp_path / f"{name}.csv").read_bytes(),
+                [(w.category, str(w.message)) for w in caught])
+
+    @classmethod
+    def serial(cls, monkeypatch, tmp_path):
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            return cls.run(tmp_path, "serial")
+
+    @staticmethod
+    def fail_block(monkeypatch, in_parent):
+        """Make the block runner raise in this process or only in its children."""
+        runner = calibration._system_times
+        parent = os.getpid()
+
+        def failing(*args):
+            if (os.getpid() == parent) == in_parent:
+                raise RuntimeError(f"block failed in pid {os.getpid()}")
+            runner(*args)
+
+        monkeypatch.setattr(calibration, "_system_times", failing)
+
+    def test_bytes_equal_across_process_counts(self, monkeypatch, tmp_path, forks):
+        expected = self.serial(monkeypatch, tmp_path)
+        assert forks == []
+        # three light-load points skipped, nine rows under the header
+        assert len(expected[2]) == 3 and expected[1].count(b"\n") == 10
+        assert self.run(tmp_path, "forked") == expected
+        cpus = len(os.sched_getaffinity(0))
+        assert forks == [os.getpid()] * (min(cpus, len(self.GRID)) - 1)
+
+    def test_no_fork_below_the_threshold(self, tmp_path, forks):
+        assert len(self.GRID) * 2_000 * 5 < FORK_MIN_UPDATES
+        self.run(tmp_path, "short", n=2_000, replications=5)
+        assert forks == []
+
+    def test_long_points_fork_in_replicate_only(self, monkeypatch, tmp_path, forks):
+        # each point's call reaches FORK_MIN_UPDATES and forks on its own
+        calls = []
+        run_blocks = simulator._run_blocks
+
+        def spy(runner, res, k, args):
+            calls.append((runner.__name__, k))
+            run_blocks(runner, res, k, args)
+
+        monkeypatch.setattr(simulator, "_run_blocks", spy)
+        monkeypatch.setattr(calibration, "_run_blocks", spy)
+        grid = [(make_exponential(lam), make_exponential(1.0)) for lam in (0.8, 0.9)]
+        build_calibration_dataset(grid, "single", n=100_000, replications=10)
+        k = min(len(os.sched_getaffinity(0)), 10)
+        assert calls == [("_system_times", 1), ("_single_block", k), ("_single_block", k)]
+        assert forks == [os.getpid()] * (2 * (k - 1))
+
+    def test_failed_fork_runs_the_block_here(self, monkeypatch, tmp_path):
+        expected = self.serial(monkeypatch, tmp_path)
+
+        def refuse():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert self.run(tmp_path, "refused") == expected
+
+    def test_failed_child_block_runs_here(self, monkeypatch, tmp_path):
+        expected = self.serial(monkeypatch, tmp_path)
+        self.fail_block(monkeypatch, in_parent=False)
+        assert self.run(tmp_path, "rerun") == expected
+
+    def test_failed_parent_block_propagates(self, monkeypatch, tmp_path):
+        self.fail_block(monkeypatch, in_parent=True)
+        with pytest.raises(RuntimeError, match=f"block failed in pid {os.getpid()}"):
+            self.run(tmp_path, "failed")
+
+    def test_no_fork_beside_another_thread(self, monkeypatch, tmp_path, forks):
+        expected = self.serial(monkeypatch, tmp_path)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            got = self.run(tmp_path, "threaded")
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert forks == []
+        assert got == expected
+
+    def test_empty_grid_has_no_rows(self):
+        ds = build_calibration_dataset([], "single")
+        assert (ds.scenario, ds.rows) == ("single", [])
 
 
 class TestThetaJson:

@@ -969,6 +969,16 @@ class TestCli:
         assert all(k in doc for k in ("theta0", "theta1", "theta2", "provenance"))
         assert ds_path.read_text().startswith("rho,sigma_a,sigma_s,gamma_s_star")
 
+    def test_calibrate_empty_grid_exit_two(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"points": []}))
+        theta = tmp_path / "theta.json"
+        assert main(["calibrate", "--scenario", "single", "--grid", str(grid),
+                     "--out", str(theta)]) == 2
+        assert capsys.readouterr().err == (
+            "numeric error: need at least 3 calibration rows, got 0\n")
+        assert not theta.exists()
+
     @pytest.mark.parametrize("scenario", ["single", "two"])
     @pytest.mark.filterwarnings("ignore:skipping grid point")
     def test_calibrate_default_grid_golden_bytes(self, tmp_path, capsys, scenario):

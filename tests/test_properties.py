@@ -555,13 +555,16 @@ def test_sweep_cli_exits_cleanly(tmp_path_factory, drawn):
         assert any(math.isfinite(v) for v in report.error_percents.values())
 
 
-# three points whose inversion succeeds at n = 2000: loads 0.8 to 0.9
+# four points whose inversion succeeds at n = 2000, loads 0.8 to 0.9; the
+# last three alone have rank 3, whatever service the first point draws
 CAL_POINTS = [
     {"lam": 0.8, "interarrival": {"kind": "exponential", "rate": 0.8},
      "service": {"kind": "exponential", "rate": 1.0}},
     {"lam": 0.85, "interarrival": {"kind": "uniform", "mean": 1 / 0.85},
      "service": {"kind": "exponential", "rate": 1.0}},
     {"lam": 0.9, "interarrival": {"kind": "exponential", "rate": 0.9},
+     "service": {"kind": "uniform", "mean": 1.0}},
+    {"lam": 0.85, "interarrival": {"kind": "uniform", "mean": 1 / 0.85},
      "service": {"kind": "uniform", "mean": 1.0}},
 ]
 
@@ -570,17 +573,22 @@ CAL_POINTS = [
 @given(documents({
     "mu": st.just(1.0), "n": st.just(2000), "replications": st.just(3),
     "warmup_fraction": st.just(0.1), "master_seed": st.sampled_from([0, 5]),
-    "lam": st.just(0.8), "service": specs.filter(lambda spec: spec["kind"] != "pareto"),
+    # services of mean 1 (the folded normal's is 1.008): load 0.8 at lam 0.8
+    "lam": st.just(0.8), "service": st.sampled_from([
+        {"kind": "exponential", "rate": 1.0},
+        {"kind": "uniform", "mean": 1.0},
+        {"kind": "folded_normal", "location": 1.0, "scale": 0.5},
+    ]),
 }))
 def test_calibrate_cli_exits_cleanly(tmp_path_factory, drawn):
-    # a valid grid may still be unstable (a uniform service of mean 2)
-    doc, _ = drawn
+    doc, corrupted = drawn
     # the first point takes "lam" and "service"; the rest are grid settings
     first = {**CAL_POINTS[0], "lam": doc.pop("lam"), "service": doc.pop("service")}
     code, _, workdir = run_with_file(
         tmp_path_factory, "grid.json", json.dumps({**doc, "points": [first, *CAL_POINTS[1:]]}),
         ["calibrate", "--scenario", "single", "--grid", "{file}",
          "--out", "{dir}/theta.json"])
+    assert corrupted or code == 0
     if code == 0:
         theta = json.loads((workdir / "theta.json").read_text())
         assert all(math.isfinite(theta[k]) for k in ("theta0", "theta1", "theta2"))

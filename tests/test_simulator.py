@@ -455,15 +455,10 @@ class TestReplicateParity:
             assert np.array_equal(summary.per_source_paoi, per_source.mean(axis=0))
 
 
+@pytest.mark.usefixtures("no_child_outlives")
 class TestReplicateProcesses:
     """replicate() has the same bits on one process and on every CPU, and
     leaves no child process behind, whatever fails."""
-
-    @pytest.fixture(autouse=True)
-    def no_child_outlives(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
     def run(sources, replications=11):
@@ -486,18 +481,6 @@ class TestReplicateProcesses:
         assert got.paoi_rep_means.tobytes() == expected.paoi_rep_means.tobytes()
 
     @staticmethod
-    def spy_fork(monkeypatch):
-        calls = []
-        fork = os.fork
-
-        def spy():
-            calls.append(os.getpid())
-            return fork()
-
-        monkeypatch.setattr(os, "fork", spy)
-        return calls
-
-    @staticmethod
     def fail_block(monkeypatch, sources, in_parent):
         """Make the block runner raise in this process or only in its children."""
         name = "_single_block" if sources == 1 else "_two_block"
@@ -513,9 +496,8 @@ class TestReplicateProcesses:
 
     @pytest.mark.parametrize("replications", [3, 11, 50])
     @pytest.mark.parametrize("sources", [1, 2])
-    def test_bits_equal_across_process_counts(self, monkeypatch, sources, replications):
+    def test_bits_equal_across_process_counts(self, monkeypatch, forks, sources, replications):
         expected = self.serial(monkeypatch, sources, replications)
-        forks = self.spy_fork(monkeypatch)
         got = self.run(sources, replications)
         self.assert_same(got, expected)
         # 3 x 1e5 updates stay below FORK_MIN_UPDATES
@@ -544,9 +526,8 @@ class TestReplicateProcesses:
         with pytest.raises(RuntimeError, match=f"block failed in pid {os.getpid()}"):
             self.run(sources)
 
-    def test_no_fork_beside_another_thread(self, monkeypatch):
+    def test_no_fork_beside_another_thread(self, monkeypatch, forks):
         expected = self.serial(monkeypatch, 1)
-        forks = self.spy_fork(monkeypatch)
         release = threading.Event()
         thread = threading.Thread(target=release.wait, args=(60,))
         thread.start()
