@@ -320,11 +320,11 @@ class TestDatasetProcesses:
     SIZES = dict(n=20_000, replications=5)
 
     @classmethod
-    def run(cls, tmp_path, name, grid=GRID, **sizes):
+    def run(cls, tmp_path, name, **sizes):
         """The bytes of the theta JSON and the dataset CSV, and the warnings."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ds = build_calibration_dataset(grid, "single", master_seed=4,
+            ds = build_calibration_dataset(cls.GRID, "single", master_seed=4,
                                            **(sizes or cls.SIZES))
         write_theta_json(fit_theta(ds), tmp_path / f"{name}.json")
         write_dataset_csv(ds, tmp_path / f"{name}.csv")
