@@ -15,7 +15,8 @@ linearized form y = (gamma_s* + sigma_a)^2 against
 Target gamma_s* values are extracted per instance by inverting the
 closed-form worst-case bound against the simulated mean system time
 (exact, by Dinkelbach's iteration on ``m_star``); the points are
-simulated over forked processes where ``simulator._processes`` allows.
+simulated by ``simulator._replicate_points``, over forked processes where
+the grid is long enough.
 The tail coefficient is fixed to alpha = 2 throughout calibration.
 """
 
@@ -25,7 +26,6 @@ import csv
 import io
 import json
 import math
-import mmap
 import warnings
 from dataclasses import dataclass, field
 
@@ -36,7 +36,6 @@ from .errors import (
     NoSolutionError,
     SingularDesignError,
     ValidationError,
-    check_int,
     check_nonnegative,
     check_positive,
     fmt,
@@ -48,7 +47,7 @@ from .errors import (
 from .kernels import EMPTY_WINDOW
 from .robust_bounds import UncertaintyParams, bound_robust2_single, bound_robust3_two, f
 from .seeding import derive_seed
-from .simulator import DistributionSpec, SystemParams, _processes, _run_blocks, replicate
+from .simulator import DistributionSpec, SystemParams, _replicate_points
 from .stochastic import spec_from_dict
 
 CALIBRATION_ALPHA = 2.0
@@ -242,17 +241,13 @@ def build_calibration_dataset(
         params.require_stable(f"{scenario} calibration grid point {i}")
         points.append((params, spec_a, spec_s, derive_seed(master_seed, i),
                        spec_a.std, spec_s.std))
-    check_int(replications, "replications", 1)  # before it sizes the fork
-    # point i's mean system time, written by whichever process simulated it;
-    # an empty grid maps nothing, as mmap cannot map zero bytes
-    means = np.frombuffer(mmap.mmap(-1, 8 * len(points))) if points else np.empty(0)
-    _run_blocks(_system_times, means, _processes(n, replications, len(points)),
-                (points, replications, warmup_fraction))
+    summaries = _replicate_points([p[:4] for p in points], replications, warmup_fraction)
     dataset = CalibrationDataset(scenario=scenario)
-    for i, ((params, spec_a, spec_s, seed, sigma_a, sigma_s), mean) in enumerate(
-            zip(points, means)):
+    for i, ((params, spec_a, spec_s, seed, sigma_a, sigma_s), summary) in enumerate(
+            zip(points, summaries)):
         try:
-            gamma_s_star = invert_gamma_s(params, CALIBRATION_ALPHA, sigma_a, float(mean))
+            gamma_s_star = invert_gamma_s(params, CALIBRATION_ALPHA, sigma_a,
+                                          summary.mean_system_time)
         except NoSolutionError as exc:
             warnings.warn(f"skipping grid point {i} (lam={fmt(params.lam)}): {exc}",
                           RuntimeWarning, stacklevel=2)
@@ -269,16 +264,6 @@ def build_calibration_dataset(
             )
         )
     return dataset
-
-
-def _system_times(means: np.ndarray, first: int, stop: int, points: list,
-                  replications: int, warmup_fraction: float) -> None:
-    """The mean system times of grid points first..stop-1, each into its entry of ``means``."""
-    for i in range(first, stop):
-        params, spec_a, spec_s, seed = points[i][:4]
-        means[i] = replicate(params, spec_a, spec_s, replications=replications,
-                             warmup_fraction=warmup_fraction,
-                             master_seed=seed).mean_system_time
 
 
 def write_dataset_csv(dataset: CalibrationDataset, path) -> None:

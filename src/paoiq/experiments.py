@@ -45,7 +45,7 @@ from .robust_bounds import (
     system_bound,
 )
 from .seeding import derive_seed
-from .simulator import SystemParams, replicate
+from .simulator import SystemParams, _replicate_points
 from .stochastic import (
     DistributionSpec,
     make_exponential,
@@ -208,10 +208,12 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     methods = get_scenario(config.scenario).methods
     report = SweepReport()
 
-    for gi, (lam, system, ia_spec, svc_spec) in enumerate(config.points()):
-        summary = replicate(system, ia_spec, svc_spec, replications=config.replications,
-                            warmup_fraction=config.warmup_fraction,
-                            master_seed=derive_seed(config.master_seed, gi))
+    points = list(config.points())
+    summaries = _replicate_points(
+        [(system, ia_spec, svc_spec, derive_seed(config.master_seed, gi))
+         for gi, (_, system, ia_spec, svc_spec) in enumerate(points)],
+        config.replications, config.warmup_fraction)
+    for (lam, system, ia_spec, svc_spec), summary in zip(points, summaries):
         unc = None
         try:
             gamma_a, gamma_s = map_variability(

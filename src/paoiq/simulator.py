@@ -9,16 +9,19 @@ kernel's system times, which no step rewrites.
 straight to means: ``sample_stream`` fills and returns the arrays of one
 workspace allocated per process, no step builds a per-path object or
 re-checks what the sampler already guarantees, and every warmup cut is an
-index fixed before the replication loop.  A call of at least
-``FORK_MIN_UPDATES`` updates in all splits its replications into k
-contiguous blocks, k at most the CPUs it may run on and
-``MAX_REPLICATE_N // n``, and runs blocks 1..k-1 in forked children that
-write their means into one shared block of rows; each replication seeds
-its own streams, so the result has the bits of a serial run.  A grid of
-shorter calls (``calibration.build_calibration_dataset``) spreads its
-points over processes by the same rule, ``_processes``, instead.  Where
-``os.fork`` or ``os.sched_getaffinity`` is missing, or another Python
-thread runs, the call stays serial.  Python 3.12 and later may emit a
+index fixed before the replication loop.  One rule, ``_processes``,
+spreads work over forked processes, and one fan-out, ``_run_blocks``, runs
+blocks 1..k-1 of contiguous rows in children that write into shared
+memory and block 0 in the caller.  Nothing forks below
+``FORK_MIN_UPDATES`` updates in all.  A grid of calls (``_replicate_points``:
+a sweep's rates, a calibration grid's points) forks once over its points
+when it has at least as many points as CPUs or its calls are too short to
+fork alone; otherwise each ``replicate`` call forks over its replications.
+Each replication seeds its own streams, so every result has the bits of a
+serial run.  A flag set during a fan-out, which its children inherit,
+keeps every call inside it serial, so forks never nest.  Where ``os.fork``
+or ``os.sched_getaffinity`` is missing, or another Python thread runs, the
+call stays serial.  Python 3.12 and later may emit a
 ``DeprecationWarning`` at the fork while other OS threads exist, such as
 an OpenBLAS pool.  ``simulate_fcfs``, ``paoi_trace_single``,
 ``merge_arrivals``, ``simulate_two_source`` and ``paoi_trace_two_source``
@@ -54,9 +57,13 @@ from .stochastic import DistributionSpec, sample_stream
 # processes, so together they hold no more than one process at the cap.
 MAX_REPLICATE_N = 10**7
 MAX_REPLICATIONS = 10**6
-# Fewest updates, n * replications, for which ``replicate`` forks: on
-# shorter calls the fork and its copy-on-write faults eat the gain.
+# Fewest updates, n * replications (times the points of a grid), for which
+# a call forks: on shorter calls the fork and its copy-on-write faults eat
+# the gain.
 FORK_MIN_UPDATES = 10**6
+# Set while ``_run_blocks`` runs more than one block, and inherited by its
+# forked children: inside a fan-out every call stays serial.
+_in_fan_out = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -335,12 +342,7 @@ def replicate(
     processes (see the module docstring) and returns the same bits.
     A mean or CI half-width that is not finite raises NumericError.
     """
-    check_int(replications, "replications", 1)
-    if params.n > MAX_REPLICATE_N or replications > MAX_REPLICATIONS:
-        raise ValidationError(
-            f"replicate is capped at n <= {MAX_REPLICATE_N} and replications <= "
-            f"{MAX_REPLICATIONS}, got n={params.n}, replications={replications}"
-        )
+    _check_sizes(params.n, replications)
     if not 0.0 <= warmup_fraction <= 0.5:
         raise ValidationError(f"warmup fraction must be in [0, 0.5], got {warmup_fraction}")
     # a source with k >= 2 updates has k - 1 peaks, and a warmup of at most
@@ -394,21 +396,62 @@ def replicate(
     )
 
 
+def _check_sizes(n: int, replications) -> None:
+    """``replicate``'s caps, checked before anything is sized by them."""
+    check_int(replications, "replications", 1)
+    if n > MAX_REPLICATE_N or replications > MAX_REPLICATIONS:
+        raise ValidationError(
+            f"replicate is capped at n <= {MAX_REPLICATE_N} and replications <= "
+            f"{MAX_REPLICATIONS}, got n={n}, replications={replications}"
+        )
+
+
+def _replicate_points(points: list, replications: int,
+                      warmup_fraction: float) -> list[ReplicationSummary]:
+    """``replicate`` at each (params, interarrival spec, service spec, master
+    seed) point of a grid, with the bits of a serial loop."""
+    n = max((params.n for params, *_ in points), default=1)
+    _check_sizes(n, replications)
+    if not points:  # mmap cannot map zero bytes
+        return []
+    # row i: point i's mean PAoI, mean system time, CI half-width, per-source
+    # means (NaN for one source), stability flag and per-replication means
+    res = np.frombuffer(mmap.mmap(-1, len(points) * (6 + replications) * 8)).reshape(
+        len(points), 6 + replications)
+    _run_blocks(_points_block, res, _processes(n, replications, len(points)),
+                (points, replications, warmup_fraction))
+    return [ReplicationSummary(replications, float(row[0]), float(row[1]), float(row[2]),
+                               (float(row[3]), float(row[4])) if params.sources == 2 else None,
+                               bool(row[5]), row[6:].copy())
+            for (params, *_), row in zip(points, res)]
+
+
+def _points_block(res: np.ndarray, first: int, stop: int, points: list, replications: int,
+                  warmup_fraction: float) -> None:
+    """Grid points first..stop-1 of ``_replicate_points``, each into its row of ``res``."""
+    for i in range(first, stop):
+        params, interarrival_spec, service_spec, master_seed = points[i]
+        s = replicate(params, interarrival_spec, service_spec, replications, warmup_fraction,
+                      master_seed)
+        res[i, :6] = (s.mean_paoi, s.mean_system_time, s.ci95_paoi,
+                      *(s.per_source_paoi or (math.nan, math.nan)), s.stable)
+        res[i, 6:] = s.paoi_rep_means
+
+
 def _processes(n: int, replications: int, points: int | None = None) -> int:
     """How many processes share the replications of one ``replicate`` call
-    or, given ``points``, that many such calls.  The calls fork only where
-    each of them stays serial, so forks never nest."""
-    units, updates = replications, n * replications
-    if points is not None:
-        if updates >= FORK_MIN_UPDATES:
-            return 1
-        units, updates = points, points * updates
+    or, given ``points``, the points of a grid of such calls.  A grid that
+    has fewer points than CPUs, each long enough to fork, forks in its calls."""
     # fork copies only the calling thread, so a lock that another thread
     # holds would stay held in the child
-    if (updates < FORK_MIN_UPDATES or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1):
+    if (_in_fan_out or n * replications * (points or 1) < FORK_MIN_UPDATES
+            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
         return 1
-    return min(len(os.sched_getaffinity(0)), units, MAX_REPLICATE_N // n)
+    cpus = len(os.sched_getaffinity(0))
+    if points is not None and points < cpus and n * replications >= FORK_MIN_UPDATES:
+        return 1
+    return max(1, min(cpus, points or replications, MAX_REPLICATE_N // n))
 
 
 def _run_blocks(runner, res: np.ndarray, k: int, args: tuple) -> None:
@@ -416,12 +459,15 @@ def _run_blocks(runner, res: np.ndarray, k: int, args: tuple) -> None:
 
     Blocks 1..k-1 run in forked children, which share ``res``'s memory,
     and block 0 in this process; a block whose fork failed or whose child
-    exited non-zero runs here afterwards.  Every child is reaped before
-    this returns or raises.
+    exited non-zero runs here afterwards.  With k > 1 ``_processes``
+    returns 1 inside every block.  Every child is reaped, and the flag
+    restored, before this returns or raises.
     """
+    global _in_fan_out
     bounds = [len(res) * i // k for i in range(k + 1)]
     children = {}  # pid -> block
     again = []
+    outer, _in_fan_out = _in_fan_out, _in_fan_out or k > 1
     try:
         for i in range(1, k):
             try:
@@ -444,12 +490,13 @@ def _run_blocks(runner, res: np.ndarray, k: int, args: tuple) -> None:
             if status:
                 again.append(children[pid])
             del children[pid]
+        for i in again:
+            runner(res, bounds[i], bounds[i + 1], *args)
     finally:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    for i in again:
-        runner(res, bounds[i], bounds[i + 1], *args)
+        _in_fan_out = outer
 
 
 # The two block runners of ``replicate``.  Each allocates one workspace for

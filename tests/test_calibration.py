@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from paoiq import calibration, simulator
+from paoiq import simulator
 from paoiq.calibration import (
     CalibrationDataset,
     CalibrationRow,
@@ -215,7 +215,7 @@ class TestDatasetPipeline:
     def simulated(self, monkeypatch):
         """The calls ``build_calibration_dataset`` makes to ``replicate``."""
         calls = []
-        monkeypatch.setattr(calibration, "replicate", lambda *args, **kw: calls.append(args))
+        monkeypatch.setattr(simulator, "replicate", lambda *args, **kw: calls.append(args))
         return calls
 
     def test_heavy_tailed_spec_rejected(self, monkeypatch):
@@ -340,7 +340,7 @@ class TestDatasetProcesses:
     @staticmethod
     def fail_block(monkeypatch, in_parent):
         """Make the block runner raise in this process or only in its children."""
-        runner = calibration._system_times
+        runner = simulator._points_block
         parent = os.getpid()
 
         def failing(*args):
@@ -348,7 +348,7 @@ class TestDatasetProcesses:
                 raise RuntimeError(f"block failed in pid {os.getpid()}")
             runner(*args)
 
-        monkeypatch.setattr(calibration, "_system_times", failing)
+        monkeypatch.setattr(simulator, "_points_block", failing)
 
     def test_bytes_equal_across_process_counts(self, monkeypatch, tmp_path, forks):
         expected = self.serial(monkeypatch, tmp_path)
@@ -364,8 +364,10 @@ class TestDatasetProcesses:
         self.run(tmp_path, "short", n=2_000, replications=5)
         assert forks == []
 
-    def test_long_points_fork_in_replicate_only(self, monkeypatch, tmp_path, forks):
-        # each point's call reaches FORK_MIN_UPDATES and forks on its own
+    @staticmethod
+    def fan_outs(monkeypatch, cpus):
+        """Build a grid of two points whose calls reach FORK_MIN_UPDATES on
+        ``cpus`` fake CPUs; return each (runner, k) this process ran."""
         calls = []
         run_blocks = simulator._run_blocks
 
@@ -374,12 +376,23 @@ class TestDatasetProcesses:
             run_blocks(runner, res, k, args)
 
         monkeypatch.setattr(simulator, "_run_blocks", spy)
-        monkeypatch.setattr(calibration, "_run_blocks", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         grid = [(make_exponential(lam), make_exponential(1.0)) for lam in (0.8, 0.9)]
+        assert 100_000 * 10 >= FORK_MIN_UPDATES
         build_calibration_dataset(grid, "single", n=100_000, replications=10)
-        k = min(len(os.sched_getaffinity(0)), 10)
-        assert calls == [("_system_times", 1), ("_single_block", k), ("_single_block", k)]
-        assert forks == [os.getpid()] * (2 * (k - 1))
+        return calls
+
+    def test_long_points_fork_in_replicate_only(self, monkeypatch, forks):
+        # more CPUs than points: each point's call forks over its replications
+        calls = self.fan_outs(monkeypatch, cpus=3)
+        assert calls == [("_points_block", 1), ("_single_block", 3), ("_single_block", 3)]
+        assert forks == [os.getpid()] * 4
+
+    def test_as_many_points_as_cpus_fork_once(self, monkeypatch, forks):
+        # the grid forks over its points, and the calls inside stay serial
+        calls = self.fan_outs(monkeypatch, cpus=2)
+        assert calls == [("_points_block", 2), ("_single_block", 1)]
+        assert forks == [os.getpid()]
 
     def test_failed_fork_runs_the_block_here(self, monkeypatch, tmp_path):
         expected = self.serial(monkeypatch, tmp_path)

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -259,6 +260,104 @@ class TestRunSweep:
     def test_deterministic(self):
         config = SweepConfig(scenario="single", lambdas=(0.4, 0.8), **QUICK)
         assert report_to_csv_text(run_sweep(config)) == report_to_csv_text(run_sweep(config))
+
+
+@pytest.mark.usefixtures("no_child_outlives")
+class TestSweepProcesses:
+    """run_sweep() writes the same report bytes and warnings on one process
+    and on every CPU, forks once over its rates, and leaves no child process
+    behind, whatever fails."""
+
+    # 3 rates of 2e4 x 20 updates: each replicate call stays below
+    # FORK_MIN_UPDATES and the sweep reaches it
+    CONFIG = SweepConfig(scenario="single", lambdas=(0.3, 0.5, 0.7), n=20_000,
+                         replications=20, master_seed=3)
+
+    @classmethod
+    def run(cls):
+        """The report CSV bytes and the warnings."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            text = report_to_csv_text(run_sweep(cls.CONFIG))
+        return text.encode(), [(w.category, str(w.message)) for w in caught]
+
+    @classmethod
+    def serial(cls, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            return cls.run()
+
+    @staticmethod
+    def fail_block(monkeypatch, in_parent):
+        """Make the block runner raise in this process or only in its children."""
+        runner = simulator._points_block
+        parent = os.getpid()
+
+        def failing(*args):
+            if (os.getpid() == parent) == in_parent:
+                raise RuntimeError(f"block failed in pid {os.getpid()}")
+            runner(*args)
+
+        monkeypatch.setattr(simulator, "_points_block", failing)
+
+    def test_bytes_equal_across_process_counts(self, monkeypatch, forks):
+        expected = self.serial(monkeypatch)
+        assert forks == []
+        calls = []
+        run_blocks = simulator._run_blocks
+
+        def spy(runner, res, k, args):
+            calls.append((runner.__name__, k))
+            run_blocks(runner, res, k, args)
+
+        monkeypatch.setattr(simulator, "_run_blocks", spy)
+        assert self.run() == expected
+        points = len(self.CONFIG.lambdas)
+        assert 20_000 * 20 < simulator.FORK_MIN_UPDATES <= points * 20_000 * 20
+        k = min(len(os.sched_getaffinity(0)), points)
+        assert forks == [os.getpid()] * (k - 1)
+        # this process runs the first block of points, each call on its own
+        assert calls == [("_points_block", k)] + [("_single_block", 1)] * (points // k)
+
+    def test_failed_fork_runs_the_block_here(self, monkeypatch):
+        expected = self.serial(monkeypatch)
+
+        def refuse():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert self.run() == expected
+
+    def test_failed_child_block_runs_here(self, monkeypatch):
+        expected = self.serial(monkeypatch)
+        self.fail_block(monkeypatch, in_parent=False)
+        assert self.run() == expected
+
+    def test_no_fork_beside_another_thread(self, monkeypatch, forks):
+        expected = self.serial(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            got = self.run()
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert forks == []
+        assert got == expected
+
+    def test_failed_parent_block_propagates_and_the_next_call_forks(self, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        self.fail_block(monkeypatch, in_parent=True)
+        with pytest.raises(RuntimeError, match=f"block failed in pid {os.getpid()}"):
+            self.run()
+        assert forks == [os.getpid()]
+        # the fan-out's flag is restored: a long replicate call forks again
+        law_a, law_s = family_spec("exponential", 2.0), family_spec("exponential", 1.0)
+        simulator.replicate(simulator.SystemParams(0.5, 1.0, 100_000), law_a, law_s,
+                            replications=10)
+        assert forks == [os.getpid()] * 2
 
 
 class TestReportCsv:

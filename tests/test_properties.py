@@ -9,22 +9,23 @@ import contextlib
 import io
 import json
 import math
+import os
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from paoiq import kernels
+from paoiq import kernels, simulator
 from paoiq import robust_bounds as rb
 from paoiq.calibration import CalibrationCoefficients, invert_gamma_s, map_variability
 from paoiq.cli import main
 from paoiq.errors import NumericError, ValidationError
-from paoiq.experiments import SweepConfig, family_spec, read_report_csv
+from paoiq.experiments import FAMILIES, SweepConfig, family_spec, read_report_csv
 from paoiq.kernels import lindley_system_times
-from paoiq.simulator import SystemParams, merge_arrivals
+from paoiq.simulator import SystemParams, _replicate_points, merge_arrivals, replicate
 from paoiq.stochastic import make_exponential, make_folded_normal, make_pareto, make_uniform_mean
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -275,6 +276,20 @@ def test_empty_window_wins_only_at_one_update(alpha, ga, gs, load, mu, n):
     for bound in SOURCES[2]:
         assert (bound(sysp, unc).m_star == -0.5) == (n == 1)
 
+
+
+@DETERMINISTIC
+@given(alphas, loads, mus, st.one_of(st.integers(1, 3), sizes))
+def test_zero_radii_leave_the_service_floor(alpha, load, mu, n):
+    # at gamma_a = gamma_s = 0 the window m = 0 charges two services for two
+    # sources and one for one, so no map of the radii reaches below them;
+    # a single update leaves two sources only the empty window
+    unc = rb.UncertaintyParams(alpha, 0.0, 0.0)
+    floor = (1.0 / mu, kernels.EMPTY_WINDOW) if n == 1 else (2.0 / mu, 0.0)
+    for sources, expected in ((2, floor), (1, (1.0 / mu, 0.0))):
+        for bound in SOURCES[sources]:
+            result = bound(scenario(sources, load, mu, n), unc)
+            assert (result.value, result.m_star) == expected
 
 # Witness paths.  Robust queueing (Bandi, Bertsimas & Youssef, "Robust
 # Queueing Theory", Operations Research 2015) attains the worst case on the
@@ -609,3 +624,64 @@ def test_report_cli_exits_cleanly(tmp_path_factory, rows, summary):
                                  ["report", "--in", "{file}"])
     if code == 0:
         assert "nan" not in out and "inf" not in out
+
+
+# Fan-out.  With FORK_MIN_UPDATES patched to 1 every drawn call forks, over
+# 1 to 4 fake CPUs and at most ``cap`` processes of n updates each, so an
+# example starts at most 3 children; each result must have the bits of the
+# same call on affinity {0}.
+FORKED = settings(DETERMINISTIC, max_examples=60,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+grid_points = st.tuples(st.floats(min_value=0.1, max_value=0.8), st.sampled_from(FAMILIES),
+                        st.sampled_from(FAMILIES), st.integers(min_value=0, max_value=2**32))
+
+
+def on_cpus(cpus, cap, call):
+    """``call()`` on ``cpus`` fake CPUs, forking at any size, with
+    ``MAX_REPLICATE_N // n`` = ``cap``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(simulator, "FORK_MIN_UPDATES", 1)
+        m.setattr(simulator, "MAX_REPLICATE_N", cap)
+        m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return call()
+
+
+def bits(summary):
+    return (summary.mean_paoi, summary.mean_system_time, summary.ci95_paoi,
+            summary.per_source_paoi, summary.stable, summary.paoi_rep_means.tobytes())
+
+
+def grid_point(sources, n, load, family_a, family_s, seed):
+    """(system, laws, seed) at total load ``load`` with mean service 1."""
+    ia, svc = family_spec(family_a, sources / load), family_spec(family_s, 1.0)
+    return SystemParams.realized(ia, svc, n, sources), ia, svc, seed
+
+
+@pytest.mark.usefixtures("no_child_outlives")
+@FORKED
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([1, 2]),
+       st.integers(4, 300), st.integers(1, 20), grid_points, st.sampled_from([0.0, 0.1, 0.5]))
+def test_replicate_blocks_have_the_bits_of_one_cpu(cpus, cap, sources, n, replications,
+                                                   point, warmup):
+    params, ia, svc, seed = grid_point(sources, n, *point)
+
+    def call():
+        return replicate(params, ia, svc, replications, warmup, seed)
+
+    assert bits(on_cpus(cpus, cap * n, call)) == bits(on_cpus(1, cap * n, call))
+
+
+@pytest.mark.usefixtures("no_child_outlives")
+@FORKED
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([1, 2]),
+       st.integers(4, 300), st.integers(1, 20), st.lists(grid_points, min_size=1, max_size=12),
+       st.sampled_from([0.0, 0.1, 0.5]))
+def test_grid_point_blocks_have_the_bits_of_one_cpu(cpus, cap, sources, n, replications,
+                                                    drawn, warmup):
+    # at least as many points as CPUs: the grid forks over its points
+    points = [grid_point(sources, n, *point) for point in drawn]
+
+    def call():
+        return [bits(s) for s in _replicate_points(points, replications, warmup)]
+
+    assert on_cpus(min(cpus, len(points)), cap * n, call) == on_cpus(1, cap * n, call)
