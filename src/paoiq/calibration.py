@@ -15,8 +15,7 @@ linearized form y = (gamma_s* + sigma_a)^2 against
 Target gamma_s* values are extracted per instance by inverting the
 closed-form worst-case bound against the simulated mean system time
 (exact, by Dinkelbach's iteration on ``m_star``); the points are
-simulated by ``simulator._replicate_points``, over forked processes where
-the grid is long enough.
+simulated over forked processes where ``simulator._processes`` allows.
 The tail coefficient is fixed to alpha = 2 throughout calibration.
 """
 

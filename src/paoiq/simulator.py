@@ -342,9 +342,7 @@ def replicate(
     processes (see the module docstring) and returns the same bits.
     A mean or CI half-width that is not finite raises NumericError.
     """
-    _check_sizes(params.n, replications)
-    if not 0.0 <= warmup_fraction <= 0.5:
-        raise ValidationError(f"warmup fraction must be in [0, 0.5], got {warmup_fraction}")
+    _check_settings(params.n, replications, warmup_fraction)
     # a source with k >= 2 updates has k - 1 peaks, and a warmup of at most
     # half keeps at least one of them
     if params.n < 2 * params.sources:
@@ -396,14 +394,16 @@ def replicate(
     )
 
 
-def _check_sizes(n: int, replications) -> None:
-    """``replicate``'s caps, checked before anything is sized by them."""
+def _check_settings(n: int, replications, warmup_fraction: float) -> None:
+    """``replicate``'s caps and warmup rule, checked before anything is sized or forked."""
     check_int(replications, "replications", 1)
     if n > MAX_REPLICATE_N or replications > MAX_REPLICATIONS:
         raise ValidationError(
             f"replicate is capped at n <= {MAX_REPLICATE_N} and replications <= "
             f"{MAX_REPLICATIONS}, got n={n}, replications={replications}"
         )
+    if not 0.0 <= warmup_fraction <= 0.5:
+        raise ValidationError(f"warmup fraction must be in [0, 0.5], got {warmup_fraction}")
 
 
 def _replicate_points(points: list, replications: int,
@@ -411,7 +411,7 @@ def _replicate_points(points: list, replications: int,
     """``replicate`` at each (params, interarrival spec, service spec, master
     seed) point of a grid, with the bits of a serial loop."""
     n = max((params.n for params, *_ in points), default=1)
-    _check_sizes(n, replications)
+    _check_settings(n, replications, warmup_fraction)
     if not points:  # mmap cannot map zero bytes
         return []
     # row i: point i's mean PAoI, mean system time, CI half-width, per-source

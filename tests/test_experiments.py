@@ -347,6 +347,12 @@ class TestSweepProcesses:
         assert forks == []
         assert got == expected
 
+    def test_invalid_warmup_forks_nothing(self, forks):
+        config = SweepConfig(**{**vars(self.CONFIG), "warmup_fraction": 0.6})
+        with pytest.raises(ValidationError, match="warmup fraction must be in"):
+            run_sweep(config)
+        assert forks == []
+
     def test_failed_parent_block_propagates_and_the_next_call_forks(self, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         self.fail_block(monkeypatch, in_parent=True)
