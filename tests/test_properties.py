@@ -291,6 +291,7 @@ def test_zero_radii_leave_the_service_floor(alpha, load, mu, n):
             result = bound(scenario(sources, load, mu, n), unc)
             assert (result.value, result.m_star) == expected
 
+
 # Witness paths.  Robust queueing (Bandi, Bertsimas & Youssef, "Robust
 # Queueing Theory", Operations Research 2015) attains the worst case on the
 # boundary of the uncertainty set, so a boundary path fed through the queue
