@@ -5,25 +5,21 @@ Single-source paths run the Lindley waiting-time recursion of
 queue (ties broken toward source 1) and read each source's peak ages off the
 kernel's system times, which no step rewrites.
 
-``replicate`` runs these steps on plain float64 arrays and reduces them
-straight to means: ``sample_stream`` fills and returns the arrays of one
-workspace allocated per process, no step builds a per-path object or
-re-checks what the sampler already guarantees, and every warmup cut is an
-index fixed before the replication loop.  One rule, ``_processes``,
-spreads work over forked processes, and one fan-out, ``_run_blocks``, runs
-blocks 1..k-1 of contiguous rows in children that write into shared
-memory and block 0 in the caller.  Nothing forks below
-``FORK_MIN_UPDATES`` updates in all.  A grid of calls (``_replicate_points``:
-a sweep's rates, a calibration grid's points) forks once over its points
-when it has at least as many points as CPUs or its calls are too short to
-fork alone; otherwise each ``replicate`` call forks over its replications.
-Each replication seeds its own streams, so every result has the bits of a
-serial run.  A flag set during a fan-out, which its children inherit,
-keeps every call inside it serial, so forks never nest.  Where ``os.fork``
-or ``os.sched_getaffinity`` is missing, or another Python thread runs, the
-call stays serial.  Python 3.12 and later may emit a
-``DeprecationWarning`` at the fork while other OS threads exist, such as
-an OpenBLAS pool.  ``simulate_fcfs``, ``paoi_trace_single``,
+``replicate`` runs these steps on plain float64 arrays in the calling
+process and reduces them straight to means: ``sample_stream`` fills and
+returns the arrays of one workspace allocated per call, no step builds a
+per-path object or re-checks what the sampler already guarantees, and every
+warmup cut is an index fixed before the replication loop.  Only a grid of
+calls forks (``_replicate_points``: a sweep's rates, a calibration grid's
+points).  One rule, ``_processes``, decides how many processes share its
+points, and ``_run_blocks`` runs blocks 1..k-1 of contiguous points in
+children that write into shared memory and block 0 in the caller.  Nothing
+forks below ``FORK_MIN_UPDATES`` updates in all, where ``os.fork`` or
+``os.sched_getaffinity`` is missing, or while another Python thread runs.
+Each replication seeds its own streams and each point has its own master
+seed, so every result has the bits of a serial run.  Python 3.12 and later
+may emit a ``DeprecationWarning`` at the fork while other OS threads exist,
+such as an OpenBLAS pool.  ``simulate_fcfs``, ``paoi_trace_single``,
 ``merge_arrivals``, ``simulate_two_source`` and ``paoi_trace_two_source``
 are inspection wrappers over the same private steps: they validate their
 input and return the per-update arrays as dataclasses.
@@ -51,19 +47,15 @@ from .seeding import ROLE_ARRIVAL_1, ROLE_ARRIVAL_2, ROLE_SERVICE, derive_seed
 from .stochastic import DistributionSpec, sample_stream
 
 
-# Size caps of ``replicate``: the workspace of each of its processes takes
-# about 40 bytes per update for one source and about 57 for two, so
-# n = 10**7 needs 0.4 to 0.6 GB.  A call runs at most MAX_REPLICATE_N // n
-# processes, so together they hold no more than one process at the cap.
+# Size caps of ``replicate``: the workspace of one call takes about 40
+# bytes per update for one source and about 57 for two, so n = 10**7 needs
+# 0.4 to 0.6 GB.  A grid runs at most MAX_REPLICATE_N // n processes, so
+# together they hold no more than one call at the cap.
 MAX_REPLICATE_N = 10**7
 MAX_REPLICATIONS = 10**6
-# Fewest updates, n * replications (times the points of a grid), for which
-# a call forks: on shorter calls the fork and its copy-on-write faults eat
-# the gain.
+# Fewest updates, n * replications * points, for which a grid forks: on
+# shorter grids the fork and its copy-on-write faults eat the gain.
 FORK_MIN_UPDATES = 10**6
-# Set while ``_run_blocks`` runs more than one block, and inherited by its
-# forked children: inside a fan-out every call stays serial.
-_in_fan_out = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -337,19 +329,11 @@ def replicate(
     A system they load at or above 1 still runs but is flagged (its means
     need not converge).  Every source needs at least one post-warmup peak,
     so n must be >= 2 per source; n and the integer ``replications`` are
-    capped at MAX_REPLICATE_N and MAX_REPLICATIONS.  A call of at least
-    FORK_MIN_UPDATES updates in all spreads its replications over forked
-    processes (see the module docstring) and returns the same bits.
+    capped at MAX_REPLICATE_N and MAX_REPLICATIONS.  The call runs in the
+    calling process; only a grid of calls forks (see the module docstring).
     A mean or CI half-width that is not finite raises NumericError.
     """
-    _check_settings(params.n, replications, warmup_fraction)
-    # a source with k >= 2 updates has k - 1 peaks, and a warmup of at most
-    # half keeps at least one of them
-    if params.n < 2 * params.sources:
-        raise ValidationError(
-            f"n must be >= {2 * params.sources} for a {params.sources}-source replication "
-            f"(each source needs a post-warmup peak), got {params.n}"
-        )
+    _check_settings((params,), replications, warmup_fraction)
     simulated = SystemParams.realized(interarrival_spec, service_spec, params.n, params.sources)
     if not simulated.stable:
         warnings.warn(
@@ -359,13 +343,11 @@ def replicate(
             stacklevel=2,
         )
 
-    n = params.n
     # row r: replication r's mean peak age and mean system time and, for two
-    # sources, each source's mean peak age, written by whichever process ran it
-    res = np.frombuffer(mmap.mmap(-1, replications * 4 * 8)).reshape(replications, 4)
-    _run_blocks(_single_block if params.sources == 1 else _two_block, res,
-                _processes(n, replications),
-                (n, (interarrival_spec, service_spec), warmup_fraction, master_seed))
+    # sources, each source's mean peak age
+    res = np.empty((replications, 4))
+    (_single_block if params.sources == 1 else _two_block)(
+        res, params.n, interarrival_spec, service_spec, warmup_fraction, master_seed)
     paoi_means = res[:, 0].copy()
     system_means = res[:, 1].copy()
     src_means = res[:, 2:].copy() if params.sources == 2 else None
@@ -394,9 +376,11 @@ def replicate(
     )
 
 
-def _check_settings(n: int, replications, warmup_fraction: float) -> None:
-    """``replicate``'s caps and warmup rule, checked before anything is sized or forked."""
+def _check_settings(systems, replications, warmup_fraction: float) -> None:
+    """``replicate``'s caps, warmup rule and path length for each of
+    ``systems``, checked before anything is sized or forked."""
     check_int(replications, "replications", 1)
+    n = max((params.n for params in systems), default=1)
     if n > MAX_REPLICATE_N or replications > MAX_REPLICATIONS:
         raise ValidationError(
             f"replicate is capped at n <= {MAX_REPLICATE_N} and replications <= "
@@ -404,16 +388,25 @@ def _check_settings(n: int, replications, warmup_fraction: float) -> None:
         )
     if not 0.0 <= warmup_fraction <= 0.5:
         raise ValidationError(f"warmup fraction must be in [0, 0.5], got {warmup_fraction}")
+    # a source with k >= 2 updates has k - 1 peaks, and a warmup of at most
+    # half keeps at least one of them
+    for params in systems:
+        if params.n < 2 * params.sources:
+            raise ValidationError(
+                f"n must be >= {2 * params.sources} for a {params.sources}-source replication "
+                f"(each source needs a post-warmup peak), got {params.n}"
+            )
 
 
 def _replicate_points(points: list, replications: int,
                       warmup_fraction: float) -> list[ReplicationSummary]:
     """``replicate`` at each (params, interarrival spec, service spec, master
     seed) point of a grid, with the bits of a serial loop."""
-    n = max((params.n for params, *_ in points), default=1)
-    _check_settings(n, replications, warmup_fraction)
+    systems = [params for params, *_ in points]
+    _check_settings(systems, replications, warmup_fraction)
     if not points:  # mmap cannot map zero bytes
         return []
+    n = max(params.n for params in systems)
     # row i: point i's mean PAoI, mean system time, CI half-width, per-source
     # means (NaN for one source), stability flag and per-replication means
     res = np.frombuffer(mmap.mmap(-1, len(points) * (6 + replications) * 8)).reshape(
@@ -438,20 +431,16 @@ def _points_block(res: np.ndarray, first: int, stop: int, points: list, replicat
         res[i, 6:] = s.paoi_rep_means
 
 
-def _processes(n: int, replications: int, points: int | None = None) -> int:
-    """How many processes share the replications of one ``replicate`` call
-    or, given ``points``, the points of a grid of such calls.  A grid that
-    has fewer points than CPUs, each long enough to fork, forks in its calls."""
+def _processes(n: int, replications: int, points: int) -> int:
+    """How many processes share the points of a grid of ``replicate`` calls
+    of at most n updates each."""
     # fork copies only the calling thread, so a lock that another thread
     # holds would stay held in the child
-    if (_in_fan_out or n * replications * (points or 1) < FORK_MIN_UPDATES
+    if (n * replications * points < FORK_MIN_UPDATES
             or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    if points is not None and points < cpus and n * replications >= FORK_MIN_UPDATES:
-        return 1
-    return max(1, min(cpus, points or replications, MAX_REPLICATE_N // n))
+    return min(len(os.sched_getaffinity(0)), points, MAX_REPLICATE_N // n)
 
 
 def _run_blocks(runner, res: np.ndarray, k: int, args: tuple) -> None:
@@ -459,15 +448,12 @@ def _run_blocks(runner, res: np.ndarray, k: int, args: tuple) -> None:
 
     Blocks 1..k-1 run in forked children, which share ``res``'s memory,
     and block 0 in this process; a block whose fork failed or whose child
-    exited non-zero runs here afterwards.  With k > 1 ``_processes``
-    returns 1 inside every block.  Every child is reaped, and the flag
-    restored, before this returns or raises.
+    exited non-zero runs here afterwards.  Every child is reaped before
+    this returns or raises.
     """
-    global _in_fan_out
     bounds = [len(res) * i // k for i in range(k + 1)]
     children = {}  # pid -> block
     again = []
-    outer, _in_fan_out = _in_fan_out, _in_fan_out or k > 1
     try:
         for i in range(1, k):
             try:
@@ -496,28 +482,25 @@ def _run_blocks(runner, res: np.ndarray, k: int, args: tuple) -> None:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        _in_fan_out = outer
 
 
-# The two block runners of ``replicate``.  Each allocates one workspace for
-# every replication of its block, in the layout of
+# The two replication loops of ``replicate``.  Each allocates one workspace
+# for every replication, in the layout of
 # ``kernels.lindley_system_times``: services are sampled into work[2], where
 # the kernel leaves the system times, and work[0] and work[1] hold the
 # prefix sums of U_i = X_{i-1} - T_i and their running min; work[0] (one
 # source) or work[1] (two) then takes the post-warmup peaks.
 
-def _single_block(res: np.ndarray, first: int, stop: int, n: int,
-                  specs: tuple[DistributionSpec, DistributionSpec], warmup: float,
-                  master_seed: int) -> None:
-    """Single-source replications first..stop-1, each reduced into its row of ``res``."""
-    interarrival_spec, service_spec = specs
+def _single_block(res: np.ndarray, n: int, interarrival_spec: DistributionSpec,
+                  service_spec: DistributionSpec, warmup: float, master_seed: int) -> None:
+    """Single-source replication r for each row r of ``res``, reduced into that row."""
     work = np.empty((3, n))
     x = work[2]
     t = np.empty(n)
     ws = _kept(n, warmup)  # first post-warmup system time
     w = _kept(n - 1, warmup)
     peaks = work[0, :n - 1 - w]
-    for r in range(first, stop):
+    for r in range(len(res)):
         sample_stream(interarrival_spec, n, derive_seed(master_seed, r, ROLE_ARRIVAL_1), out=t)
         sample_stream(service_spec, n, derive_seed(master_seed, r, ROLE_SERVICE), out=x)
         s = kernels.lindley_system_times(t, x, work)
@@ -526,11 +509,9 @@ def _single_block(res: np.ndarray, first: int, stop: int, n: int,
         res[r, :2] = peaks.mean(), s[ws:].mean()
 
 
-def _two_block(res: np.ndarray, first: int, stop: int, n: int,
-               specs: tuple[DistributionSpec, DistributionSpec], warmup: float,
-               master_seed: int) -> None:
-    """Two-source replications first..stop-1, each reduced into its row of ``res``."""
-    interarrival_spec, service_spec = specs
+def _two_block(res: np.ndarray, n: int, interarrival_spec: DistributionSpec,
+               service_spec: DistributionSpec, warmup: float, master_seed: int) -> None:
+    """Two-source replication r for each row r of ``res``, reduced into that row."""
     work = np.empty((3, n))
     x = work[2]
     ws = _kept(n, warmup)
@@ -549,7 +530,7 @@ def _two_block(res: np.ndarray, first: int, stop: int, n: int,
     # both interarrival streams in the lanes of one paired cumsum; source
     # 2's lane is one entry longer when n is odd and ends in a zero
     pairs, lane1, lane2 = (v[:n1] for v in kernels._lanes(work))
-    for r in range(first, stop):
+    for r in range(len(res)):
         for a, lane, role in ((a1, lane1, ROLE_ARRIVAL_1), (a2, lane2, ROLE_ARRIVAL_2)):
             sample_stream(interarrival_spec, len(a), derive_seed(master_seed, r, role), out=a)
             lane[:len(a)] = a

@@ -382,16 +382,16 @@ class TestDatasetProcesses:
         build_calibration_dataset(grid, "single", n=100_000, replications=10)
         return calls
 
-    def test_long_points_fork_in_replicate_only(self, monkeypatch, forks):
-        # more CPUs than points: each point's call forks over its replications
+    def test_fewer_points_than_cpus_fork_over_the_points(self, monkeypatch, forks):
+        # more CPUs than points: one process per point, and no call forks
         calls = self.fan_outs(monkeypatch, cpus=3)
-        assert calls == [("_points_block", 1), ("_single_block", 3), ("_single_block", 3)]
-        assert forks == [os.getpid()] * 4
+        assert calls == [("_points_block", 2)]
+        assert forks == [os.getpid()]
 
     def test_as_many_points_as_cpus_fork_once(self, monkeypatch, forks):
-        # the grid forks over its points, and the calls inside stay serial
+        # as many points as CPUs: one process per point
         calls = self.fan_outs(monkeypatch, cpus=2)
-        assert calls == [("_points_block", 2), ("_single_block", 1)]
+        assert calls == [("_points_block", 2)]
         assert forks == [os.getpid()]
 
     def test_failed_fork_runs_the_block_here(self, monkeypatch, tmp_path):

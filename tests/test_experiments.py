@@ -316,8 +316,7 @@ class TestSweepProcesses:
         assert 20_000 * 20 < simulator.FORK_MIN_UPDATES <= points * 20_000 * 20
         k = min(len(os.sched_getaffinity(0)), points)
         assert forks == [os.getpid()] * (k - 1)
-        # this process runs the first block of points, each call on its own
-        assert calls == [("_points_block", k)] + [("_single_block", 1)] * (points // k)
+        assert calls == [("_points_block", k)]
 
     def test_failed_fork_runs_the_block_here(self, monkeypatch):
         expected = self.serial(monkeypatch)
@@ -353,16 +352,22 @@ class TestSweepProcesses:
             run_sweep(config)
         assert forks == []
 
+    def test_short_two_source_paths_fork_nothing(self, forks):
+        # every point is checked before the fork, not in the blocks
+        config = SweepConfig(scenario="two", n=3, replications=100_000)
+        with pytest.raises(ValidationError, match="n must be >= 4 for a 2-source replication"):
+            run_sweep(config)
+        assert forks == []
+
     def test_failed_parent_block_propagates_and_the_next_call_forks(self, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        self.fail_block(monkeypatch, in_parent=True)
-        with pytest.raises(RuntimeError, match=f"block failed in pid {os.getpid()}"):
-            self.run()
+        with monkeypatch.context() as m:
+            self.fail_block(m, in_parent=True)
+            with pytest.raises(RuntimeError, match=f"block failed in pid {os.getpid()}"):
+                self.run()
         assert forks == [os.getpid()]
-        # the fan-out's flag is restored: a long replicate call forks again
-        law_a, law_s = family_spec("exponential", 2.0), family_spec("exponential", 1.0)
-        simulator.replicate(simulator.SystemParams(0.5, 1.0, 100_000), law_a, law_s,
-                            replications=10)
+        # the next sweep forks its k - 1 = 1 child again
+        self.run()
         assert forks == [os.getpid()] * 2
 
 

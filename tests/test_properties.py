@@ -20,12 +20,18 @@ from hypothesis import strategies as st
 
 from paoiq import kernels, simulator
 from paoiq import robust_bounds as rb
-from paoiq.calibration import CalibrationCoefficients, invert_gamma_s, map_variability
+from paoiq.calibration import (
+    SCENARIOS,
+    CalibrationCoefficients,
+    build_calibration_dataset,
+    invert_gamma_s,
+    map_variability,
+)
 from paoiq.cli import main
 from paoiq.errors import NumericError, ValidationError
 from paoiq.experiments import FAMILIES, SweepConfig, family_spec, read_report_csv
 from paoiq.kernels import lindley_system_times
-from paoiq.simulator import SystemParams, _replicate_points, merge_arrivals, replicate
+from paoiq.simulator import SystemParams, _replicate_points, merge_arrivals
 from paoiq.stochastic import make_exponential, make_folded_normal, make_pareto, make_uniform_mean
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -627,7 +633,7 @@ def test_report_cli_exits_cleanly(tmp_path_factory, rows, summary):
         assert "nan" not in out and "inf" not in out
 
 
-# Fan-out.  With FORK_MIN_UPDATES patched to 1 every drawn call forks, over
+# Fan-out.  With FORK_MIN_UPDATES patched to 1 every drawn grid forks, over
 # 1 to 4 fake CPUs and at most ``cap`` processes of n updates each, so an
 # example starts at most 3 children; each result must have the bits of the
 # same call on affinity {0}.
@@ -661,28 +667,36 @@ def grid_point(sources, n, load, family_a, family_s, seed):
 @pytest.mark.usefixtures("no_child_outlives")
 @FORKED
 @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([1, 2]),
-       st.integers(4, 300), st.integers(1, 20), grid_points, st.sampled_from([0.0, 0.1, 0.5]))
-def test_replicate_blocks_have_the_bits_of_one_cpu(cpus, cap, sources, n, replications,
-                                                   point, warmup):
-    params, ia, svc, seed = grid_point(sources, n, *point)
-
-    def call():
-        return replicate(params, ia, svc, replications, warmup, seed)
-
-    assert bits(on_cpus(cpus, cap * n, call)) == bits(on_cpus(1, cap * n, call))
-
-
-@pytest.mark.usefixtures("no_child_outlives")
-@FORKED
-@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([1, 2]),
        st.integers(4, 300), st.integers(1, 20), st.lists(grid_points, min_size=1, max_size=12),
        st.sampled_from([0.0, 0.1, 0.5]))
 def test_grid_point_blocks_have_the_bits_of_one_cpu(cpus, cap, sources, n, replications,
                                                     drawn, warmup):
-    # at least as many points as CPUs: the grid forks over its points
     points = [grid_point(sources, n, *point) for point in drawn]
 
     def call():
         return [bits(s) for s in _replicate_points(points, replications, warmup)]
 
-    assert on_cpus(min(cpus, len(points)), cap * n, call) == on_cpus(1, cap * n, call)
+    assert on_cpus(cpus, cap * n, call) == on_cpus(1, cap * n, call)
+
+
+@pytest.mark.usefixtures("no_child_outlives")
+@FORKED
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from(["single", "two"]),
+       st.integers(4, 100), st.integers(1, 5), st.lists(grid_points, min_size=3, max_size=12),
+       st.sampled_from([0.0, 0.1, 0.5]))
+def test_calibration_blocks_have_the_bits_of_one_cpu(cpus, cap, scenario, n, replications,
+                                                     drawn, warmup):
+    # the first point's drawn seed is the master seed of the grid
+    sources = SCENARIOS[scenario].sources
+    grid = [(family_spec(family_a, sources / load), family_spec(family_s, 1.0))
+            for load, family_a, family_s, _ in drawn]
+
+    def call():
+        """The rows and the skip warnings."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ds = build_calibration_dataset(grid, scenario, n, replications, warmup,
+                                           drawn[0][3])
+        return ds.rows, [(w.category, str(w.message)) for w in caught]
+
+    assert on_cpus(cpus, cap * n, call) == on_cpus(1, cap * n, call)
