@@ -47,15 +47,11 @@ from .robust_bounds import (
     worst_case_exact_two,
 )
 from .simulator import (
-    PAoITrace,
     QueueResult,
     ReplicationSummary,
     SystemParams,
-    paoi_trace_single,
-    paoi_trace_two_source,
     replicate,
     simulate_fcfs,
-    simulate_two_source,
 )
 from .stochastic import (
     DistributionSpec,

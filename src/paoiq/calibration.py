@@ -46,8 +46,8 @@ from .errors import (
 from .kernels import EMPTY_WINDOW
 from .robust_bounds import UncertaintyParams, bound_robust2_single, bound_robust3_two, f
 from .seeding import derive_seed
-from .simulator import DistributionSpec, SystemParams, _replicate_points
-from .stochastic import spec_from_dict
+from .simulator import SystemParams, _replicate_points
+from .stochastic import DistributionSpec, spec_from_dict
 
 CALIBRATION_ALPHA = 2.0
 

@@ -1,9 +1,9 @@
 """FCFS information-update queue simulation and peak-age extraction.
 
 Single-source paths run the Lindley waiting-time recursion of
-``kernels.lindley_system_times``.  Two-source paths merge both arrival streams into one FCFS
-queue (ties broken toward source 1) and read each source's peak ages off the
-kernel's system times, which no step rewrites.
+``kernels.lindley_system_times``.  Two-source paths merge both arrival
+streams into one FCFS queue (ties broken toward source 1) and read each
+source's peak ages off the kernel's system times, which no step rewrites.
 
 ``replicate`` runs these steps on plain float64 arrays in the calling
 process and reduces them straight to means: ``sample_stream`` fills and
@@ -19,10 +19,14 @@ forks below ``FORK_MIN_UPDATES`` updates in all, where ``os.fork`` or
 Each replication seeds its own streams and each point has its own master
 seed, so every result has the bits of a serial run.  Python 3.12 and later
 may emit a ``DeprecationWarning`` at the fork while other OS threads exist,
-such as an OpenBLAS pool.  ``simulate_fcfs``, ``paoi_trace_single``,
-``merge_arrivals``, ``simulate_two_source`` and ``paoi_trace_two_source``
-are inspection wrappers over the same private steps: they validate their
-input and return the per-update arrays as dataclasses.
+such as an OpenBLAS pool.
+
+``merge_arrivals``, ``simulate_two_source``, ``paoi_trace_single`` and
+``paoi_trace_two_source`` are the replication's steps.  They do not check
+their float64 inputs, and ``paoiq`` does not export them.  The loops look
+each one up as a module global at call time, so the benchmark's per-layer
+rows ``simulator.<step>.self_s`` time the code that runs.  ``simulate_fcfs``
+is the one inspection wrapper: it checks its input and returns a ``QueueResult``.
 
 Conventions: the first arrival occurs at time T_1 (the first interarrival
 draw is the delay from time zero), and per-replication warmup discards the
@@ -113,22 +117,6 @@ class QueueResult:
     waiting_times: np.ndarray
     finish_times: np.ndarray
     system_times: np.ndarray
-    source_ids: np.ndarray | None = None  # 1-based, two-source paths only
-
-    def __len__(self) -> int:
-        return len(self.arrival_times)
-
-
-@dataclass
-class PAoITrace:
-    """Peak-age samples P_i = T_i + S_i for deliveries i = 2..n of one source."""
-
-    peaks: np.ndarray
-    interarrivals: np.ndarray
-    system_times: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.peaks)
 
 
 @dataclass
@@ -144,16 +132,15 @@ class ReplicationSummary:
     paoi_rep_means: np.ndarray = field(repr=False, default=None)
 
 
-# The private steps below are shared by ``replicate`` and the public
-# wrappers; their float64 inputs are not checked.  With ``out`` given they
-# write into it and allocate nothing.
+# The steps of ``replicate``: with ``out`` given they write into it and allocate nothing.
 
-def _single_peaks(t: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def paoi_trace_single(t: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Peak ages T_i + S_i of deliveries 2..n of a single-source path."""
     return np.add(t[1:], s[1:], out=out)
 
 
-def _source_peaks(a: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def paoi_trace_two_source(a: np.ndarray, s: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Peak ages of deliveries 2..k of one merged source.
 
     ``a`` and ``s`` are the source's arrival and system times in its own
@@ -164,7 +151,8 @@ def _source_peaks(a: np.ndarray, s: np.ndarray, out: np.ndarray | None = None) -
     return peaks
 
 
-def _merge(times: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def merge_arrivals(times: np.ndarray,
+                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Merged arrival times and the permutation of ``times`` that sorts them.
 
     ``times`` holds source 1's arrival times followed by source 2's, none
@@ -178,12 +166,9 @@ def _merge(times: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray
     return np.take(times, order, out=out, mode="clip"), order
 
 
-def _merged_system_times(merged: np.ndarray, services: np.ndarray,
-                         gaps: np.ndarray | None = None,
-                         work: np.ndarray | None = None) -> np.ndarray:
-    """System times of the FCFS queue fed by a non-empty merged arrival sequence."""
-    if gaps is None:
-        gaps = np.empty_like(merged)
+def simulate_two_source(merged: np.ndarray, services: np.ndarray, gaps: np.ndarray,
+                        work: np.ndarray) -> np.ndarray:
+    """System times of the FCFS queue fed by ``merged``; ``gaps`` takes its gaps."""
     gaps[0] = merged[0]
     np.subtract(merged[1:], merged[:-1], out=gaps[1:])
     return kernels.lindley_system_times(gaps, services, work)
@@ -227,89 +212,6 @@ def simulate_fcfs(interarrivals, services) -> QueueResult:
         finish_times=arrivals + s,
         system_times=s,
     )
-
-
-def paoi_trace_single(result: QueueResult, interarrivals) -> PAoITrace:
-    """Peak ages of a single-source path: P_i = T_i + S_i for i >= 2."""
-    t = _values(interarrivals)
-    if len(t) != len(result):
-        raise ValidationError(
-            f"interarrival stream length {len(t)} does not match path length {len(result)}"
-        )
-    if len(t) > 1:
-        # diff(cumsum(t)) wobbles at the scale of the time horizon, not of t
-        slack = 1e-9 * max(abs(result.arrival_times[-1]), 1.0)
-        if not np.allclose(np.diff(result.arrival_times), t[1:], rtol=0.0, atol=slack):
-            raise ValidationError("interarrival stream does not match the simulated path")
-    s = result.system_times
-    return PAoITrace(_single_peaks(t, s), t[1:], s[1:])
-
-
-def merge_arrivals(arrivals_1: np.ndarray, arrivals_2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge two arrival-time sequences into FCFS order.
-
-    Returns (merged arrival times, source ids).  Ties go to source 1; each
-    source's internal order is preserved and no update is dropped.
-    """
-    a1 = np.asarray(arrivals_1, dtype=np.float64)
-    a2 = np.asarray(arrivals_2, dtype=np.float64)
-    if len(a1) + len(a2) == 0:
-        raise ValidationError("both arrival streams are empty")
-    times = np.concatenate([a1, a2])
-    if np.isnan(times).any() or np.signbit(times).any():
-        raise ValidationError("arrival times must be 0.0 or positive, not negative, -0.0 or NaN")
-    merged, order = _merge(times)
-    return merged, np.where(order < len(a1), 1, 2)
-
-
-def simulate_two_source(
-    interarrivals_1,
-    interarrivals_2,
-    service_spec: DistributionSpec,
-    seed: int,
-    services=None,
-) -> QueueResult:
-    """Run one FCFS path fed by two merged symmetric sources.
-
-    Each merged update receives the next service-time draw from
-    ``service_spec`` (seeded); pass ``services`` explicitly to pin the
-    draws, e.g. in tests.
-    """
-    merged_times, ids = merge_arrivals(
-        np.cumsum(_values(interarrivals_1)), np.cumsum(_values(interarrivals_2))
-    )
-    n = len(merged_times)
-    if services is None:
-        if service_spec is None:
-            raise ValidationError("need either a service spec or explicit service times")
-        x = sample_stream(service_spec, n, seed)
-    else:
-        x = _values(services)
-        if len(x) != n:
-            raise ValidationError(f"need {n} service times, got {len(x)}")
-    s = _merged_system_times(merged_times, x)
-    return QueueResult(
-        arrival_times=merged_times,
-        service_times=x,
-        waiting_times=s - x,
-        finish_times=merged_times + s,
-        system_times=s,
-        source_ids=ids,
-    )
-
-
-def paoi_trace_two_source(result: QueueResult) -> tuple[PAoITrace, PAoITrace]:
-    """Per-source peak ages of a merged two-source path."""
-    if result.source_ids is None:
-        raise ValidationError("result does not carry source ids; not a two-source path")
-    from1 = result.source_ids == 1
-    traces = []
-    for mask in (from1, ~from1):
-        a = result.arrival_times[mask]
-        s = result.system_times[mask]
-        peaks = _source_peaks(a, s)
-        traces.append(PAoITrace(peaks, np.diff(a), s[1:]))
-    return tuple(traces)
 
 
 def replicate(
@@ -505,7 +407,7 @@ def _single_block(res: np.ndarray, n: int, interarrival_spec: DistributionSpec,
         sample_stream(service_spec, n, derive_seed(master_seed, r, ROLE_SERVICE), out=x)
         s = kernels.lindley_system_times(t, x, work)
         # peaks of the post-warmup deliveries only
-        _single_peaks(t[w:], s[w:], out=peaks)
+        paoi_trace_single(t[w:], s[w:], out=peaks)
         res[r, :2] = peaks.mean(), s[ws:].mean()
 
 
@@ -539,10 +441,10 @@ def _two_block(res: np.ndarray, n: int, interarrival_spec: DistributionSpec,
         a1[:] = lane1
         a2[:] = lane2[:n2]
         sample_stream(service_spec, n, derive_seed(master_seed, r, ROLE_SERVICE), out=x)
-        merged, order = _merge(times, out=work[0])
-        s = _merged_system_times(merged, x, by_source, work)
+        merged, order = merge_arrivals(times, out=work[0])
+        s = simulate_two_source(merged, x, by_source, work)
         # order[i] is the source-layout index of the i-th merged update
         by_source[order] = s
-        _source_peaks(a1[w1:], s1[w1:], out=peaks[:k1])
-        _source_peaks(a2[w2:], s2[w2:], out=peaks[k1:])
+        paoi_trace_two_source(a1[w1:], s1[w1:], out=peaks[:k1])
+        paoi_trace_two_source(a2[w2:], s2[w2:], out=peaks[k1:])
         res[r] = peaks.mean(), s[ws:].mean(), peaks[:k1].mean(), peaks[k1:].mean()

@@ -1113,6 +1113,20 @@ class TestCli:
         assert (calibration.grid_from_config(doc)
                 == experiments.default_calibration_grid(scenario))
 
+    def test_benchmark_traces_names_the_package_defines(self, monkeypatch):
+        # the tracer looks up each traced name with getattr; read, not run,
+        # and without writing bytecode next to it
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", bench / "tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        # its dataclass resolves annotations through sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, tracer)
+        spec.loader.exec_module(tracer)
+        for module, name, _ in tracer.TRACED:
+            fn = getattr(importlib.import_module(f"paoiq.{module}"), name, None)
+            assert callable(fn), f"paoiq.{module}.{name}"
+
     def test_sweep_with_theta_file(self, tmp_path, capsys):
         from paoiq.calibration import builtin_theta, write_theta_json
 

@@ -164,9 +164,8 @@ steps = st.lists(st.integers(min_value=1, max_value=3), max_size=60)
 def test_merge_keeps_source_order_and_sends_ties_to_source_1(steps1, steps2):
     a1 = np.cumsum(np.array(steps1, dtype=np.float64))
     a2 = np.cumsum(np.array(steps2, dtype=np.float64))
-    if len(a1) + len(a2) == 0:
-        return
-    merged, ids = merge_arrivals(a1, a2)
+    merged, order = merge_arrivals(np.concatenate((a1, a2)))
+    ids = 1 + (order >= len(a1))
     assert np.all(np.diff(merged) >= 0)
     # every update is kept, each source in its own order
     assert np.array_equal(merged[ids == 1], a1)
