@@ -12,8 +12,9 @@ per-path object or re-checks what the sampler already guarantees, and every
 warmup cut is an index fixed before the replication loop.  Only a grid of
 calls forks (``_replicate_points``: a sweep's rates, a calibration grid's
 points).  One rule, ``_processes``, decides how many processes share its
-points, and ``_run_blocks`` runs blocks 1..k-1 of contiguous points in
-children that write into shared memory and block 0 in the caller.  Nothing
+points, and ``_run_blocks`` runs one block function, which calls ``replicate``
+per point into that point's row of shared memory, over k contiguous blocks of
+points: blocks 1..k-1 in forked children and block 0 in the caller.  Nothing
 forks below ``FORK_MIN_UPDATES`` updates in all, where ``os.fork`` or
 ``os.sched_getaffinity`` is missing, or while another Python thread runs.
 Each replication seeds its own streams and each point has its own master
@@ -278,9 +279,9 @@ def replicate(
     )
 
 
-def _check_settings(systems, replications, warmup_fraction: float) -> None:
+def _check_settings(systems, replications, warmup_fraction: float) -> int:
     """``replicate``'s caps, warmup rule and path length for each of
-    ``systems``, checked before anything is sized or forked."""
+    ``systems``, checked before anything is sized or forked; the longest n."""
     check_int(replications, "replications", 1)
     n = max((params.n for params in systems), default=1)
     if n > MAX_REPLICATE_N or replications > MAX_REPLICATIONS:
@@ -298,39 +299,33 @@ def _check_settings(systems, replications, warmup_fraction: float) -> None:
                 f"n must be >= {2 * params.sources} for a {params.sources}-source replication "
                 f"(each source needs a post-warmup peak), got {params.n}"
             )
+    return n
 
 
 def _replicate_points(points: list, replications: int,
                       warmup_fraction: float) -> list[ReplicationSummary]:
     """``replicate`` at each (params, interarrival spec, service spec, master
     seed) point of a grid, with the bits of a serial loop."""
-    systems = [params for params, *_ in points]
-    _check_settings(systems, replications, warmup_fraction)
+    n = _check_settings([params for params, *_ in points], replications, warmup_fraction)
     if not points:  # mmap cannot map zero bytes
         return []
-    n = max(params.n for params in systems)
     # row i: point i's mean PAoI, mean system time, CI half-width, per-source
     # means (NaN for one source), stability flag and per-replication means
     res = np.frombuffer(mmap.mmap(-1, len(points) * (6 + replications) * 8)).reshape(
         len(points), 6 + replications)
-    _run_blocks(_points_block, res, _processes(n, replications, len(points)),
-                (points, replications, warmup_fraction))
+
+    def block(first: int, stop: int) -> None:
+        for i, (params, ia, svc, seed) in enumerate(points[first:stop], first):
+            s = replicate(params, ia, svc, replications, warmup_fraction, seed)
+            res[i, :6] = (s.mean_paoi, s.mean_system_time, s.ci95_paoi,
+                          *(s.per_source_paoi or (math.nan, math.nan)), s.stable)
+            res[i, 6:] = s.paoi_rep_means
+
+    _run_blocks(block, len(points), _processes(n, replications, len(points)))
     return [ReplicationSummary(replications, float(row[0]), float(row[1]), float(row[2]),
                                (float(row[3]), float(row[4])) if params.sources == 2 else None,
                                bool(row[5]), row[6:].copy())
             for (params, *_), row in zip(points, res)]
-
-
-def _points_block(res: np.ndarray, first: int, stop: int, points: list, replications: int,
-                  warmup_fraction: float) -> None:
-    """Grid points first..stop-1 of ``_replicate_points``, each into its row of ``res``."""
-    for i in range(first, stop):
-        params, interarrival_spec, service_spec, master_seed = points[i]
-        s = replicate(params, interarrival_spec, service_spec, replications, warmup_fraction,
-                      master_seed)
-        res[i, :6] = (s.mean_paoi, s.mean_system_time, s.ci95_paoi,
-                      *(s.per_source_paoi or (math.nan, math.nan)), s.stable)
-        res[i, 6:] = s.paoi_rep_means
 
 
 def _processes(n: int, replications: int, points: int) -> int:
@@ -345,16 +340,16 @@ def _processes(n: int, replications: int, points: int) -> int:
     return min(len(os.sched_getaffinity(0)), points, MAX_REPLICATE_N // n)
 
 
-def _run_blocks(runner, res: np.ndarray, k: int, args: tuple) -> None:
-    """Run ``runner`` over k contiguous blocks of the rows of ``res``.
+def _run_blocks(block, count: int, k: int) -> None:
+    """Run ``block(first, stop)`` over k contiguous blocks of range(count).
 
-    Blocks 1..k-1 run in forked children, which share ``res``'s memory,
-    and block 0 in this process; a block whose fork failed or whose child
-    exited non-zero runs here afterwards.  Every child is reaped before
-    this returns or raises.
+    Blocks 1..k-1 run in forked children, which share the memory ``block``
+    writes, and block 0 in this process; a block whose fork failed or whose
+    child exited non-zero runs here afterwards.  Every child is reaped
+    before this returns or raises.
     """
-    bounds = [len(res) * i // k for i in range(k + 1)]
-    children = {}  # pid -> block
+    bounds = [count * i // k for i in range(k + 1)]
+    children = {}  # pid -> index of its block
     again = []
     try:
         for i in range(1, k):
@@ -366,20 +361,20 @@ def _run_blocks(runner, res: np.ndarray, k: int, args: tuple) -> None:
             if pid == 0:
                 status = 1
                 try:
-                    runner(res, bounds[i], bounds[i + 1], *args)
+                    block(bounds[i], bounds[i + 1])
                     status = 0
                 finally:
                     # no exit handler, flush or traceback: all belong to the parent
                     os._exit(status)
             children[pid] = i
-        runner(res, bounds[0], bounds[1], *args)
+        block(bounds[0], bounds[1])
         while children:
             pid, status = os.waitpid(next(iter(children)), 0)
             if status:
                 again.append(children[pid])
             del children[pid]
         for i in again:
-            runner(res, bounds[i], bounds[i + 1], *args)
+            block(bounds[i], bounds[i + 1])
     finally:
         for pid in children:
             os.kill(pid, signal.SIGKILL)

@@ -1,9 +1,7 @@
 """Variability mapping, bound inversion, theta fitting, dataset pipeline."""
 
-import errno
 import math
 import os
-import threading
 import warnings
 
 import numpy as np
@@ -35,7 +33,7 @@ from paoiq.robust_bounds import (
     bound_robust2_single,
     bound_robust3_two,
 )
-from paoiq.simulator import FORK_MIN_UPDATES, SystemParams
+from paoiq.simulator import SystemParams
 from paoiq.stochastic import make_exponential, make_pareto, make_uniform_mean
 
 
@@ -309,7 +307,8 @@ class TestDatasetPipeline:
 @pytest.mark.usefixtures("no_child_outlives")
 class TestDatasetProcesses:
     """build_calibration_dataset() writes the same bytes and warnings on one
-    process and on every CPU, and leaves no child process behind, whatever fails."""
+    process and on every CPU; the fan-out's failure modes are tested in
+    ``tests/test_simulator.py::TestReplicatePoints``."""
 
     # 12 points of 2e4 x 5 updates: each replicate call stays serial, and
     # the whole call reaches FORK_MIN_UPDATES; the light loads are skipped
@@ -317,115 +316,30 @@ class TestDatasetProcesses:
             for law_a in (make_uniform_mean, lambda mean: make_exponential(1.0 / mean))
             for law_s in (make_uniform_mean, lambda mean: make_exponential(1.0 / mean))
             for lam in (0.2, 0.6, 0.8)]
-    SIZES = dict(n=20_000, replications=5)
 
     @classmethod
-    def run(cls, tmp_path, name, **sizes):
+    def run(cls, tmp_path, name):
         """The bytes of the theta JSON and the dataset CSV, and the warnings."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            ds = build_calibration_dataset(cls.GRID, "single", master_seed=4,
-                                           **(sizes or cls.SIZES))
+            ds = build_calibration_dataset(cls.GRID, "single", n=20_000, replications=5,
+                                           master_seed=4)
         write_theta_json(fit_theta(ds), tmp_path / f"{name}.json")
         write_dataset_csv(ds, tmp_path / f"{name}.csv")
         return ((tmp_path / f"{name}.json").read_bytes(), (tmp_path / f"{name}.csv").read_bytes(),
                 [(w.category, str(w.message)) for w in caught])
 
-    @classmethod
-    def serial(cls, monkeypatch, tmp_path):
+    def test_bytes_equal_across_process_counts(self, monkeypatch, tmp_path, forks):
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
-            return cls.run(tmp_path, "serial")
-
-    @staticmethod
-    def fail_block(monkeypatch, in_parent):
-        """Make the block runner raise in this process or only in its children."""
-        runner = simulator._points_block
-        parent = os.getpid()
-
-        def failing(*args):
-            if (os.getpid() == parent) == in_parent:
-                raise RuntimeError(f"block failed in pid {os.getpid()}")
-            runner(*args)
-
-        monkeypatch.setattr(simulator, "_points_block", failing)
-
-    def test_bytes_equal_across_process_counts(self, monkeypatch, tmp_path, forks):
-        expected = self.serial(monkeypatch, tmp_path)
+            expected = self.run(tmp_path, "serial")
         assert forks == []
         # three light-load points skipped, nine rows under the header
         assert len(expected[2]) == 3 and expected[1].count(b"\n") == 10
+        assert len(self.GRID) * 20_000 * 5 >= simulator.FORK_MIN_UPDATES
         assert self.run(tmp_path, "forked") == expected
         cpus = len(os.sched_getaffinity(0))
         assert forks == [os.getpid()] * (min(cpus, len(self.GRID)) - 1)
-
-    def test_no_fork_below_the_threshold(self, tmp_path, forks):
-        assert len(self.GRID) * 2_000 * 5 < FORK_MIN_UPDATES
-        self.run(tmp_path, "short", n=2_000, replications=5)
-        assert forks == []
-
-    @staticmethod
-    def fan_outs(monkeypatch, cpus):
-        """Build a grid of two points whose calls reach FORK_MIN_UPDATES on
-        ``cpus`` fake CPUs; return each (runner, k) this process ran."""
-        calls = []
-        run_blocks = simulator._run_blocks
-
-        def spy(runner, res, k, args):
-            calls.append((runner.__name__, k))
-            run_blocks(runner, res, k, args)
-
-        monkeypatch.setattr(simulator, "_run_blocks", spy)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        grid = [(make_exponential(lam), make_exponential(1.0)) for lam in (0.8, 0.9)]
-        assert 100_000 * 10 >= FORK_MIN_UPDATES
-        build_calibration_dataset(grid, "single", n=100_000, replications=10)
-        return calls
-
-    def test_fewer_points_than_cpus_fork_over_the_points(self, monkeypatch, forks):
-        # more CPUs than points: one process per point, and no call forks
-        calls = self.fan_outs(monkeypatch, cpus=3)
-        assert calls == [("_points_block", 2)]
-        assert forks == [os.getpid()]
-
-    def test_as_many_points_as_cpus_fork_once(self, monkeypatch, forks):
-        # as many points as CPUs: one process per point
-        calls = self.fan_outs(monkeypatch, cpus=2)
-        assert calls == [("_points_block", 2)]
-        assert forks == [os.getpid()]
-
-    def test_failed_fork_runs_the_block_here(self, monkeypatch, tmp_path):
-        expected = self.serial(monkeypatch, tmp_path)
-
-        def refuse():
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        monkeypatch.setattr(os, "fork", refuse)
-        assert self.run(tmp_path, "refused") == expected
-
-    def test_failed_child_block_runs_here(self, monkeypatch, tmp_path):
-        expected = self.serial(monkeypatch, tmp_path)
-        self.fail_block(monkeypatch, in_parent=False)
-        assert self.run(tmp_path, "rerun") == expected
-
-    def test_failed_parent_block_propagates(self, monkeypatch, tmp_path):
-        self.fail_block(monkeypatch, in_parent=True)
-        with pytest.raises(RuntimeError, match=f"block failed in pid {os.getpid()}"):
-            self.run(tmp_path, "failed")
-
-    def test_no_fork_beside_another_thread(self, monkeypatch, tmp_path, forks):
-        expected = self.serial(monkeypatch, tmp_path)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait, args=(60,))
-        thread.start()
-        try:
-            got = self.run(tmp_path, "threaded")
-        finally:
-            release.set()
-            thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert forks == []
-        assert got == expected
 
     def test_empty_grid_has_no_rows(self):
         ds = build_calibration_dataset([], "single")

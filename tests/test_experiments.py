@@ -12,7 +12,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -265,8 +264,8 @@ class TestRunSweep:
 @pytest.mark.usefixtures("no_child_outlives")
 class TestSweepProcesses:
     """run_sweep() writes the same report bytes and warnings on one process
-    and on every CPU, forks once over its rates, and leaves no child process
-    behind, whatever fails."""
+    and on every CPU, and forks once over its rates; the fan-out's failure
+    modes are tested in ``tests/test_simulator.py::TestReplicatePoints``."""
 
     # 3 rates of 2e4 x 20 updates: each replicate call stays below
     # FORK_MIN_UPDATES and the sweep reaches it
@@ -281,34 +280,17 @@ class TestSweepProcesses:
             text = report_to_csv_text(run_sweep(cls.CONFIG))
         return text.encode(), [(w.category, str(w.message)) for w in caught]
 
-    @classmethod
-    def serial(cls, monkeypatch):
+    def test_bytes_equal_across_process_counts(self, monkeypatch, forks):
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
-            return cls.run()
-
-    @staticmethod
-    def fail_block(monkeypatch, in_parent):
-        """Make the block runner raise in this process or only in its children."""
-        runner = simulator._points_block
-        parent = os.getpid()
-
-        def failing(*args):
-            if (os.getpid() == parent) == in_parent:
-                raise RuntimeError(f"block failed in pid {os.getpid()}")
-            runner(*args)
-
-        monkeypatch.setattr(simulator, "_points_block", failing)
-
-    def test_bytes_equal_across_process_counts(self, monkeypatch, forks):
-        expected = self.serial(monkeypatch)
+            expected = self.run()
         assert forks == []
         calls = []
         run_blocks = simulator._run_blocks
 
-        def spy(runner, res, k, args):
-            calls.append((runner.__name__, k))
-            run_blocks(runner, res, k, args)
+        def spy(block, count, k):
+            calls.append((count, k))
+            run_blocks(block, count, k)
 
         monkeypatch.setattr(simulator, "_run_blocks", spy)
         assert self.run() == expected
@@ -316,59 +298,7 @@ class TestSweepProcesses:
         assert 20_000 * 20 < simulator.FORK_MIN_UPDATES <= points * 20_000 * 20
         k = min(len(os.sched_getaffinity(0)), points)
         assert forks == [os.getpid()] * (k - 1)
-        assert calls == [("_points_block", k)]
-
-    def test_failed_fork_runs_the_block_here(self, monkeypatch):
-        expected = self.serial(monkeypatch)
-
-        def refuse():
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        monkeypatch.setattr(os, "fork", refuse)
-        assert self.run() == expected
-
-    def test_failed_child_block_runs_here(self, monkeypatch):
-        expected = self.serial(monkeypatch)
-        self.fail_block(monkeypatch, in_parent=False)
-        assert self.run() == expected
-
-    def test_no_fork_beside_another_thread(self, monkeypatch, forks):
-        expected = self.serial(monkeypatch)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait, args=(60,))
-        thread.start()
-        try:
-            got = self.run()
-        finally:
-            release.set()
-            thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert forks == []
-        assert got == expected
-
-    def test_invalid_warmup_forks_nothing(self, forks):
-        config = SweepConfig(**{**vars(self.CONFIG), "warmup_fraction": 0.6})
-        with pytest.raises(ValidationError, match="warmup fraction must be in"):
-            run_sweep(config)
-        assert forks == []
-
-    def test_short_two_source_paths_fork_nothing(self, forks):
-        # every point is checked before the fork, not in the blocks
-        config = SweepConfig(scenario="two", n=3, replications=100_000)
-        with pytest.raises(ValidationError, match="n must be >= 4 for a 2-source replication"):
-            run_sweep(config)
-        assert forks == []
-
-    def test_failed_parent_block_propagates_and_the_next_call_forks(self, monkeypatch, forks):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        with monkeypatch.context() as m:
-            self.fail_block(m, in_parent=True)
-            with pytest.raises(RuntimeError, match=f"block failed in pid {os.getpid()}"):
-                self.run()
-        assert forks == [os.getpid()]
-        # the next sweep forks its k - 1 = 1 child again
-        self.run()
-        assert forks == [os.getpid()] * 2
+        assert calls == [(points, k)]
 
 
 class TestReportCsv:

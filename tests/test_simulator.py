@@ -1,7 +1,9 @@
 """FCFS simulation: Lindley recursion, the replication's steps, replication."""
 
+import errno
 import math
 import os
+import threading
 import tracemalloc
 import warnings
 
@@ -16,6 +18,7 @@ from paoiq.simulator import (
     MAX_REPLICATE_N,
     MAX_REPLICATIONS,
     SystemParams,
+    _replicate_points,
     merge_arrivals,
     paoi_trace_single,
     paoi_trace_two_source,
@@ -472,32 +475,173 @@ def test_replicate_runs_the_named_steps(monkeypatch):
         assert calls == dict(zip(STEPS, counts))
 
 
+def bits(summary):
+    return (summary.mean_paoi, summary.mean_system_time, summary.ci95_paoi,
+            summary.per_source_paoi, summary.stable, summary.paoi_rep_means.tobytes())
+
+
 @pytest.mark.usefixtures("no_child_outlives")
 class TestReplicateProcesses:
-    """A lone replicate() call runs in its caller: it forks nothing, however
-    long it is, and has the same bits on one CPU and on every CPU."""
+    """A lone replicate() call runs in its caller: it forks nothing, even
+    past the fork threshold, and has the same bits on one CPU and on every CPU."""
 
     @staticmethod
     def run(sources, replications):
         lam = 0.4 / sources
-        return replicate(SystemParams(lam, 1.0, 100_000, sources), make_exponential(lam),
+        return replicate(SystemParams(lam, 1.0, 300, sources), make_exponential(lam),
                          make_exponential(1.0), replications=replications, master_seed=5)
 
     @pytest.mark.parametrize("replications", [3, 11, 50])
     @pytest.mark.parametrize("sources", [1, 2])
     def test_bits_equal_across_process_counts(self, monkeypatch, forks, sources, replications):
+        monkeypatch.setattr(simulator, "FORK_MIN_UPDATES", 1)
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
             expected = self.run(sources, replications)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        got = self.run(sources, replications)
-        assert got.mean_paoi == expected.mean_paoi
-        assert got.ci95_paoi == expected.ci95_paoi
-        assert got.mean_system_time == expected.mean_system_time
-        assert got.per_source_paoi == expected.per_source_paoi
-        assert got.paoi_rep_means.tobytes() == expected.paoi_rep_means.tobytes()
-        # 11 x 1e5 updates reach FORK_MIN_UPDATES
-        assert (100_000 * replications >= simulator.FORK_MIN_UPDATES) == (replications > 3)
+        assert bits(self.run(sources, replications)) == bits(expected)
+        assert forks == []
+
+
+@pytest.mark.usefixtures("no_child_outlives")
+class TestReplicatePoints:
+    """_replicate_points(), the one fan-out of a grid of replicate() calls:
+    it forks over the points by one rule, checks every point first, has the
+    bits of a serial loop whatever fails, and leaves no child process behind."""
+
+    POINTS = [(SystemParams(lam, 1.0, 300), make_exponential(lam), make_exponential(1.0), seed)
+              for seed, lam in enumerate((0.3, 0.5, 0.7))]
+
+    @classmethod
+    def run(cls, points=None, replications=4):
+        return [bits(s) for s in _replicate_points(points or cls.POINTS, replications, 0.1)]
+
+    @classmethod
+    def serial(cls, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(os, "sched_getaffinity", lambda pid: {0})
+            return cls.run()
+
+    @pytest.fixture
+    def forking(self, monkeypatch):
+        """Three fake CPUs, and a fork at any size."""
+        monkeypatch.setattr(simulator, "FORK_MIN_UPDATES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    @staticmethod
+    def fail_replicate(monkeypatch, in_parent):
+        """Make ``replicate`` raise in this process or only in its children."""
+        replicate = simulator.replicate
+        parent = os.getpid()
+
+        def failing(*args):
+            if (os.getpid() == parent) == in_parent:
+                raise RuntimeError(f"replicate failed in pid {os.getpid()}")
+            return replicate(*args)
+
+        monkeypatch.setattr(simulator, "replicate", failing)
+
+    def test_serial_grid_calls_replicate_once_per_point(self, monkeypatch):
+        # the benchmark counts its updates and kept calibration rows from
+        # these calls to the module global
+        calls = []
+        replicate = simulator.replicate
+
+        def spy(*args):
+            calls.append(args)
+            return replicate(*args)
+
+        monkeypatch.setattr(simulator, "replicate", spy)
+        self.serial(monkeypatch)
+        assert calls == [(params, ia, svc, 4, 0.1, seed) for params, ia, svc, seed in self.POINTS]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_one_process_per_cpu_up_to_the_points(self, monkeypatch, forking, forks, cpus):
+        expected = self.serial(monkeypatch)
+        calls = []
+        run_blocks = simulator._run_blocks
+
+        def spy(block, count, k):
+            calls.append((count, k))
+            run_blocks(block, count, k)
+
+        monkeypatch.setattr(simulator, "_run_blocks", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert self.run() == expected
+        k = min(cpus, len(self.POINTS))
+        assert calls == [(len(self.POINTS), k)]
+        assert forks == [os.getpid()] * (k - 1)
+
+    def test_failed_fork_runs_the_block_here(self, monkeypatch, forking):
+        expected = self.serial(monkeypatch)
+        refused = []
+
+        def refuse():
+            refused.append(os.getpid())
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert self.run() == expected
+        assert refused == [os.getpid()] * 2
+
+    def test_failed_child_block_runs_here(self, monkeypatch, forking, forks):
+        expected = self.serial(monkeypatch)
+        self.fail_replicate(monkeypatch, in_parent=False)
+        assert self.run() == expected
+        assert forks == [os.getpid()] * 2
+
+    def test_failed_parent_block_propagates_and_the_next_call_forks(self, monkeypatch, forking,
+                                                                    forks):
+        with monkeypatch.context() as m:
+            self.fail_replicate(m, in_parent=True)
+            with pytest.raises(RuntimeError, match=f"replicate failed in pid {os.getpid()}"):
+                self.run()
+        assert forks == [os.getpid()] * 2
+        self.run()
+        assert forks == [os.getpid()] * 4
+
+    def test_no_fork_beside_another_thread(self, monkeypatch, forking, forks):
+        expected = self.serial(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            got = self.run()
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert forks == []
+        assert got == expected
+
+    def test_no_fork_below_the_threshold(self, monkeypatch, forks):
+        # the real threshold; the rule counts the longest path, n, at both points
+        n = simulator.FORK_MIN_UPDATES // 20
+        assert n * 20 == simulator.FORK_MIN_UPDATES
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        self.run(self.POINTS[:1] + [(SystemParams(0.5, 1.0, n - 1), *self.POINTS[1][1:])], 10)
+        assert forks == []
+        self.run(self.POINTS[:1] + [(SystemParams(0.5, 1.0, n), *self.POINTS[1][1:])], 10)
+        assert forks == [os.getpid()]
+
+    @pytest.mark.parametrize("params, replications, warmup, match", [
+        (SystemParams(0.2, 1.0, 3, 2), 4, 0.1, "n must be >= 4 for a 2-source replication"),
+        (SystemParams(0.5, 1.0, 300), 4, 0.6, "warmup fraction must be in"),
+        (SystemParams(0.5, 1.0, MAX_REPLICATE_N + 1), 4, 0.1, "replicate is capped"),
+        (SystemParams(0.5, 1.0, 300), MAX_REPLICATIONS + 1, 0.1, "replicate is capped"),
+    ], ids=["short-path", "warmup", "n-cap", "replications-cap"])
+    def test_settings_checked_before_any_fork(self, forking, forks, params, replications,
+                                              warmup, match):
+        # the bad point comes last, past the blocks that would fork
+        points = self.POINTS + [(params, make_exponential(params.lam), make_exponential(1.0), 0)]
+        with pytest.raises(ValidationError, match=match):
+            _replicate_points(points, replications, warmup)
+        assert forks == []
+
+    def test_empty_grid(self, forking, forks):
+        assert _replicate_points([], 4, 0.1) == []
+        with pytest.raises(ValidationError, match="warmup fraction must be in"):
+            _replicate_points([], 4, 0.6)
         assert forks == []
 
 
