@@ -307,8 +307,8 @@ class TestDatasetPipeline:
 @pytest.mark.usefixtures("no_child_outlives")
 class TestDatasetProcesses:
     """build_calibration_dataset() writes the same bytes and warnings on one
-    process and on every CPU; the fan-out's failure modes are tested in
-    ``tests/test_simulator.py::TestReplicatePoints``."""
+    process and on every CPU, and keeps them through the fan-out's failure
+    modes, which ``tests/test_simulator.py::TestReplicatePoints`` tests in full."""
 
     # 12 points of 2e4 x 5 updates: each replicate call stays serial, and
     # the whole call reaches FORK_MIN_UPDATES; the light loads are skipped
@@ -329,10 +329,18 @@ class TestDatasetProcesses:
         return ((tmp_path / f"{name}.json").read_bytes(), (tmp_path / f"{name}.csv").read_bytes(),
                 [(w.category, str(w.message)) for w in caught])
 
-    def test_bytes_equal_across_process_counts(self, monkeypatch, tmp_path, forks):
+    @classmethod
+    def serial(cls, monkeypatch, tmp_path):
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
-            expected = self.run(tmp_path, "serial")
+            return cls.run(tmp_path, "serial")
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_bytes_equal_across_process_counts(self, monkeypatch, tmp_path, forks):
+        expected = self.serial(monkeypatch, tmp_path)
         assert forks == []
         # three light-load points skipped, nine rows under the header
         assert len(expected[2]) == 3 and expected[1].count(b"\n") == 10
@@ -340,6 +348,31 @@ class TestDatasetProcesses:
         assert self.run(tmp_path, "forked") == expected
         cpus = len(os.sched_getaffinity(0))
         assert forks == [os.getpid()] * (min(cpus, len(self.GRID)) - 1)
+
+    def test_failed_fork_runs_the_block_here(self, monkeypatch, tmp_path, two_cpus,
+                                             refused_forks):
+        expected = self.serial(monkeypatch, tmp_path)
+        assert self.run(tmp_path, "refused") == expected
+        assert refused_forks == [os.getpid()]
+
+    def test_failed_child_block_runs_here(self, monkeypatch, tmp_path, two_cpus, forks,
+                                          fail_replicate):
+        expected = self.serial(monkeypatch, tmp_path)
+        fail_replicate(monkeypatch, in_parent=False)
+        assert self.run(tmp_path, "rerun") == expected
+        assert forks == [os.getpid()]
+
+    def test_failed_parent_block_propagates(self, monkeypatch, tmp_path, two_cpus, forks,
+                                            fail_replicate):
+        fail_replicate(monkeypatch, in_parent=True)
+        with pytest.raises(RuntimeError, match=f"replicate failed in pid {os.getpid()}"):
+            self.run(tmp_path, "failed")
+        assert forks == [os.getpid()]
+
+    def test_no_fork_beside_another_thread(self, monkeypatch, tmp_path, two_cpus, forks,
+                                           another_thread):
+        assert self.run(tmp_path, "threaded") == self.serial(monkeypatch, tmp_path)
+        assert forks == []
 
     def test_empty_grid_has_no_rows(self):
         ds = build_calibration_dataset([], "single")

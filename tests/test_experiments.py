@@ -264,8 +264,9 @@ class TestRunSweep:
 @pytest.mark.usefixtures("no_child_outlives")
 class TestSweepProcesses:
     """run_sweep() writes the same report bytes and warnings on one process
-    and on every CPU, and forks once over its rates; the fan-out's failure
-    modes are tested in ``tests/test_simulator.py::TestReplicatePoints``."""
+    and on every CPU, forks once over its rates, and keeps its bytes through
+    the fan-out's failure modes, which ``tests/test_simulator.py::
+    TestReplicatePoints`` tests in full."""
 
     # 3 rates of 2e4 x 20 updates: each replicate call stays below
     # FORK_MIN_UPDATES and the sweep reaches it
@@ -280,10 +281,18 @@ class TestSweepProcesses:
             text = report_to_csv_text(run_sweep(cls.CONFIG))
         return text.encode(), [(w.category, str(w.message)) for w in caught]
 
-    def test_bytes_equal_across_process_counts(self, monkeypatch, forks):
+    @classmethod
+    def serial(cls, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(os, "sched_getaffinity", lambda pid: {0})
-            expected = self.run()
+            return cls.run()
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_bytes_equal_across_process_counts(self, monkeypatch, forks):
+        expected = self.serial(monkeypatch)
         assert forks == []
         calls = []
         run_blocks = simulator._run_blocks
@@ -299,6 +308,32 @@ class TestSweepProcesses:
         k = min(len(os.sched_getaffinity(0)), points)
         assert forks == [os.getpid()] * (k - 1)
         assert calls == [(points, k)]
+
+    def test_failed_fork_runs_the_block_here(self, monkeypatch, two_cpus, refused_forks):
+        expected = self.serial(monkeypatch)
+        assert self.run() == expected
+        assert refused_forks == [os.getpid()]
+
+    def test_failed_child_block_runs_here(self, monkeypatch, two_cpus, forks, fail_replicate):
+        expected = self.serial(monkeypatch)
+        fail_replicate(monkeypatch, in_parent=False)
+        assert self.run() == expected
+        assert forks == [os.getpid()]
+
+    def test_failed_parent_block_propagates_and_the_next_call_forks(self, monkeypatch, two_cpus,
+                                                                    forks, fail_replicate):
+        with monkeypatch.context() as m:
+            fail_replicate(m, in_parent=True)
+            with pytest.raises(RuntimeError, match=f"replicate failed in pid {os.getpid()}"):
+                self.run()
+        assert forks == [os.getpid()]
+        # the next sweep forks its k - 1 = 1 child again
+        self.run()
+        assert forks == [os.getpid()] * 2
+
+    def test_no_fork_beside_another_thread(self, monkeypatch, two_cpus, forks, another_thread):
+        assert self.run() == self.serial(monkeypatch)
+        assert forks == []
 
 
 class TestReportCsv:

@@ -1,9 +1,7 @@
 """FCFS simulation: Lindley recursion, the replication's steps, replication."""
 
-import errno
 import math
 import os
-import threading
 import tracemalloc
 import warnings
 
@@ -528,19 +526,6 @@ class TestReplicatePoints:
         monkeypatch.setattr(simulator, "FORK_MIN_UPDATES", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
 
-    @staticmethod
-    def fail_replicate(monkeypatch, in_parent):
-        """Make ``replicate`` raise in this process or only in its children."""
-        replicate = simulator.replicate
-        parent = os.getpid()
-
-        def failing(*args):
-            if (os.getpid() == parent) == in_parent:
-                raise RuntimeError(f"replicate failed in pid {os.getpid()}")
-            return replicate(*args)
-
-        monkeypatch.setattr(simulator, "replicate", failing)
-
     def test_serial_grid_calls_replicate_once_per_point(self, monkeypatch):
         # the benchmark counts its updates and kept calibration rows from
         # these calls to the module global
@@ -572,47 +557,30 @@ class TestReplicatePoints:
         assert calls == [(len(self.POINTS), k)]
         assert forks == [os.getpid()] * (k - 1)
 
-    def test_failed_fork_runs_the_block_here(self, monkeypatch, forking):
+    def test_failed_fork_runs_the_block_here(self, monkeypatch, forking, refused_forks):
         expected = self.serial(monkeypatch)
-        refused = []
-
-        def refuse():
-            refused.append(os.getpid())
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-        monkeypatch.setattr(os, "fork", refuse)
         assert self.run() == expected
-        assert refused == [os.getpid()] * 2
+        assert refused_forks == [os.getpid()] * 2
 
-    def test_failed_child_block_runs_here(self, monkeypatch, forking, forks):
+    def test_failed_child_block_runs_here(self, monkeypatch, forking, forks, fail_replicate):
         expected = self.serial(monkeypatch)
-        self.fail_replicate(monkeypatch, in_parent=False)
+        fail_replicate(monkeypatch, in_parent=False)
         assert self.run() == expected
         assert forks == [os.getpid()] * 2
 
     def test_failed_parent_block_propagates_and_the_next_call_forks(self, monkeypatch, forking,
-                                                                    forks):
+                                                                    forks, fail_replicate):
         with monkeypatch.context() as m:
-            self.fail_replicate(m, in_parent=True)
+            fail_replicate(m, in_parent=True)
             with pytest.raises(RuntimeError, match=f"replicate failed in pid {os.getpid()}"):
                 self.run()
         assert forks == [os.getpid()] * 2
         self.run()
         assert forks == [os.getpid()] * 4
 
-    def test_no_fork_beside_another_thread(self, monkeypatch, forking, forks):
-        expected = self.serial(monkeypatch)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait, args=(60,))
-        thread.start()
-        try:
-            got = self.run()
-        finally:
-            release.set()
-            thread.join(timeout=60)
-        assert not thread.is_alive()
+    def test_no_fork_beside_another_thread(self, monkeypatch, forking, forks, another_thread):
+        assert self.run() == self.serial(monkeypatch)
         assert forks == []
-        assert got == expected
 
     def test_no_fork_below_the_threshold(self, monkeypatch, forks):
         # the real threshold; the rule counts the longest path, n, at both points
