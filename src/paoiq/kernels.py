@@ -23,12 +23,14 @@ the worst case.
 
 The grid is kept, read-only, one per k, and replaced only when a larger n
 arrives; a call slices off its first n + 1 points.  Each point i/k is
-exact, so the slice has the bits of a fresh grid.  The cost of the reuse is
-the kept grids themselves, 8 bytes per point of the largest n enumerated so
-far, per k, until the process exits.  The window expression updates its
-value in place, so an enumeration peaks at 32 bytes per grid point: the
-grid, its powers, the value and one temporary; on a kept grid the call
-itself adds 24 of them.
+exact, so the slice has the bits of a fresh grid, and the k = 1 grid holds
+k * (m + 1) = i + k for both k: a k = 2 enumeration keeps and grows it too.
+The cost of the reuse is the kept grids themselves, 8 bytes per point of
+the largest n enumerated so far, per grid, until the process exits.  The
+window expression updates its value in place, so a first enumeration
+peaks at 32 bytes per grid point: the grid, its powers, the value and one
+temporary; a first k = 2 call also builds the k = 1 grid, 40 in all.  On
+kept grids the call itself adds 24 of them.
 """
 
 from __future__ import annotations
@@ -102,18 +104,17 @@ def window_bound(m: float | np.ndarray, k: int, lam: float, mu: float, alpha: fl
     may differ in the last bits."""
     ia = 1.0 / alpha
     p = m + 1.0
-    return _combine(m, p, m**ia, p**ia, k, lam, mu, gamma_a, gamma_s)
+    return _combine(m, k * p, m**ia, p**ia, k, lam, mu, gamma_a, gamma_s)
 
 
-def _combine(m: float | np.ndarray, p: float | np.ndarray, m_pow: float | np.ndarray,
+def _combine(m: float | np.ndarray, kp: float | np.ndarray, m_pow: float | np.ndarray,
              p_pow: float | np.ndarray, k: int, lam: float, mu: float,
              gamma_a: float, gamma_s: float) -> float | np.ndarray:
-    """``window_bound`` from m, p = m + 1 and their powers 1/alpha: the new
-    value k * p, updated in place with the roundings, in the order, of
-    k * p / mu - m / lam + k * gamma_s * p_pow + gamma_a * m_pow.  No input
-    is written."""
-    v = k * p
-    v /= mu
+    """``window_bound`` from m, kp = k * (m + 1) and the powers 1/alpha of m
+    and m + 1: the new value kp / mu, updated in place with the roundings, in
+    the order, of kp / mu - m / lam + k * gamma_s * p_pow + gamma_a * m_pow.
+    No input is written."""
+    v = kp / mu
     v -= m / lam
     v += k * gamma_s * p_pow
     v += gamma_a * m_pow
@@ -156,10 +157,12 @@ def _exact_max(k: int, lam: float, mu: float, alpha: float,
     if n < k:
         return 1.0 / mu + gamma_s, EMPTY_WINDOW
     # e = 0, 1/k, ..., n/k holds m and m + 1 with the same bits as m + 1.0:
-    # each point i/k is exact, so one power pass serves both terms
+    # each point i/k is exact, so one power pass serves both terms; for the
+    # same reason the k = 1 grid holds k * (m + 1) = i + k exactly
     size = n - k + 1
-    e = _grid(k, n)
+    ints = _grid(1, n)
+    e = ints if k == 1 else _grid(k, n)
     pw = e ** (1.0 / alpha)
-    vals = _combine(e[:size], e[k:], pw[:size], pw[k:], k, lam, mu, gamma_a, gamma_s)
+    vals = _combine(e[:size], ints[k:], pw[:size], pw[k:], k, lam, mu, gamma_a, gamma_s)
     i = int(vals.argmax())
     return float(vals[i]), i / k

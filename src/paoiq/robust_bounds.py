@@ -36,10 +36,11 @@ SOURCES = {"exact_single": 1, "robust1": 1, "robust2": 1, "exact_two": 2, "robus
 METHODS = (*SOURCES, "kingman")
 
 # Enumeration peaks at 32 bytes per grid point, four float64 arrays: the grid,
-# its powers, the value and one temporary (tracemalloc, n = 10**6 and 10**7,
-# both k).  On a kept grid a call adds 24 bytes per point to the grid's 8,
-# which stay until exit (``kernels._grid``).  This keeps one enumeration
-# under about 0.32 GB, and a kept grid under 80 MB per k.
+# its powers, the value and one temporary; a first k = 2 call adds the k = 1
+# grid, 40 in all (tracemalloc, n = 10**6 and 10**7).  On kept grids a call
+# adds 24 bytes per point to the grids' 8 per k, which stay until exit
+# (``kernels._grid``); k = 2 keeps the k = 1 grid too.  This keeps one
+# enumeration under about 0.4 GB, and a kept grid under 80 MB per k.
 MAX_ENUMERATION_N = 10**7
 
 
@@ -58,7 +59,7 @@ class UncertaintyParams:
         check_nonnegative(self.gamma_s, "gamma_s")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoundResult:
     """A system-time bound value, and where the worst case is reached."""
 
@@ -225,9 +226,16 @@ def _closed_form(sys: SystemParams, unc: UncertaintyParams, method: str) -> Boun
         l = math.inf
     if n == 1 or not l < n / k:
         # a one-point grid, or f still increasing at its end: the top point wins
-        value, neg_m = f(top, k, lam, mu, a, ga, gs), -top
+        value, m_star = f(top, k, lam, mu, a, ga, gs), top
     else:
+        # ascending m, kept only when strictly larger: ties go to the smallest
+        # m, and a NaN is kept only as the first candidate
         fl = math.floor(l)
-        value, neg_m = max((f(m, k, lam, mu, a, ga, gs), -m)
-                           for j in range(-k, k + 1) if 0.0 <= (m := fl + j / k) <= top)
-    return BoundResult(max(value, 0.0), method, -neg_m)
+        value = m_star = None
+        for j in range(-k, k + 1):
+            m = fl + j / k
+            if 0.0 <= m <= top:
+                v = kernels.window_bound(m, k, lam, mu, a, ga, gs)
+                if m_star is None or v > value:
+                    value, m_star = v, m
+    return BoundResult(max(value, 0.0), method, m_star)

@@ -109,8 +109,11 @@ def test_kept_grid_has_the_bits_of_a_fresh_one(k, monkeypatch):
         i = int(np.argmax(vals))
         assert (value, m_star) == (vals[i], grid[i])
         assert kernels._GRIDS[k].shape == (3001,)
-    with pytest.raises(ValueError, match="read-only"):
-        kernels._GRIDS[k][0] = 1.0
+    # the k = 1 grid holds k * (m + 1) of every k, so it is kept and grown too
+    assert np.array_equal(kernels._GRIDS[1], np.arange(0.0, 3001.0, 1.0))
+    for e in kernels._GRIDS.values():
+        with pytest.raises(ValueError, match="read-only"):
+            e[0] = 1.0
 
 
 def test_lindley_work_matches_allocating_call():

@@ -5,12 +5,13 @@ are gated by tests/test_acceptance.py (criteria 1-3) and by the properties
 in tests/test_properties.py.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from paoiq import robust_bounds
+from paoiq import kernels, robust_bounds
 from paoiq.errors import NumericError, StabilityError, ValidationError
 from paoiq.experiments import SweepConfig, run_sweep
 from paoiq.robust_bounds import (
@@ -292,6 +293,72 @@ class TestNumericLimits:
         for bound, sources in ((bound_robust2_single, 1), (bound_robust3_two, 2)):
             res = bound(SystemParams(0.2, 1.0, MAX_ENUMERATION_N + 1, sources), unc)
             assert math.isfinite(res.value)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_closed_form_tie_breaks_to_smallest_m(k):
+    # gammas zero and lam one ulp below mu/k, the largest stable rate: f
+    # rounds to one value on the candidates m = 0..1, so m = 0 must be
+    # reported, as the enumeration does
+    mu = 0.9046800706458055
+    lam = math.nextafter(mu / k, 0.0)
+    sysp, unc = SystemParams(lam, mu, 50, k), UncertaintyParams(2.0, 0.0, 0.0)
+    assert len({kernels.window_bound(j / k, k, lam, mu, 2.0, 0.0, 0.0)
+                for j in range(k + 1)}) == 1
+    closed = (bound_robust2_single if k == 1 else bound_robust3_two)(sysp, unc)
+    exact = (worst_case_exact_single if k == 1 else worst_case_exact_two)(sysp, unc)
+    assert (closed.value, closed.m_star) == (exact.value, exact.m_star) == (k / mu, 0.0)
+
+
+def bound_bits_cases(count, seed):
+    """(lam, mu, n, unc) tuples that reach every branch of the five bounds:
+    n = 1 (the two-source empty window), the closed forms' top point and
+    candidates, zero gammas, alpha = 2 and alpha near 1, overloaded systems,
+    and services so short that windows overflow, to inf or to inf - inf."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        alpha = (2.0, 1.0 + float(rng.uniform(1e-6, 1e-3)),
+                 float(rng.uniform(1.001, 2.0)))[i % 3]
+        n = (1, 2)[i % 8] if i % 8 < 2 else int(rng.integers(1, 500))
+        frac = float(rng.uniform(0.05, 1.2))
+        ga, gs = (float(g) for g in rng.uniform(0.0, 10.0, 2))
+        if i % 5 == 0:
+            ga, gs = 0.0, (0.0, gs)[i % 2]
+        if i % 7 == 0:
+            mu = 10.0 ** float(rng.uniform(-307.5, -306.0))
+            ga, gs = (min(float(g) / mu, 1e308) for g in rng.uniform(0.0, 10.0, 2))
+        elif i % 11 == 0:
+            mu, ga, gs = float(rng.uniform(0.5, 2.0)), 1e308, float(rng.uniform(0, 1e308))
+        else:
+            mu = float(rng.uniform(0.5, 2.0))
+        yield frac * mu, mu, n, UncertaintyParams(alpha, ga, gs)
+
+
+# sha256 of the bits of all five bounds over bound_bits_cases(2500, 35):
+# per call, the value's and m_star's float.hex() and the method, or the
+# name of the exception raised.  A change to the bound path that keeps its
+# arithmetic leaves this digest unchanged.
+BOUND_BITS_SHA256 = "685c157a3dc81d6c1e3c6edff02c9fc8fc55945626c65678885021181c59c4ea"
+
+
+def test_bound_bits_are_pinned():
+    digest = hashlib.sha256()
+    single = (worst_case_exact_single, bound_robust1_single, bound_robust2_single)
+    two = (worst_case_exact_two, bound_robust3_two)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam, mu, n, unc in bound_bits_cases(2500, 35):
+            for bounds, k in ((single, 1), (two, 2)):
+                sysp = SystemParams(lam / k, mu, n, k)
+                for bound in bounds:
+                    try:
+                        res = bound(sysp, unc)
+                    except (NumericError, StabilityError) as exc:
+                        entry = type(exc).__name__
+                    else:
+                        m_star = None if res.m_star is None else res.m_star.hex()
+                        entry = f"{res.value.hex()} {m_star} {res.method}"
+                    digest.update(f"{entry}\n".encode())
+    assert digest.hexdigest() == BOUND_BITS_SHA256
 
 
 class TestProperties:
