@@ -53,8 +53,9 @@ def lindley_system_times(interarrivals: np.ndarray, services: np.ndarray,
     result is then written to ``work[2]`` and returned as that view, so a
     caller that reuses a C-contiguous ``work`` allocates nothing here.
     ``work[0]`` ends holding the waiting times and ``work[1]`` the running
-    minimum of the walk C.  ``services`` may be ``work[2]``, which is read
-    after ``work[:2]`` is built and before it is written; no other input may
+    minimum of the walk C.  ``services`` may be ``work[2]``, which is written
+    last, and ``interarrivals`` may be ``work[1]``, which is read only while
+    ``work[0]`` is built, before ``work[1]`` is written; no other input may
     overlap ``work``.
 
     T_1 is never read: the first update finds the queue empty.  A NaN in

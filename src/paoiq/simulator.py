@@ -52,10 +52,10 @@ from .seeding import ROLE_ARRIVAL_1, ROLE_ARRIVAL_2, ROLE_SERVICE, derive_seed
 from .stochastic import DistributionSpec, sample_stream
 
 
-# Size caps of ``replicate``: the workspace of one call takes about 40
-# bytes per update for one source and about 57 for two, so n = 10**7 needs
-# 0.4 to 0.6 GB.  A grid runs at most MAX_REPLICATE_N // n processes, so
-# together they hold no more than one call at the cap.
+# Size caps of ``replicate``: the workspace of one call takes about 41
+# bytes per update for one or two sources, so n = 10**7 needs 0.4 GB.  A
+# grid runs at most MAX_REPLICATE_N // n processes, so together they hold
+# no more than one call at the cap.
 MAX_REPLICATE_N = 10**7
 MAX_REPLICATIONS = 10**6
 # Fewest updates, n * replications * points, for which a grid forks: on
@@ -169,7 +169,10 @@ def merge_arrivals(times: np.ndarray,
 
 def simulate_two_source(merged: np.ndarray, services: np.ndarray, gaps: np.ndarray,
                         work: np.ndarray) -> np.ndarray:
-    """System times of the FCFS queue fed by ``merged``; ``gaps`` takes its gaps."""
+    """System times of the FCFS queue fed by ``merged``; ``gaps`` takes its
+    gaps.  ``merged`` may be ``work[0]`` and ``gaps`` ``work[1]``: the gaps
+    are taken before the kernel runs, and it reads them before it writes
+    ``work[1]``."""
     gaps[0] = merged[0]
     np.subtract(merged[1:], merged[:-1], out=gaps[1:])
     return kernels.lindley_system_times(gaps, services, work)
@@ -386,7 +389,11 @@ def _run_blocks(block, count: int, k: int) -> None:
 # ``kernels.lindley_system_times``: services are sampled into work[2], where
 # the kernel leaves the system times, and work[0] and work[1] hold the
 # prefix sums of U_i = X_{i-1} - T_i and their running min; work[0] (one
-# source) or work[1] (two) then takes the post-warmup peaks.
+# source) or work[1] (two) then takes the post-warmup peaks.  Two sources
+# also pass through work[:2] their merged arrival times (row 0), the merged
+# gaps (row 1) and, once the kernel returns, the system times scattered
+# back into the layout of the arrival times (row 0), so both loops keep
+# the same workspace and one n-length buffer besides.
 
 def _single_block(res: np.ndarray, n: int, interarrival_spec: DistributionSpec,
                   service_spec: DistributionSpec, warmup: float, master_seed: int) -> None:
@@ -416,9 +423,11 @@ def _two_block(res: np.ndarray, n: int, interarrival_spec: DistributionSpec,
     # source 1's arrival times, then source 2's
     times = np.empty(n)
     a1, a2 = times[:n1], times[n1:]
-    # the merged gaps, then per-source system times in the layout of times
-    by_source = np.empty(n)
-    s1, s2 = by_source[:n1], by_source[n1:]
+    # work[0] holds the merged arrival times until the kernel runs, then the
+    # system times scattered into the layout of times; a scatter through
+    # the mixed index work[0, order] would allocate n more values
+    scattered = work[0]
+    s1, s2 = scattered[:n1], scattered[n1:]
     w1 = _kept(n1 - 1, warmup)
     w2 = _kept(n2 - 1, warmup)
     k1 = n1 - 1 - w1
@@ -437,9 +446,12 @@ def _two_block(res: np.ndarray, n: int, interarrival_spec: DistributionSpec,
         a2[:] = lane2[:n2]
         sample_stream(service_spec, n, derive_seed(master_seed, r, ROLE_SERVICE), out=x)
         merged, order = merge_arrivals(times, out=work[0])
-        s = simulate_two_source(merged, x, by_source, work)
-        # order[i] is the source-layout index of the i-th merged update
-        by_source[order] = s
+        # the kernel reads the merged gaps in work[1] before it writes that row
+        s = simulate_two_source(merged, x, work[1], work)
+        # order[i] is the source-layout index of the i-th merged update; it is
+        # released before the next replication's draws
+        scattered[order] = s
+        del order
         paoi_trace_two_source(a1[w1:], s1[w1:], out=peaks[:k1])
         paoi_trace_two_source(a2[w2:], s2[w2:], out=peaks[k1:])
         res[r] = peaks.mean(), s[ws:].mean(), peaks[:k1].mean(), peaks[k1:].mean()

@@ -140,6 +140,19 @@ def test_lindley_services_may_alias_the_result_row():
         assert np.array_equal(out, kernels.lindley_system_times(t, x))
 
 
+def test_lindley_interarrivals_may_alias_the_minimum_row():
+    # the layout of a two-source replication: merged gaps in work[1], which
+    # the kernel reads before it writes its running minimum there
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 1001):
+        t = rng.exponential(1.0, n)
+        x = rng.exponential(0.9, n)
+        work = np.full((3, n), np.nan)
+        work[1] = t
+        out = kernels.lindley_system_times(work[1], x, work)
+        assert np.array_equal(out, kernels.lindley_system_times(t, x, np.empty((3, n))))
+
+
 @pytest.mark.parametrize("lam", [1e-3, 1e-11])
 def test_lindley_light_load_waits_are_never_negative(lam):
     # a difference of horizon-sized prefix sums gave S < X for 50,003 and

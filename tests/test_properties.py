@@ -297,6 +297,23 @@ def test_zero_radii_leave_the_service_floor(alpha, load, mu, n):
             assert (result.value, result.m_star) == expected
 
 
+@DETERMINISTIC
+@given(st.sampled_from([0.5, 1.0, 2.0]), st.floats(min_value=1e-3, max_value=0.585),
+       st.integers(min_value=2, max_value=500))
+@example(mu=1.0, load=0.02, n=10**5)
+def test_light_load_identity_of_one_source(mu, load, n):
+    # gamma_a = 1/lam at alpha = 2 makes the arrival span of the window m = 1,
+    # -1/lam + gamma_a*1, exactly 0, so that window charges two services;
+    # f(m) - f(1) = (m - 1)/mu - (m - sqrt(m))/lam is negative for every
+    # m >= 2 while lam/mu < sqrt(2)/(1 + sqrt(2)) = 0.5858; and 2/mu is a
+    # power of two, so (2/mu - 1/lam) + 1/lam rounds back to 2/mu exactly
+    sysp = scenario(1, load, mu, n)
+    unc = rb.UncertaintyParams(2.0, 1.0 / sysp.lam, 0.0)
+    for bound in SOURCES[1]:
+        result = bound(sysp, unc)
+        assert (result.value, result.m_star) == (2.0 / mu, 1.0)
+
+
 # Witness paths.  Robust queueing (Bandi, Bertsimas & Youssef, "Robust
 # Queueing Theory", Operations Research 2015) attains the worst case on the
 # boundary of the uncertainty set, so a boundary path fed through the queue
