@@ -722,7 +722,7 @@ def gim1_sigma(interarrival, mu):
     map minus sigma is positive on [0, sigma) and negative on (sigma, 1).
     """
     lo, hi = 0.0, 1.0
-    for _ in range(200):
+    for _ in range(64):
         mid = 0.5 * (lo + hi)
         if laplace_transform(interarrival, mu * (1.0 - mid)) > mid:
             lo = mid
