@@ -47,7 +47,6 @@ from .robust_bounds import (
     worst_case_exact_two,
 )
 from .simulator import (
-    QueueResult,
     ReplicationSummary,
     SystemParams,
     replicate,

@@ -104,9 +104,10 @@ class SweepConfig:
         get_scenario(self.scenario)
         if self.lambdas is not None and not self.lambdas:
             raise ValidationError("lambdas must not be empty; omit it for the default grid")
+        # the report labels each row with fmt(lam), so rates that print alike repeat
         rates = self.grid()
-        if len(set(rates)) < len(rates):
-            raise ValidationError(f"arrival rates must not repeat, got {rates}")
+        if len({fmt(lam) for lam in rates}) < len(rates):
+            raise ValidationError(f"arrival rates must not repeat to 12 digits, got {rates}")
         for lam, system, _, _ in self.points():
             system.require_stable(f"rate {lam} of the {self.scenario} sweep")
         if self.theta is not None and self.theta.scenario != self.scenario:

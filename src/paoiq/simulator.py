@@ -27,7 +27,9 @@ such as an OpenBLAS pool.
 their float64 inputs, and ``paoiq`` does not export them.  The loops look
 each one up as a module global at call time, so the benchmark's per-layer
 rows ``simulator.<step>.self_s`` time the code that runs.  ``simulate_fcfs``
-is the one inspection wrapper: it checks its input and returns a ``QueueResult``.
+is the one inspection wrapper: it checks one single-source path (t, x) and
+returns the kernel's system times s; the path's arrival, waiting and finish
+times are ``np.cumsum(t)``, ``s - x`` and ``np.cumsum(t) + s``.
 
 Conventions: the first arrival occurs at time T_1 (the first interarrival
 draw is the delay from time zero), and per-replication warmup discards the
@@ -110,17 +112,6 @@ class SystemParams:
 
 
 @dataclass
-class QueueResult:
-    """Per-update timestamps of one simulated FCFS sample path."""
-
-    arrival_times: np.ndarray
-    service_times: np.ndarray
-    waiting_times: np.ndarray
-    finish_times: np.ndarray
-    system_times: np.ndarray
-
-
-@dataclass
 class ReplicationSummary:
     """Across-replication averages of post-warmup PAoI and system time."""
 
@@ -130,7 +121,7 @@ class ReplicationSummary:
     ci95_paoi: float
     per_source_paoi: tuple[float, float] | None
     stable: bool
-    paoi_rep_means: np.ndarray = field(repr=False, default=None)
+    paoi_rep_means: np.ndarray = field(repr=False)
 
 
 # The steps of ``replicate``: with ``out`` given they write into it and allocate nothing.
@@ -183,39 +174,27 @@ def _kept(count: int, fraction: float) -> int:
     return int(fraction * count)
 
 
-def _values(x) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-
-
 def _check_path(interarrivals: np.ndarray, services: np.ndarray) -> None:
-    if len(interarrivals) != len(services):
+    if interarrivals.ndim != 1 or interarrivals.shape != services.shape:
         raise ValidationError(
-            f"stream length mismatch: {len(interarrivals)} interarrivals vs "
-            f"{len(services)} services"
+            f"a sample path is two 1-D streams of one length, got shapes "
+            f"{interarrivals.shape} interarrivals vs {services.shape} services"
         )
     if len(services) < 1:
         raise ValidationError("empty sample path")
     # the first entry is the delay from time zero and may be 0
-    if interarrivals[0] < 0 or (len(interarrivals) > 1 and not np.all(interarrivals[1:] > 0)):
+    if interarrivals[0] < 0 or not np.all(interarrivals[1:] > 0):
         raise ValidationError("interarrival times must be positive")
     if not np.all(services > 0):
         raise ValidationError("service times must be positive")
 
 
-def simulate_fcfs(interarrivals, services) -> QueueResult:
-    """Run one single-server FCFS path; arrival i happens at cumsum(T)[i]."""
-    t = _values(interarrivals)
-    x = _values(services)
+def simulate_fcfs(interarrivals, services) -> np.ndarray:
+    """System times of one single-server FCFS path; arrival i happens at cumsum(T)[i]."""
+    t = np.asarray(interarrivals, dtype=np.float64)
+    x = np.asarray(services, dtype=np.float64)
     _check_path(t, x)
-    arrivals = np.cumsum(t)
-    s = kernels.lindley_system_times(t, x)
-    return QueueResult(
-        arrival_times=arrivals,
-        service_times=x,
-        waiting_times=s - x,
-        finish_times=arrivals + s,
-        system_times=s,
-    )
+    return kernels.lindley_system_times(t, x)
 
 
 def replicate(

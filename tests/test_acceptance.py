@@ -282,7 +282,7 @@ def test_criterion_10_uncertainty_set_soundness():
         if not _set_membership(t, x, lam, mu, gamma_a, gamma_s):
             continue
         qualifying += 1
-        s_n = simulate_fcfs(t, x).system_times[-1]
+        s_n = simulate_fcfs(t, x)[-1]
         if s_n > bound:
             violations += 1
     ok = qualifying == 100 and violations == 0

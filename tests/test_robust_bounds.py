@@ -431,6 +431,6 @@ class TestProperties:
             mvals = np.arange(n, 0, -1, dtype=float)
             g_a = float(np.max(-(st - mvals / lam) / mvals ** (1 / alpha)))
             unc = UncertaintyParams(alpha, max(g_a, 0.0), max(g_s, 0.0))
-            s_n = simulate_fcfs(t, x).system_times[-1]
+            s_n = simulate_fcfs(t, x)[-1]
             bound = worst_case_exact_single(SystemParams(lam, mu, n, 1), unc).value
             assert s_n <= bound + 1e-9

@@ -8,13 +8,14 @@ import warnings
 import numpy as np
 import pytest
 
-from paoiq import simulator
+from paoiq import experiments, kernels, simulator
 from paoiq.errors import ValidationError
-from paoiq.experiments import family_spec
+from paoiq.experiments import SweepConfig, error_percent_se, family_spec, run_sweep
 from paoiq.seeding import ROLE_ARRIVAL_1, ROLE_ARRIVAL_2, ROLE_SERVICE, derive_seed
 from paoiq.simulator import (
     MAX_REPLICATE_N,
     MAX_REPLICATIONS,
+    ReplicationSummary,
     SystemParams,
     _replicate_points,
     merge_arrivals,
@@ -94,27 +95,36 @@ class TestSystemParams:
 
 class TestSimulateFcfs:
     def test_no_queueing_when_service_shorter_than_gaps(self):
-        res = simulate_fcfs([0.0, 1.0, 1.0], [0.5, 0.5, 0.5])
-        assert np.allclose(res.waiting_times, 0.0)
-        assert np.allclose(res.system_times, 0.5)
+        x = np.array([0.5, 0.5, 0.5])
+        s = simulate_fcfs([0.0, 1.0, 1.0], x)
+        assert np.allclose(s - x, 0.0)
+        assert np.allclose(s, 0.5)
 
     def test_hand_unrolled_backlog(self):
-        res = simulate_fcfs([0.0, 1.0, 1.0], [2.0, 2.0, 2.0])
-        assert np.allclose(res.system_times, [2.0, 3.0, 4.0])
+        s = simulate_fcfs([0.0, 1.0, 1.0], [2.0, 2.0, 2.0])
+        assert np.allclose(s, [2.0, 3.0, 4.0])
+
+    def test_returns_the_kernel_system_times(self):
+        rng = np.random.default_rng(5)
+        t = rng.exponential(1.0, 1000)
+        x = rng.exponential(0.9, 1000)
+        s = simulate_fcfs(t, x)
+        assert s.dtype == np.float64
+        assert np.array_equal(s, kernels.lindley_system_times(t, x))
+        assert np.array_equal(simulate_fcfs(list(t), list(x)), s)
 
     def test_invariants_on_random_path(self):
         rng = np.random.default_rng(0)
         t = rng.exponential(1.0, 500)
         x = rng.exponential(0.8, 500)
-        res = simulate_fcfs(t, x)
-        assert np.allclose(res.system_times, res.waiting_times + res.service_times)
-        assert np.allclose(res.system_times, res.finish_times - res.arrival_times)
-        assert np.all(res.system_times >= res.service_times - 1e-12)
+        s = simulate_fcfs(t, x)
+        arrivals = np.cumsum(t)
+        finishes = arrivals + s
+        assert np.all(s >= x - 1e-12)
         # FCFS: finishes are non-decreasing, service starts at max(a_i, f_{i-1})
-        assert np.all(np.diff(res.finish_times) >= -1e-12)
-        starts = res.finish_times - res.service_times
-        expected = np.maximum(res.arrival_times, np.concatenate([[0.0], res.finish_times[:-1]]))
-        assert np.allclose(starts, expected)
+        assert np.all(np.diff(finishes) >= -1e-12)
+        expected = np.maximum(arrivals, np.concatenate([[0.0], finishes[:-1]]))
+        assert np.allclose(finishes - x, expected)
 
     def test_matches_brute_force_max_form(self):
         rng = np.random.default_rng(123)
@@ -122,7 +132,7 @@ class TestSimulateFcfs:
             n = int(rng.integers(1, 21))
             t = rng.exponential(1.0, n)
             x = rng.exponential(0.8, n)
-            s = simulate_fcfs(t, x).system_times
+            s = simulate_fcfs(t, x)
             ref = brute_force_system_times(t, x)
             assert np.abs(s - ref).max() <= 1e-12 * max(1.0, ref.max())
 
@@ -132,8 +142,8 @@ class TestSimulateFcfs:
             n = int(rng.integers(2, 200))
             t = rng.exponential(1.0, n)
             x = rng.exponential(0.9, n)
-            res = simulate_fcfs(t, x)
-            assert x.sum() <= res.finish_times[-1] - res.arrival_times[0] + x[0] + 1e-9
+            finish = np.cumsum(t)[-1] + simulate_fcfs(t, x)[-1]
+            assert x.sum() <= finish - t[0] + x[0] + 1e-9
 
     def test_input_validation(self):
         with pytest.raises(ValidationError):
@@ -144,6 +154,10 @@ class TestSimulateFcfs:
             simulate_fcfs([1.0, 1.0], [1.0, 0.0])
         with pytest.raises(ValidationError):
             simulate_fcfs([], [])
+        # a scalar, a 2-D path and column services are not 1-D streams
+        for t, x in ((1.0, 1.0), ([[1.0, 1.0]], [[1.0, 1.0]]), ([1.0, 1.0], [[1.0], [1.0]])):
+            with pytest.raises(ValidationError, match="^a sample path is two 1-D streams"):
+                simulate_fcfs(t, x)
 
 
 def merged_with_ids(a1, a2):
@@ -169,8 +183,8 @@ def two_source_path(t1, t2, services):
 
 class TestPaoiTraceSingle:
     def test_direct_sum(self):
-        res = simulate_fcfs([0.5, 1.0], [0.5, 0.5])
-        assert paoi_trace_single(np.array([0.5, 1.0]), res.system_times) == pytest.approx([1.5])
+        s = simulate_fcfs([0.5, 1.0], [0.5, 0.5])
+        assert paoi_trace_single(np.array([0.5, 1.0]), s) == pytest.approx([1.5])
 
     def test_single_update_has_no_peak(self):
         assert len(paoi_trace_single(np.array([1.0]), np.array([0.5]))) == 0
@@ -179,12 +193,13 @@ class TestPaoiTraceSingle:
         rng = np.random.default_rng(8)
         t = rng.exponential(2.0, 300)
         x = rng.exponential(1.0, 300)
-        res = simulate_fcfs(t, x)
-        peaks = paoi_trace_single(t, res.system_times)
+        s = simulate_fcfs(t, x)
+        peaks = paoi_trace_single(t, s)
         assert len(peaks) == 299
-        assert np.allclose(peaks, t[1:] + res.system_times[1:])
+        assert np.allclose(peaks, t[1:] + s[1:])
         # peaks are also f_i - a_{i-1}
-        assert np.allclose(peaks, res.finish_times[1:] - res.arrival_times[:-1])
+        arrivals = np.cumsum(t)
+        assert np.allclose(peaks, (arrivals + s)[1:] - arrivals[:-1])
 
 
 class TestMergeArrivals:
@@ -299,7 +314,7 @@ class TestReplicate:
         # reproduce the path by hand with the same derived seeds
         t = sample_stream(make_exponential(0.4), 2_000, derive_seed(12, 0, ROLE_ARRIVAL_1))
         x = sample_stream(make_exponential(1.0), 2_000, derive_seed(12, 0, ROLE_SERVICE))
-        peaks = paoi_trace_single(t, simulate_fcfs(t, x).system_times)
+        peaks = paoi_trace_single(t, simulate_fcfs(t, x))
         assert summary.mean_paoi == pytest.approx(peaks.mean(), rel=1e-12)
         assert summary.ci95_paoi == 0.0
 
@@ -403,7 +418,7 @@ def rebuilt_through_steps(params, ia_spec, svc_spec, replications, warmup, maste
         if params.sources == 1:
             t = sample_stream(ia_spec, params.n, seed(ROLE_ARRIVAL_1))
             x = sample_stream(svc_spec, params.n, seed(ROLE_SERVICE))
-            s = simulate_fcfs(t, x).system_times
+            s = simulate_fcfs(t, x)
             peaks = paoi_trace_single(t, s)
             paoi.append(peaks[int(warmup * len(peaks)):].mean())
         else:
@@ -755,3 +770,41 @@ def test_replicate_matches_gim1_peak_age():
             z[family, load] = (means.mean() - expected) / stderr
     worst = max(z, key=lambda key: abs(z[key]))
     assert abs(z[worst]) <= 4.0, f"|z| = {abs(z[worst]):.2f} at {worst}; all: {z}"
+
+
+# kingman / robust1 / robust2 error percents of the default single-source
+# grid (realized rates, built-in theta, n = 1e5) against the GI/M/1 means
+EXACT_ERROR_PERCENTS = {
+    "exponential": {"kingman": 33.56, "robust1": 35.16, "robust2": 5.98},
+    "normal": {"kingman": 12.79, "robust1": 48.48, "robust2": 21.64},
+    "uniform": {"kingman": 14.81, "robust1": 44.36, "robust2": 17.09},
+}
+
+
+@pytest.mark.filterwarnings("ignore:mapped gamma_s:RuntimeWarning")
+@pytest.mark.parametrize("family", sorted(EXACT_ERROR_PERCENTS))
+def test_default_grid_exact_error_percents(monkeypatch, family):
+    """The sweep's error percents with each simulated mean replaced by the
+    exact GI/M/1 mean peak age, and a reduced simulated sweep against them.
+
+    The reduced sweep (n = 2e4, 10 replications, seed 0) must agree within
+    4 of its delta-method standard errors (``error_percent_se``).
+    """
+    def exact_points(points, replications, warmup_fraction):
+        out = []
+        for system, ia, _, _ in points:
+            mean = ia.mean + 1.0 / (system.mu * (1.0 - gim1_sigma(ia, system.mu)))
+            out.append(ReplicationSummary(1, mean, math.nan, 0.0, None, True, np.array([mean])))
+        return out
+
+    expected = EXACT_ERROR_PERCENTS[family]
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_replicate_points", exact_points)
+        exact = run_sweep(SweepConfig("single", interarrival_family=family)).error_percents
+    assert exact == pytest.approx(expected, abs=0.005)
+
+    simulated = run_sweep(SweepConfig("single", interarrival_family=family, n=20_000,
+                                      replications=10, master_seed=0))
+    for method, pct in simulated.error_percents.items():
+        se = error_percent_se([r for r in simulated.rows if r.method == method])
+        assert abs(pct - expected[method]) <= 4.0 * se, (method, pct, se)
