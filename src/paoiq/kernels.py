@@ -85,18 +85,6 @@ def lindley_system_times(interarrivals: np.ndarray, services: np.ndarray,
     return np.add(x, c, out=work[2])
 
 
-def _lanes(work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``work[:2]`` of a (3, n) float64 ``work`` as n complex128 values, with
-    their real and imaginary lanes as strided float64 views; all three are
-    views into ``work`` when it is C-contiguous.  ``simulator.replicate``
-    takes both arrival-time prefix sums of a two-source path from one
-    ``cumsum`` over these lanes: a complex add adds each lane on its own,
-    with the bits of one float64 add."""
-    pairs = work[:2].reshape(2 * work.shape[1]).view(np.complex128)
-    lanes = pairs.view(np.float64).reshape(-1, 2)
-    return pairs, lanes[:, 0], lanes[:, 1]
-
-
 def window_bound(m: float | np.ndarray, k: int, lam: float, mu: float, alpha: float,
                  gamma_a: float, gamma_s: float) -> float | np.ndarray:
     """Worst-case system time of a window of m >= 0 interarrivals with k sources,

@@ -183,10 +183,11 @@ def _check_path(interarrivals: np.ndarray, services: np.ndarray) -> None:
     if len(services) < 1:
         raise ValidationError("empty sample path")
     # the first entry is the delay from time zero and may be 0
-    if interarrivals[0] < 0 or not np.all(interarrivals[1:] > 0):
-        raise ValidationError("interarrival times must be positive")
-    if not np.all(services > 0):
-        raise ValidationError("service times must be positive")
+    if not (np.isfinite(interarrivals).all() and interarrivals[0] >= 0
+            and (interarrivals[1:] > 0).all()):
+        raise ValidationError("interarrival times must be finite and positive")
+    if not (np.isfinite(services).all() and (services > 0).all()):
+        raise ValidationError("service times must be finite and positive")
 
 
 def simulate_fcfs(interarrivals, services) -> np.ndarray:
@@ -412,17 +413,10 @@ def _two_block(res: np.ndarray, n: int, interarrival_spec: DistributionSpec,
     k1 = n1 - 1 - w1
     # both sources' post-warmup peaks side by side
     peaks = work[1, :k1 + n2 - 1 - w2]
-    # both interarrival streams in the lanes of one paired cumsum; source
-    # 2's lane is one entry longer when n is odd and ends in a zero
-    pairs, lane1, lane2 = (v[:n1] for v in kernels._lanes(work))
     for r in range(len(res)):
-        for a, lane, role in ((a1, lane1, ROLE_ARRIVAL_1), (a2, lane2, ROLE_ARRIVAL_2)):
+        for a, role in ((a1, ROLE_ARRIVAL_1), (a2, ROLE_ARRIVAL_2)):
             sample_stream(interarrival_spec, len(a), derive_seed(master_seed, r, role), out=a)
-            lane[:len(a)] = a
-        lane2[n2:] = 0.0
-        np.cumsum(pairs, out=pairs)
-        a1[:] = lane1
-        a2[:] = lane2[:n2]
+            np.cumsum(a, out=a)
         sample_stream(service_spec, n, derive_seed(master_seed, r, ROLE_SERVICE), out=x)
         merged, order = merge_arrivals(times, out=work[0])
         # the kernel reads the merged gaps in work[1] before it writes that row

@@ -154,6 +154,13 @@ class TestSimulateFcfs:
             simulate_fcfs([1.0, 1.0], [1.0, 0.0])
         with pytest.raises(ValidationError):
             simulate_fcfs([], [])
+        # a non-finite time fails before the kernel runs, and so does a NaN
+        # first interarrival, which would make every arrival time NaN
+        for t, x, what in (([1.0, np.inf, 1.0], [1.0, 1.0, 1.0], "interarrival"),
+                           ([1.0, 1.0, 1.0], [1.0, np.inf, 1.0], "service"),
+                           ([np.nan, 1.0, 1.0], [1.0, 1.0, 1.0], "interarrival")):
+            with pytest.raises(ValidationError, match=f"^{what} times must be"):
+                simulate_fcfs(t, x)
         # a scalar, a 2-D path and column services are not 1-D streams
         for t, x in ((1.0, 1.0), ([[1.0, 1.0]], [[1.0, 1.0]]), ([1.0, 1.0], [[1.0], [1.0]])):
             with pytest.raises(ValidationError, match="^a sample path is two 1-D streams"):
@@ -409,7 +416,7 @@ def law(family, mean):
 
 def rebuilt_through_steps(params, ia_spec, svc_spec, replications, warmup, master_seed):
     """replicate()'s per-replication means, recomputed by composing its steps
-    on fresh arrays: no workspace, no paired cumsum, source masks for the scatter."""
+    on fresh arrays: no workspace, source masks for the scatter."""
     paoi, system, per_source = [], [], []
     for r in range(replications):
         def seed(role):
@@ -772,23 +779,29 @@ def test_replicate_matches_gim1_peak_age():
     assert abs(z[worst]) <= 4.0, f"|z| = {abs(z[worst]):.2f} at {worst}; all: {z}"
 
 
-# kingman / robust1 / robust2 error percents of the default single-source
-# grid (realized rates, built-in theta, n = 1e5) against the GI/M/1 means
+# kingman / robust1 / robust2 error percents of a single-source grid
+# (realized rates, built-in theta, n = 1e5) against the GI/M/1 means: the
+# default grid, and the light-load rates 0.02, 0.05 and 0.1
 EXACT_ERROR_PERCENTS = {
     "exponential": {"kingman": 33.56, "robust1": 35.16, "robust2": 5.98},
     "normal": {"kingman": 12.79, "robust1": 48.48, "robust2": 21.64},
     "uniform": {"kingman": 14.81, "robust1": 44.36, "robust2": 17.09},
 }
+LIGHT_LOAD_RATES = (0.02, 0.05, 0.1)
+LIGHT_LOAD_EXACT_ERROR_PERCENTS = {
+    "exponential": {"kingman": 49.785, "robust1": 113.6667, "robust2": 4.8067},
+    "normal": {"kingman": 11.6055, "robust1": 95.107, "robust2": 0.0968},
+    "uniform": {"kingman": 16.702, "robust1": 97.4108, "robust2": 0.2164},
+}
 
 
-@pytest.mark.filterwarnings("ignore:mapped gamma_s:RuntimeWarning")
-@pytest.mark.parametrize("family", sorted(EXACT_ERROR_PERCENTS))
-def test_default_grid_exact_error_percents(monkeypatch, family):
+def check_exact_error_percents(monkeypatch, family, lambdas, expected):
     """The sweep's error percents with each simulated mean replaced by the
     exact GI/M/1 mean peak age, and a reduced simulated sweep against them.
 
-    The reduced sweep (n = 2e4, 10 replications, seed 0) must agree within
-    4 of its delta-method standard errors (``error_percent_se``).
+    ``lambdas`` is the sweep's grid (None for the default one).  The reduced
+    sweep (n = 2e4, 10 replications, seed 0) must agree within 4 of its
+    delta-method standard errors (``error_percent_se``).
     """
     def exact_points(points, replications, warmup_fraction):
         out = []
@@ -797,14 +810,26 @@ def test_default_grid_exact_error_percents(monkeypatch, family):
             out.append(ReplicationSummary(1, mean, math.nan, 0.0, None, True, np.array([mean])))
         return out
 
-    expected = EXACT_ERROR_PERCENTS[family]
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "_replicate_points", exact_points)
-        exact = run_sweep(SweepConfig("single", interarrival_family=family)).error_percents
-    assert exact == pytest.approx(expected, abs=0.005)
+        exact = run_sweep(SweepConfig("single", lambdas, interarrival_family=family))
+    assert exact.error_percents == pytest.approx(expected, abs=0.005)
 
-    simulated = run_sweep(SweepConfig("single", interarrival_family=family, n=20_000,
+    simulated = run_sweep(SweepConfig("single", lambdas, interarrival_family=family, n=20_000,
                                       replications=10, master_seed=0))
     for method, pct in simulated.error_percents.items():
         se = error_percent_se([r for r in simulated.rows if r.method == method])
         assert abs(pct - expected[method]) <= 4.0 * se, (method, pct, se)
+
+
+@pytest.mark.filterwarnings("ignore:mapped gamma_s:RuntimeWarning")
+@pytest.mark.parametrize("family", sorted(EXACT_ERROR_PERCENTS))
+def test_default_grid_exact_error_percents(monkeypatch, family):
+    check_exact_error_percents(monkeypatch, family, None, EXACT_ERROR_PERCENTS[family])
+
+
+@pytest.mark.filterwarnings("ignore:mapped gamma_s:RuntimeWarning")
+@pytest.mark.parametrize("family", sorted(LIGHT_LOAD_EXACT_ERROR_PERCENTS))
+def test_light_load_exact_error_percents(monkeypatch, family):
+    check_exact_error_percents(monkeypatch, family, LIGHT_LOAD_RATES,
+                               LIGHT_LOAD_EXACT_ERROR_PERCENTS[family])
