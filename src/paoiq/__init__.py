@@ -30,7 +30,6 @@ from .experiments import (
     SweepReport,
     error_percent,
     family_spec,
-    report_csv,
     run_sweep,
 )
 from .kernels import BACKEND

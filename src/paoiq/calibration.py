@@ -26,13 +26,14 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import (
     CalibrationRangeError,
     NoSolutionError,
+    NumericError,
     SingularDesignError,
     ValidationError,
     check_nonnegative,
@@ -50,8 +51,6 @@ from .simulator import SystemParams, _replicate_points
 from .stochastic import DistributionSpec, spec_from_dict
 
 CALIBRATION_ALPHA = 2.0
-
-_DATASET_HEADER = ("rho", "sigma_a", "sigma_s", "gamma_s_star", "kind_a", "kind_s", "seed")
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,9 @@ class CalibrationCoefficients:
 
     def __post_init__(self) -> None:
         get_scenario(self.scenario)
+        for name in ("theta0", "theta1", "theta2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def builtin_theta(scenario: str) -> CalibrationCoefficients:
@@ -115,19 +117,24 @@ def map_variability(
     """(gamma_a, gamma_s) from the moment mapping.
 
     The sigmas must be finite and >= 0, the load ``rho`` finite and > 0.
-    A negative radicand is an error (the regression is being evaluated far
-    outside its fitted region); a real but negative gamma_s is clamped to 0
-    with a warning, since the uncertainty set needs gamma_s >= 0.
+    A radicand that is negative or leaves the float range is an error (the
+    regression is being evaluated far outside its fitted region); a real but
+    negative gamma_s is clamped to 0 with a warning, since the uncertainty
+    set needs gamma_s >= 0.
     """
     check_nonnegative(sigma_a, "sigma_a")
     check_nonnegative(sigma_s, "sigma_s")
     check_positive(rho, "rho")
-    radicand = theta.theta0 + theta.theta1 * sigma_s**2 + theta.theta2 * sigma_a**2 * rho**2
+    at = f"sigma_a={sigma_a}, sigma_s={sigma_s}, rho={rho}"
+    try:
+        radicand = theta.theta0 + theta.theta1 * sigma_s**2 + theta.theta2 * sigma_a**2 * rho**2
+    except OverflowError:  # a float ``**`` raises where ``*`` gives inf
+        radicand = math.inf
     if radicand < 0:
         raise CalibrationRangeError(
-            f"variability mapping radicand is negative ({radicand:.6g}) at "
-            f"sigma_a={sigma_a}, sigma_s={sigma_s}, rho={rho}"
-        )
+            f"variability mapping radicand is negative ({radicand:.6g}) at {at}")
+    if not radicand < math.inf:
+        raise CalibrationRangeError(f"variability mapping radicand overflows at {at}")
     gamma_s = math.sqrt(radicand) - sigma_a
     if gamma_s < 0:
         warnings.warn(
@@ -183,6 +190,9 @@ class CalibrationRow:
     seed: int
 
 
+_DATASET_HEADER = tuple(f.name for f in fields(CalibrationRow))
+
+
 @dataclass
 class CalibrationDataset:
     scenario: str
@@ -204,12 +214,20 @@ def fit_theta(dataset: CalibrationDataset) -> CalibrationCoefficients:
         raise SingularDesignError(
             f"need at least 3 calibration rows, got {len(dataset)}"
         )
-    x, y = dataset.design()
+    try:
+        x, y = dataset.design()
+    except OverflowError as exc:
+        raise NumericError("calibration design overflows the float range") from exc
+    # checked before the solver, whose NaN arithmetic would only warn
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NumericError("calibration rows are not finite, or their design overflows")
     coef, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     if rank < 3:
         raise SingularDesignError(
             f"calibration design matrix is rank deficient (rank {rank} < 3)"
         )
+    if not np.isfinite(coef).all():
+        raise NumericError(f"fitted theta leaves the float range: {coef}")
     return CalibrationCoefficients(float(coef[0]), float(coef[1]), float(coef[2]),
                                    dataset.scenario)
 

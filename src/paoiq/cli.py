@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import calibration, experiments
-from .errors import NumericError, ValidationError, check_int, fmt, load_json, parsing, read_fields
+from .errors import (NumericError, ValidationError, check_int, fmt, load_json, parsing,
+                     read_fields, write_text)
 from .robust_bounds import (
     METHODS,
     UncertaintyParams,
@@ -34,11 +35,10 @@ def _defaults(fn) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    doc = read_fields(load_json(args.config), (
-        "n", "sources", "interarrival", "service", "replications",
-        "warmup_fraction", "master_seed"), "simulate config")
     # n has no library default
-    doc = {"n": 100_000, **_defaults(SystemParams), **_defaults(replicate), **doc}
+    defaults = {"n": 100_000, **_defaults(SystemParams), **_defaults(replicate)}
+    doc = {**defaults, **read_fields(load_json(args.config),
+                                     ("interarrival", "service", *defaults), "simulate config")}
     with parsing("simulate config"):
         ia_spec = spec_from_dict(doc["interarrival"])
         svc_spec = spec_from_dict(doc["service"])
@@ -53,7 +53,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         str(summary.replications), fmt(doc["warmup_fraction"]), str(doc["master_seed"]),
         fmt(summary.mean_paoi), fmt(summary.ci95_paoi), fmt(summary.mean_system_time),
         fmt(src1) if src1 != "" else "", fmt(src2) if src2 != "" else "",
-        str(int(summary.stable)),
+        str(int(params.stable)),
     ]))
     return 0
 
@@ -110,7 +110,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     report = experiments.run_sweep(config)
     if all(math.isnan(v) for v in report.error_percents.values()):
         raise NumericError("every grid point failed; no bound could be evaluated")
-    experiments.report_csv(report, args.out)
+    write_text(args.out, experiments.report_to_csv_text(report))
     print(f"wrote {len(report.rows)} rows -> {args.out}", file=sys.stderr)
     return 0
 

@@ -36,7 +36,6 @@ from .errors import (
     json_float,
     parsing,
     read_fields,
-    write_text,
 )
 from .robust_bounds import (
     UncertaintyParams,
@@ -53,7 +52,12 @@ from .stochastic import (
     make_uniform_mean,
 )
 
-FAMILIES = ("exponential", "normal", "uniform")
+_FAMILY_LAWS = {
+    "exponential": lambda mean: make_exponential(1.0 / mean),
+    "normal": lambda mean: make_folded_normal(location=mean, scale=0.5 * mean),
+    "uniform": make_uniform_mean,
+}
+FAMILIES = tuple(_FAMILY_LAWS)
 
 _REPORT_HEADER = "lambda,sim_paoi_mean,sim_paoi_ci95,method,bound_paoi,rel_error"
 _SUMMARY_HEADER = "method,error_percent"
@@ -68,13 +72,10 @@ def family_spec(family: str, mean: float) -> DistributionSpec:
     stability and evaluates its bounds there.
     """
     check_positive(mean, f"{family} mean")
-    if family == "exponential":
-        return make_exponential(1.0 / mean)
-    if family == "normal":
-        return make_folded_normal(location=mean, scale=0.5 * mean)
-    if family == "uniform":
-        return make_uniform_mean(mean)
-    raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    # tuple membership, so an unhashable family is reported like any other
+    if family not in FAMILIES:
+        raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return _FAMILY_LAWS[family](mean)
 
 
 def default_calibration_grid(scenario: str) -> list[tuple[DistributionSpec, DistributionSpec]]:
@@ -274,13 +275,8 @@ def report_to_csv_text(report: SweepReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_csv(report: SweepReport, destination) -> None:
-    """Persist a report; numbers carry 12 significant digits."""
-    write_text(destination, report_to_csv_text(report))
-
-
 def read_report_csv(path) -> SweepReport:
-    """Parse a persisted sweep report (inverse of report_csv)."""
+    """Parse a persisted sweep report (inverse of report_to_csv_text)."""
     report = SweepReport()
     with parsing(f"sweep report {path}"):
         with open(path, newline="") as fh:

@@ -120,7 +120,6 @@ class ReplicationSummary:
     mean_system_time: float
     ci95_paoi: float
     per_source_paoi: tuple[float, float] | None
-    stable: bool
     paoi_rep_means: np.ndarray = field(repr=False)
 
 
@@ -212,9 +211,9 @@ def replicate(
     derives its stream seeds as (master_seed, r, role).  ``params`` gives n
     and the number of sources; the rates are those of the two laws
     (``SystemParams.realized``), read again here whatever ``params`` holds.
-    A system they load at or above 1 still runs but is flagged (its means
-    need not converge).  Every source needs at least one post-warmup peak,
-    so n must be >= 2 per source; n and the integer ``replications`` are
+    A system they load at or above 1 still runs, with a RuntimeWarning (its
+    means need not converge).  Every source needs at least one post-warmup
+    peak, so n must be >= 2 per source; n and the integer ``replications`` are
     capped at MAX_REPLICATE_N and MAX_REPLICATIONS.  The call runs in the
     calling process; only a grid of calls forks (see the module docstring).
     A mean or CI half-width that is not finite raises NumericError.
@@ -257,7 +256,6 @@ def replicate(
         per_source_paoi=(
             tuple(float(v) for v in src_means.mean(axis=0)) if src_means is not None else None
         ),
-        stable=simulated.stable,
         paoi_rep_means=paoi_means,
     )
 
@@ -293,21 +291,21 @@ def _replicate_points(points: list, replications: int,
     if not points:  # mmap cannot map zero bytes
         return []
     # row i: point i's mean PAoI, mean system time, CI half-width, per-source
-    # means (NaN for one source), stability flag and per-replication means
-    res = np.frombuffer(mmap.mmap(-1, len(points) * (6 + replications) * 8)).reshape(
-        len(points), 6 + replications)
+    # means (NaN for one source) and per-replication means
+    res = np.frombuffer(mmap.mmap(-1, len(points) * (5 + replications) * 8)).reshape(
+        len(points), 5 + replications)
 
     def block(first: int, stop: int) -> None:
         for i, (params, ia, svc, seed) in enumerate(points[first:stop], first):
             s = replicate(params, ia, svc, replications, warmup_fraction, seed)
-            res[i, :6] = (s.mean_paoi, s.mean_system_time, s.ci95_paoi,
-                          *(s.per_source_paoi or (math.nan, math.nan)), s.stable)
-            res[i, 6:] = s.paoi_rep_means
+            res[i, :5] = (s.mean_paoi, s.mean_system_time, s.ci95_paoi,
+                          *(s.per_source_paoi or (math.nan, math.nan)))
+            res[i, 5:] = s.paoi_rep_means
 
     _run_blocks(block, len(points), _processes(n, replications, len(points)))
     return [ReplicationSummary(replications, float(row[0]), float(row[1]), float(row[2]),
                                (float(row[3]), float(row[4])) if params.sources == 2 else None,
-                               bool(row[5]), row[6:].copy())
+                               row[5:].copy())
             for (params, *_), row in zip(points, res)]
 
 

@@ -8,7 +8,7 @@ Four positive-support families are provided:
 * ``uniform``: uniform on [0, 2*mean], a single-parameter family pinned to
   its mean,
 * ``pareto``: classic Pareto on [scale, inf) with tail index ``shape``;
-  shape <= 2 marks the spec heavy-tailed (infinite variance).
+  shape <= 2 gives an infinite variance, reported as ``variance is None``.
 
 ``sample_stream`` fills one plain float64 array (the caller's ``out`` or
 a new one) from one PCG64 generator and returns it, so every draw is
@@ -29,8 +29,6 @@ import numpy as np
 
 from .errors import ValidationError, check_int, check_positive, json_float
 
-KINDS = ("exponential", "folded_normal", "uniform", "pareto")
-
 _TWO_M53 = 2.0**-53
 
 
@@ -50,10 +48,6 @@ class DistributionSpec:
                 f"{self.kind} spec with {dict(self.params)} needs a finite mean > 0 and a "
                 f"finite variance, got mean={self.mean}, variance={self.variance}"
             )
-
-    @property
-    def heavy_tailed(self) -> bool:
-        return self.variance is None
 
     @property
     def std(self) -> float:
@@ -132,8 +126,8 @@ def make_uniform_mean(mean: float) -> DistributionSpec:
 def make_pareto(shape: float, scale: float) -> DistributionSpec:
     """Pareto on [scale, inf): mean shape*scale/(shape-1), finite iff shape > 1.
 
-    Variance is finite only for shape > 2; below that the spec is flagged
-    heavy-tailed and reports its variance as unavailable.
+    Variance is finite only for shape > 2; below that the spec reports it
+    as None.
     """
     if not 1 < shape < math.inf:
         raise ValidationError(f"pareto shape must be finite and > 1 (finite mean), got {shape}")
@@ -152,6 +146,15 @@ def make_pareto(shape: float, scale: float) -> DistributionSpec:
     )
 
 
+_FACTORIES = {
+    "exponential": make_exponential,
+    "folded_normal": make_folded_normal,
+    "uniform": make_uniform_mean,
+    "pareto": make_pareto,
+}
+KINDS = tuple(_FACTORIES)
+
+
 def spec_from_dict(doc: dict) -> DistributionSpec:
     """Build a spec from its config-file form, e.g. {"kind": "exponential", "rate": 1}.
 
@@ -161,18 +164,13 @@ def spec_from_dict(doc: dict) -> DistributionSpec:
         raise ValidationError(f"distribution spec must be a dict with a 'kind': {doc!r}")
     kind = doc["kind"]
     args = {k: json_float(v, f"{kind} {k}") for k, v in doc.items() if k != "kind"}
+    # tuple membership, so an unhashable kind is reported like any other
+    if kind not in KINDS:
+        raise ValidationError(f"unknown distribution kind {kind!r}; expected one of {KINDS}")
     try:
-        if kind == "exponential":
-            return make_exponential(**args)
-        if kind == "folded_normal":
-            return make_folded_normal(**args)
-        if kind == "uniform":
-            return make_uniform_mean(**args)
-        if kind == "pareto":
-            return make_pareto(**args)
+        return _FACTORIES[kind](**args)
     except TypeError as exc:
         raise ValidationError(f"bad parameters for {kind!r}: {args}") from exc
-    raise ValidationError(f"unknown distribution kind {kind!r}; expected one of {KINDS}")
 
 
 def sample_stream(spec: DistributionSpec, count: int, seed: int,

@@ -30,7 +30,6 @@ from paoiq.experiments import (
     error_percent,
     family_spec,
     read_report_csv,
-    report_csv,
     report_to_csv_text,
     run_sweep,
 )
@@ -114,6 +113,8 @@ class TestFamilies:
     def test_unknown(self):
         with pytest.raises(ValidationError):
             family_spec("weibull", 1.0)
+        with pytest.raises(ValidationError, match="unknown family"):
+            family_spec(["normal"], 1.0)
 
     def test_mean_must_be_finite_and_positive(self):
         for family in FAMILIES:
@@ -345,7 +346,7 @@ class TestReportCsv:
     def test_layout(self, tmp_path):
         report = self.make_report()
         path = tmp_path / "report.csv"
-        report_csv(report, path)
+        write_text(path, report_to_csv_text(report))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "lambda,sim_paoi_mean,sim_paoi_ci95,method,bound_paoi,rel_error"
         assert lines[7] == "method,error_percent"
@@ -354,8 +355,8 @@ class TestReportCsv:
     def test_round_trip_lossless(self, tmp_path):
         report = self.make_report()
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        report_csv(report, p1)
-        report_csv(read_report_csv(p1), p2)
+        write_text(p1, report_to_csv_text(report))
+        write_text(p2, report_to_csv_text(read_report_csv(p1)))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_rejects_foreign_file(self, tmp_path):
@@ -458,6 +459,23 @@ class TestCli:
         settings = cli._defaults(calibration.build_calibration_dataset)
         doc = read_fields(grid, ("points", "mu", *settings), "calibration grid config")
         assert calibration.grid_from_config(doc)
+
+    def test_readme_library_example_runs(self):
+        # the example under README "Library", in a fresh interpreter: a name
+        # the package no longer exports fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+        (code,) = re.findall(r"```python\n(.*?)```", section, re.S)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        simulated, bound = map(float, proc.stdout.split())
+        # M/M/1 at load 0.5: mean peak age 1/lam + 1/(mu - lam) = 4
+        assert simulated == pytest.approx(4.0, rel=0.02)
+        assert math.isfinite(bound) and bound > 0
 
     def test_simulate_prints_the_rates_of_its_laws(self, tmp_path, capsys):
         # a folded normal's mean is not its location, so its rate is no round label
@@ -730,6 +748,14 @@ class TestCli:
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 1
         assert capsys.readouterr().err == "error: theta0 must be a number, got '-0.376'\n"
         assert not (tmp_path / "r.csv").exists()
+        # Python's json reads these literals; a coefficient must be finite
+        for literal, value in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")):
+            theta.write_text(
+                f'{{"scenario": "single", "theta0": 1, "theta1": {literal}, "theta2": 1}}')
+            assert main(["sweep", "--config", str(config), "--out",
+                         str(tmp_path / "r.csv")]) == 1
+            assert capsys.readouterr().err == f"error: theta1 must be finite, got {value}\n"
+            assert not (tmp_path / "r.csv").exists()
 
     def test_theta_file_not_json(self, tmp_path, capsys):
         theta = tmp_path / "theta.json"
@@ -828,7 +854,7 @@ class TestCli:
                     "two": {"robust3": ("13.18%", "0.218")}}
         for scenario, cells in expected.items():
             path = tmp_path / f"{scenario}.csv"
-            report_csv(table_sweeps[scenario], path)
+            write_text(path, report_to_csv_text(table_sweeps[scenario]))
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             assert digest == DEFAULT_REPORT_SHA256[scenario]
             assert main(["report", "--in", str(path)]) == 0
@@ -884,26 +910,31 @@ class TestCli:
         assert not out_csv.exists()
 
     def test_sweep_reports_kingman_where_mapping_fails(self, tmp_path, capsys):
-        # theta0 = -50 makes the mapping's radicand negative at every rate
-        theta = tmp_path / "theta.json"
-        theta.write_text(json.dumps(
-            {"scenario": "single", "theta0": -50.0, "theta1": 3.978, "theta2": 0.5}))
-        config = self.sweep_config(tmp_path, lambdas=[0.5, 0.8], n=2000, replications=2,
-                                   theta=str(theta))
-        out_csv = tmp_path / "r.csv"
-        with pytest.warns(RuntimeWarning) as record:
-            assert main(["sweep", "--config", str(config), "--out", str(out_csv)]) == 0
-        messages = [str(w.message) for w in record]
-        assert sum("variability mapping failed" in m for m in messages) == 2
-        assert sum(m.startswith("bound robust") for m in messages) == 4
-        assert not any("bound kingman failed" in m for m in messages)
-        report = read_report_csv(out_csv)
-        for row in report.rows:
-            assert math.isfinite(row.bound_paoi) == (row.method == "kingman")
-        assert len(report.rows) == 6
-        assert math.isfinite(report.error_percents["kingman"])
-        assert math.isnan(report.error_percents["robust1"])
-        assert math.isnan(report.error_percents["robust2"])
+        # theta0 = -50 makes the mapping's radicand negative at every rate,
+        # and coefficients of 1e308 make it overflow
+        for coefficients, failure in (((-50.0, 3.978, 0.5), "is negative"),
+                                      ((1e308, 1e308, 1e308), "overflows")):
+            theta = tmp_path / "theta.json"
+            theta.write_text(json.dumps(
+                {"scenario": "single", **dict(zip(("theta0", "theta1", "theta2"),
+                                                  coefficients))}))
+            config = self.sweep_config(tmp_path, lambdas=[0.5, 0.8], n=2000, replications=2,
+                                       theta=str(theta))
+            out_csv = tmp_path / "r.csv"
+            with pytest.warns(RuntimeWarning) as record:
+                assert main(["sweep", "--config", str(config), "--out", str(out_csv)]) == 0
+            messages = [str(w.message) for w in record]
+            assert sum("variability mapping failed" in m and failure in m
+                       for m in messages) == 2
+            assert sum(m.startswith("bound robust") for m in messages) == 4
+            assert not any("bound kingman failed" in m for m in messages)
+            report = read_report_csv(out_csv)
+            for row in report.rows:
+                assert math.isfinite(row.bound_paoi) == (row.method == "kingman")
+            assert len(report.rows) == 6
+            assert math.isfinite(report.error_percents["kingman"])
+            assert math.isnan(report.error_percents["robust1"])
+            assert math.isnan(report.error_percents["robust2"])
 
     def test_sweep_invalid_config_exit_one(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path, lambdas=[1.5])

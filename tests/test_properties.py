@@ -23,12 +23,15 @@ from paoiq import robust_bounds as rb
 from paoiq.calibration import (
     SCENARIOS,
     CalibrationCoefficients,
+    CalibrationDataset,
+    CalibrationRow,
     build_calibration_dataset,
+    fit_theta,
     invert_gamma_s,
     map_variability,
 )
 from paoiq.cli import main
-from paoiq.errors import NumericError, ValidationError
+from paoiq.errors import NumericError, PaoiqError, ValidationError
 from paoiq.experiments import FAMILIES, SweepConfig, family_spec, read_report_csv
 from paoiq.kernels import lindley_system_times
 from paoiq.simulator import SystemParams, _replicate_points, merge_arrivals
@@ -271,6 +274,70 @@ def test_invert_gamma_s_is_the_least_ratio(sources, alpha, ga, load, mu, n, exce
                 / (1.0 if m == -0.5 else sources * (m + 1.0) ** (1.0 / alpha))
                 for m in windows)
     assert gs == pytest.approx(least, rel=1e-12)
+
+
+# finite extremes of the mapping's inputs: a float ``**`` of them can raise
+# OverflowError where ``*`` gives inf, and a sum of them can overflow
+huge_sigmas = st.floats(min_value=0.0, max_value=1e300)
+huge_thetas = st.floats(min_value=-1e308, max_value=1e308)
+
+
+def finite_theta(theta):
+    return all(map(math.isfinite, (theta.theta0, theta.theta1, theta.theta2)))
+
+
+@DETERMINISTIC
+@given(huge_sigmas, huge_sigmas, st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+       huge_thetas, huge_thetas, huge_thetas)
+@example(1e160, 1.0, 0.5, *SCENARIOS["single"].theta)
+@example(1.0, 1.0, 0.5, 1e308, 1e308, 1e308)
+def test_variability_mapping_is_finite_or_an_error(sigma_a, sigma_s, rho, t0, t1, t2):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the clamp of a negative gamma_s
+            gamma_a, gamma_s = map_variability(sigma_a, sigma_s, rho,
+                                               CalibrationCoefficients(t0, t1, t2, "single"))
+    except PaoiqError:
+        return
+    assert 0 <= gamma_a < math.inf and 0 <= gamma_s < math.inf
+
+
+@DETERMINISTIC
+@given(st.floats(), st.floats(), st.floats())
+@example(math.nan, 1.0, 1.0)
+@example(1.0, math.inf, 1.0)
+def test_coefficients_are_finite_or_an_error(t0, t1, t2):
+    try:
+        theta = CalibrationCoefficients(t0, t1, t2, "single")
+    except PaoiqError:
+        return
+    assert finite_theta(theta)
+
+
+# a row as a dataset CSV read back with read_dataset_csv may hold it
+row_values = st.floats() | st.floats(min_value=-1e300, max_value=1e300)
+
+
+@DETERMINISTIC
+@given(st.lists(st.tuples(row_values, row_values, row_values, row_values), max_size=8))
+@example([(0.1, 1.0, 0.2, 0.0), (0.2, 2.0, 0.7, 0.3), (0.3, 3.0, 1.2, 0.6),
+          (0.4, 4.0, 1.7, math.nan)])
+@example([(0.1, 1.0, 0.2, 0.0), (0.2, 2.0, 0.7, 0.3), (0.3, 3.0, 1.2, 0.6),
+          (0.4, 4.0, 1.7, math.inf)])
+@example([(0.1, 1.0, 0.2, 0.0), (0.2, 2.0, 0.7, 0.3), (0.3, 3.0, 1.2, 0.6),
+          (0.4, 4.0, 1.7, 1e200)])
+# a finite design whose fitted theta2 overflows
+@example([(0.1, 1.0, 0.2, 0.0), (0.2, 2.0, 0.7, 0.0), (0.3, 3.0, 1.2, 0.0),
+          (0.4, 4.0, 1.7, 1.33e154)])
+def test_fitted_theta_is_finite_or_an_error(rows):
+    dataset = CalibrationDataset("single", [CalibrationRow(*r, "exponential", "exponential", 0)
+                                            for r in rows])
+    # every failure of the fit is numeric: ``calibrate`` exits 2
+    try:
+        theta = fit_theta(dataset)
+    except NumericError:
+        return
+    assert finite_theta(theta)
 
 
 @DETERMINISTIC
@@ -671,7 +738,7 @@ def on_cpus(cpus, cap, call):
 
 def bits(summary):
     return (summary.mean_paoi, summary.mean_system_time, summary.ci95_paoi,
-            summary.per_source_paoi, summary.stable, summary.paoi_rep_means.tobytes())
+            summary.per_source_paoi, summary.paoi_rep_means.tobytes())
 
 
 def grid_point(sources, n, load, family_a, family_s, seed):

@@ -80,14 +80,12 @@ def test_pareto_moments():
     spec = make_pareto(3.0, 2.0)
     assert spec.mean == pytest.approx(3.0)
     assert spec.variance == pytest.approx(3.0)
-    assert not spec.heavy_tailed
 
 
 def test_pareto_heavy_tail_flag():
     spec = make_pareto(1.5, 1.0)
     assert spec.mean == pytest.approx(3.0)
     assert spec.variance is None
-    assert spec.heavy_tailed
     with pytest.raises(ValidationError):
         spec.std  # noqa: B018 - the property itself raises
 
@@ -344,6 +342,10 @@ def test_spec_from_dict_round_trip():
 def test_spec_from_dict_rejects_garbage():
     with pytest.raises(ValidationError):
         spec_from_dict({"kind": "gaussian", "mean": 1.0})
+    # an unhashable or null kind is unknown too, not a bare TypeError
+    for kind in (["exponential"], None):
+        with pytest.raises(ValidationError, match="unknown distribution kind"):
+            spec_from_dict({"kind": kind, "rate": 1.0})
     with pytest.raises(ValidationError):
         spec_from_dict({"rate": 1.0})
     with pytest.raises(ValidationError):
