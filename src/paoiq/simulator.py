@@ -78,7 +78,7 @@ class SystemParams:
         check_positive(self.lam, "lam")
         check_positive(self.mu, "mu")
         check_int(self.n, "n", 1)
-        if self.sources not in (1, 2):
+        if check_int(self.sources, "sources", 1) not in (1, 2):
             raise ValidationError(f"sources must be 1 or 2, got {self.sources}")
 
     @property

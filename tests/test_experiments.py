@@ -700,6 +700,7 @@ class TestCli:
         ("sweep", "sweep.json", json.dumps({**SWEEP, "lambdas": [0.5, 0.5]})),
         # JSON reads 1e309 as inf
         ("sweep", "sweep.json", '{"scenario": "single", "mu": 1e309, "lambdas": [0.5]}'),
+        ("report", "report.csv", REPORT + "0.5,4,0.1,kingman,5,0.25\n"),
     ], ids=["simulate-text-rate", "simulate-list", "sweep-number", "calibrate-list",
             "calibrate-point-fields", "sweep-theta-fields", "sweep-text-n",
             "report-short-row", "report-text-percent",
@@ -716,7 +717,7 @@ class TestCli:
             "sweep-false-warmup", "sweep-text-theta0", "calibrate-bool-mu",
             "calibrate-text-warmup", "calibrate-text-point-lam", "sweep-text-methods",
             "sweep-object-methods", "simulate-bool-rate", "calibrate-bool-point-rate",
-            "sweep-repeated-lambda", "sweep-infinite-mu"])
+            "sweep-repeated-lambda", "sweep-infinite-mu", "report-no-summary"])
     def test_malformed_input_exit_one(self, tmp_path, monkeypatch, capsys, command, name,
                                       content):
         theta = None
@@ -814,9 +815,16 @@ class TestCli:
         ("sweep", "sweep.json", {**SWEEP, "theta": {"theta0": -0.376, "theta1": 3.978}},
          "theta must be a theta file path, got {'theta0': -0.376, 'theta1': 3.978}"),
         ("sweep", "sweep.json", {**SWEEP, "theta": 0}, "theta must be a theta file path, got 0"),
+        ("sweep", "sweep.json", {"lambdas": [0.5]}, "sweep config needs a 'scenario'"),
+        ("sweep", "sweep.json", {**SWEEP, "lambdas": [10**400]},
+         f"lambdas entry is out of the float range: {10**400}"),
+        ("calibrate", "grid.json", {}, "calibration grid config needs a 'points' list"),
+        ("calibrate", "grid.json", {"points": 5},
+         "calibration grid config needs a 'points' list"),
     ], ids=["simulate", "calibrate", "calibrate-point", "sweep-text-lambdas",
             "sweep-object-lambdas", "sweep-mu", "sweep-methods", "sweep-null-theta",
-            "sweep-object-theta", "sweep-number-theta"])
+            "sweep-object-theta", "sweep-number-theta", "sweep-no-scenario",
+            "sweep-huge-integer-lambda", "calibrate-empty", "calibrate-number-points"])
     def test_unknown_fields_named(self, tmp_path, capsys, command, name, content, message):
         path = tmp_path / name
         path.write_text(json.dumps(content))
@@ -935,6 +943,23 @@ class TestCli:
             assert math.isfinite(report.error_percents["kingman"])
             assert math.isnan(report.error_percents["robust1"])
             assert math.isnan(report.error_percents["robust2"])
+
+    def test_sweep_every_point_failed_exit_two(self, tmp_path, capsys):
+        # theta0 = -100 makes robust3's mapping radicand negative at every rate
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"scenario": "two", "theta0": -100, "theta1": 0,
+                                     "theta2": 0}))
+        config = self.sweep_config(tmp_path, scenario="two", lambdas=[0.3, 0.4], n=200,
+                                   replications=2, theta=str(theta))
+        out_csv = tmp_path / "r.csv"
+        with pytest.warns(RuntimeWarning) as record:
+            assert main(["sweep", "--config", str(config), "--out", str(out_csv)]) == 2
+        messages = [str(w.message) for w in record]
+        assert sum("variability mapping failed" in m for m in messages) == 2
+        assert sum(m.startswith("bound robust3 failed") for m in messages) == 2
+        assert capsys.readouterr().err == (
+            "numeric error: every grid point failed; no bound could be evaluated\n")
+        assert not out_csv.exists()
 
     def test_sweep_invalid_config_exit_one(self, tmp_path, capsys):
         config = self.sweep_config(tmp_path, lambdas=[1.5])

@@ -1,16 +1,28 @@
 """FCFS simulation: Lindley recursion, the replication's steps, replication."""
 
+import itertools
 import math
 import os
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from exact_means import gim1_sigma, mean_system_time
 
 from paoiq import experiments, kernels, simulator
+from paoiq.calibration import CALIBRATION_ALPHA
 from paoiq.errors import ValidationError
-from paoiq.experiments import SweepConfig, error_percent_se, family_spec, run_sweep
+from paoiq.experiments import (
+    FAMILIES,
+    SweepConfig,
+    error_percent,
+    error_percent_se,
+    family_spec,
+    run_sweep,
+)
+from paoiq.robust_bounds import UncertaintyParams, paoi_from_system_bound, system_bound
 from paoiq.seeding import ROLE_ARRIVAL_1, ROLE_ARRIVAL_2, ROLE_SERVICE, derive_seed
 from paoiq.simulator import (
     MAX_REPLICATE_N,
@@ -63,6 +75,9 @@ class TestSystemParams:
             SystemParams(1.0, 1.0, 0)
         with pytest.raises(ValidationError):
             SystemParams(1.0, 1.0, 10, sources=3)
+        for sources in (2.0, 1.0, True):
+            with pytest.raises(ValidationError, match="^sources must be an integer"):
+                SystemParams(0.25, 1.0, 10, sources=sources)
 
     @pytest.mark.parametrize("lam, mu, n", [
         (math.inf, 1.0, 10),
@@ -78,6 +93,9 @@ class TestSystemParams:
 
     def test_numpy_integer_n_accepted(self):
         assert SystemParams(0.5, 1.0, np.int64(10)).n == 10
+
+    def test_numpy_integer_sources_accepted(self):
+        assert SystemParams(0.25, 1.0, 10, np.int64(2)).load == 0.5
 
     @pytest.mark.parametrize("role", ["interarrival", "service"])
     def test_realized_names_a_law_without_a_finite_rate(self, role):
@@ -686,94 +704,51 @@ def test_replicate_matches_event_list_reference(sources, family, warmup):
         assert summary.per_source_paoi is None
 
 
-def test_replicate_matches_mg1_peak_age():
-    """Replicated mean peak age against the M/G/1 formula (Kleinrock 1975).
+def check_exact_mean_peak_age(points):
+    """Replicated mean peak age at each labelled (interarrival, service,
+    sources) point against its exact value, E[T] plus ``mean_system_time``.
 
-    Poisson arrivals of total rate L = k*lam into one FCFS server give a
-    mean system time E[S] + L*E[S^2] / (2(1 - rho)) (Pollaczek-Khinchine,
-    rho = L*E[S]), and a source's peak age adds its mean interarrival time
-    1/lam.  The seed is fixed in advance at every point.
+    Each point runs n = 1e5 updates in 20 replications from master seed 11,
+    fixed in advance, and every z score must be within 4.
     """
-    mu, replications = 1.0, 20
+    replications = 20
+    z = {}
+    for key, (ia, svc, sources) in points.items():
+        expected = ia.mean + mean_system_time(ia, svc, sources)
+        summary = replicate(SystemParams.realized(ia, svc, 100_000, sources), ia, svc,
+                            replications=replications, warmup_fraction=0.1, master_seed=11)
+        means = summary.paoi_rep_means
+        stderr = means.std(ddof=1) / math.sqrt(replications)
+        z[key] = (means.mean() - expected) / stderr
+    worst = max(z, key=lambda key: abs(z[key]))
+    assert abs(z[worst]) <= 4.0, f"|z| = {abs(z[worst]):.2f} at {worst}; all: {z}"
+
+
+def test_replicate_matches_mg1_peak_age():
+    """Poisson arrivals of total load 0.2 to 0.9 from one or two sources
+    against the M/G/1 mean (GI/M/1 for one source with exponential
+    services, the same value)."""
+    mu = 1.0
     services = {
         "exponential": make_exponential(mu),
         "uniform": make_uniform_mean(1.0 / mu),
         "normal": make_folded_normal(1.0 / mu, 0.5 / mu),
     }
-    z = {}
-    for sources in (1, 2):
-        for name, svc in services.items():
-            for load in (0.2, 0.5, 0.8, 0.9):
-                lam = load * mu / sources
-                total = sources * lam
-                rho = total * svc.mean
-                second_moment = svc.variance + svc.mean**2
-                expected = 1.0 / lam + svc.mean + total * second_moment / (2.0 * (1.0 - rho))
-                summary = replicate(SystemParams(lam, mu, 100_000, sources),
-                                    make_exponential(lam), svc, replications=replications,
-                                    warmup_fraction=0.1, master_seed=11)
-                means = summary.paoi_rep_means
-                stderr = means.std(ddof=1) / math.sqrt(replications)
-                z[sources, name, load] = (means.mean() - expected) / stderr
-    worst = max(z, key=lambda key: abs(z[key]))
-    assert abs(z[worst]) <= 4.0, f"|z| = {abs(z[worst]):.2f} at {worst}; all: {z}"
-
-
-def laplace_transform(spec, s):
-    """E[exp(-s T)] at s > 0 of an exponential, uniform or folded-normal law."""
-    p = dict(spec.params)
-    if spec.kind == "exponential":
-        return p["rate"] / (p["rate"] + s)
-    if spec.kind == "uniform":  # on [0, 2*mean]
-        b = 2.0 * p["mean"] * s
-        return -math.expm1(-b) / b
-    # |X| with X ~ N(loc, sc^2): the parts X > 0 and X < 0, each a shifted normal
-    loc, sc = p["location"], p["scale"]
-    z, v = loc / sc, s * sc
-    return (math.exp(0.5 * v * v - s * loc) * 0.5 * math.erfc((v - z) / math.sqrt(2.0))
-            + math.exp(0.5 * v * v + s * loc) * 0.5 * math.erfc((v + z) / math.sqrt(2.0)))
-
-
-def gim1_sigma(interarrival, mu):
-    """The root in (0, 1) of sigma = A*(mu (1 - sigma)), by bisection.
-
-    A* is the Laplace transform of the interarrival law.  Below load 1 the
-    map minus sigma is positive on [0, sigma) and negative on (sigma, 1).
-    """
-    lo, hi = 0.0, 1.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if laplace_transform(interarrival, mu * (1.0 - mid)) > mid:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    check_exact_mean_peak_age({
+        (sources, name, load): (make_exponential(load * mu / sources), svc, sources)
+        for sources in (1, 2) for name, svc in services.items()
+        for load in (0.2, 0.5, 0.8, 0.9)})
 
 
 def test_replicate_matches_gim1_peak_age():
-    """Replicated mean peak age against the GI/M/1 solution (Kleinrock 1975).
-
-    Renewal arrivals into one FCFS server with exponential services of rate
-    mu give an exponential system time of rate mu(1 - sigma), with sigma the
-    root of ``gim1_sigma``, so the mean peak age is E[T] + 1/(mu(1 - sigma)).
-    For Poisson arrivals sigma is the load.  The seed is fixed in advance at
-    every point.
-    """
-    mu, replications = 1.0, 20
+    """Exponential, normal and uniform arrivals into one exponential server
+    at load 0.05 to 0.9 against the GI/M/1 mean."""
+    mu = 1.0
     assert gim1_sigma(make_exponential(0.3), mu) == pytest.approx(0.3, rel=1e-12)
-    z = {}
-    for family in ("exponential", "normal", "uniform"):
-        for load in (0.05, 0.2, 0.4, 0.6, 0.8, 0.9):
-            ia = family_spec(family, 1.0 / (load * mu))
-            expected = ia.mean + 1.0 / (mu * (1.0 - gim1_sigma(ia, mu)))
-            summary = replicate(SystemParams(1.0 / ia.mean, mu, 100_000), ia,
-                                make_exponential(mu), replications=replications,
-                                warmup_fraction=0.1, master_seed=11)
-            means = summary.paoi_rep_means
-            stderr = means.std(ddof=1) / math.sqrt(replications)
-            z[family, load] = (means.mean() - expected) / stderr
-    worst = max(z, key=lambda key: abs(z[key]))
-    assert abs(z[worst]) <= 4.0, f"|z| = {abs(z[worst]):.2f} at {worst}; all: {z}"
+    check_exact_mean_peak_age({
+        (family, load): (family_spec(family, 1.0 / (load * mu)), make_exponential(mu), 1)
+        for family in ("exponential", "normal", "uniform")
+        for load in (0.05, 0.2, 0.4, 0.6, 0.8, 0.9)})
 
 
 # kingman / robust1 / robust2 error percents of a single-source grid
@@ -784,7 +759,8 @@ EXACT_ERROR_PERCENTS = {
     "normal": {"kingman": 12.79, "robust1": 48.48, "robust2": 21.64},
     "uniform": {"kingman": 14.81, "robust1": 44.36, "robust2": 17.09},
 }
-LIGHT_LOAD_RATES = (0.02, 0.05, 0.1)
+# README "At light load": the rates under each scenario's default grid
+LIGHT_LOAD_RATES = {"single": (0.02, 0.05, 0.1), "two": (0.05, 0.1, 0.2)}
 LIGHT_LOAD_EXACT_ERROR_PERCENTS = {
     "exponential": {"kingman": 49.785, "robust1": 113.6667, "robust2": 4.8067},
     "normal": {"kingman": 11.6055, "robust1": 95.107, "robust2": 0.0968},
@@ -792,28 +768,41 @@ LIGHT_LOAD_EXACT_ERROR_PERCENTS = {
 }
 
 
-def check_exact_error_percents(monkeypatch, family, lambdas, expected):
-    """The sweep's error percents with each simulated mean replaced by the
-    exact GI/M/1 mean peak age, and a reduced simulated sweep against them.
+def exact_error_percents(monkeypatch, scenario, arrivals, services, lambdas):
+    """The sweep's error percents with each simulated mean peak age replaced
+    by the exact one, or None where the family pair has none.
 
-    ``lambdas`` is the sweep's grid (None for the default one).  The reduced
-    sweep (n = 2e4, 10 replications, seed 0) must agree within 4 of its
-    delta-method standard errors (``error_percent_se``).
+    ``lambdas`` is the sweep's grid (None for the default one).  Nothing is
+    simulated.
     """
-    def exact_points(points, replications, warmup_fraction):
-        out = []
-        for system, ia, _, _ in points:
-            mean = ia.mean + 1.0 / (system.mu * (1.0 - gim1_sigma(ia, system.mu)))
-            out.append(ReplicationSummary(1, mean, math.nan, 0.0, None, np.array([mean])))
-        return out
-
+    config = SweepConfig(scenario, lambdas, interarrival_family=arrivals,
+                         service_family=services)
+    means = []
+    for _, system, ia, svc in config.points():
+        wait = mean_system_time(ia, svc, system.sources)
+        if wait is None:
+            return None
+        means.append(ia.mean + wait)
+    summaries = [ReplicationSummary(1, mean, math.nan, 0.0, None, np.array([mean]))
+                 for mean in means]
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "_replicate_points", exact_points)
-        exact = run_sweep(SweepConfig("single", lambdas, interarrival_family=family))
-    assert exact.error_percents == pytest.approx(expected, abs=0.005)
+        patch.setattr(experiments, "_replicate_points", lambda *_: summaries)
+        return run_sweep(config).error_percents
 
-    simulated = run_sweep(SweepConfig("single", lambdas, interarrival_family=family, n=20_000,
-                                      replications=10, master_seed=0))
+
+def check_exact_error_percents(monkeypatch, scenario, arrivals, services, lambdas, expected):
+    """``exact_error_percents`` against ``expected``, and a reduced simulated
+    sweep against them.
+
+    The reduced sweep (n = 2e4, 10 replications, seed 0) must agree within 4
+    of its delta-method standard errors (``error_percent_se``).
+    """
+    exact = exact_error_percents(monkeypatch, scenario, arrivals, services, lambdas)
+    assert exact == pytest.approx(expected, abs=0.005)
+
+    simulated = run_sweep(SweepConfig(scenario, lambdas, interarrival_family=arrivals,
+                                      service_family=services, n=20_000, replications=10,
+                                      master_seed=0))
     for method, pct in simulated.error_percents.items():
         se = error_percent_se([r for r in simulated.rows if r.method == method])
         assert abs(pct - expected[method]) <= 4.0 * se, (method, pct, se)
@@ -822,11 +811,133 @@ def check_exact_error_percents(monkeypatch, family, lambdas, expected):
 @pytest.mark.filterwarnings("ignore:mapped gamma_s:RuntimeWarning")
 @pytest.mark.parametrize("family", sorted(EXACT_ERROR_PERCENTS))
 def test_default_grid_exact_error_percents(monkeypatch, family):
-    check_exact_error_percents(monkeypatch, family, None, EXACT_ERROR_PERCENTS[family])
+    check_exact_error_percents(monkeypatch, "single", family, "exponential", None,
+                               EXACT_ERROR_PERCENTS[family])
 
 
 @pytest.mark.filterwarnings("ignore:mapped gamma_s:RuntimeWarning")
 @pytest.mark.parametrize("family", sorted(LIGHT_LOAD_EXACT_ERROR_PERCENTS))
 def test_light_load_exact_error_percents(monkeypatch, family):
-    check_exact_error_percents(monkeypatch, family, LIGHT_LOAD_RATES,
-                               LIGHT_LOAD_EXACT_ERROR_PERCENTS[family])
+    check_exact_error_percents(monkeypatch, "single", family, "exponential",
+                               LIGHT_LOAD_RATES["single"], LIGHT_LOAD_EXACT_ERROR_PERCENTS[family])
+
+
+# robust2 for one source, robust3 for two
+ROBUST_METHOD = {"single": "robust2", "two": "robust3"}
+
+
+def map_floor(scenario, arrivals, services, lambdas):
+    """How many grid points have a map's floor above the exact mean system
+    time, of how many, and the floor's error percent against the exact mean
+    peak ages.
+
+    The map's floor is the scenario's robust bound at gamma_a = sigma_a,
+    gamma_s = 0 and alpha = 2 on the realized system.  The map fixes
+    gamma_a = sigma_a and clamps gamma_s to 0 or more, so no theta gives a
+    lower bound.  None where the family pair has no exact mean; nothing is
+    simulated.
+    """
+    config = SweepConfig(scenario, lambdas, interarrival_family=arrivals,
+                         service_family=services)
+    above, exact, floor = 0, [], []
+    for _, system, ia, svc in config.points():
+        wait = mean_system_time(ia, svc, system.sources)
+        if wait is None:
+            return None
+        bound = system_bound(ROBUST_METHOD[scenario], system.lam, system.mu, config.n,
+                             UncertaintyParams(CALIBRATION_ALPHA, ia.std, 0.0))
+        above += bound.value > wait
+        exact.append(ia.mean + wait)
+        floor.append(paoi_from_system_bound(bound, system.lam))
+    return above, len(exact), error_percent(exact, floor)
+
+
+# the map's floor per scenario and grid, at each family pair with an exact
+# mean: (points whose floor is above the exact mean system time, grid
+# points, floor error percent)
+MAP_FLOORS = {
+    ("single", "default"): {
+        ("exponential", "exponential"): (7, 16, 18.86),
+        ("exponential", "normal"): (10, 16, 14.24),
+        ("exponential", "uniform"): (10, 16, 14.52),
+        ("normal", "exponential"): (0, 16, 19.08),
+        ("uniform", "exponential"): (0, 16, 19.76)},
+    ("two", "default"): {
+        ("exponential", "exponential"): (5, 8, 17.54),
+        ("exponential", "normal"): (7, 8, 26.19),
+        ("exponential", "uniform"): (7, 8, 23.99)},
+    ("single", "light load"): {
+        ("exponential", "exponential"): (3, 3, 4.81),
+        ("exponential", "normal"): (3, 3, 5.02),
+        ("exponential", "uniform"): (3, 3, 4.96),
+        ("normal", "exponential"): (0, 3, 0.10),
+        ("uniform", "exponential"): (0, 3, 0.22)},
+    ("two", "light load"): {
+        ("exponential", "exponential"): (3, 3, 32.69),
+        ("exponential", "normal"): (3, 3, 35.02),
+        ("exponential", "uniform"): (3, 3, 34.66)},
+}
+
+
+def grid_rates(scenario, grid):
+    """The sweep grid of README's "default" or "light load" tables."""
+    return LIGHT_LOAD_RATES[scenario] if grid == "light load" else None
+
+
+@pytest.mark.parametrize("scenario, grid", sorted(MAP_FLOORS))
+def test_map_floor_against_exact_means(scenario, grid):
+    floors = {}
+    for pair in itertools.product(FAMILIES, FAMILIES):
+        floor = map_floor(scenario, *pair, grid_rates(scenario, grid))
+        if floor is not None:
+            above, points, percent = floor
+            floors[pair] = (above, points, round(percent, 2))
+    assert floors == MAP_FLOORS[scenario, grid]
+
+
+def exact_table_row(monkeypatch, arrivals, services, grid):
+    """The cells README's exact-reference table on ``grid`` prints for a
+    family pair, or None where the pair has no exact mean."""
+    percents = {scenario: exact_error_percents(monkeypatch, scenario, arrivals, services,
+                                               grid_rates(scenario, grid))
+                for scenario in ROBUST_METHOD}
+    if percents == {"single": None, "two": None}:
+        return None
+    references = [name for name, exact in (("GI/M/1", services == "exponential"),
+                                           ("M/G/1", arrivals == "exponential")) if exact]
+    cells = [f"{arrivals} / {services}", " and ".join(references)]
+    for scenario, methods in (("single", ("kingman", "robust1", "robust2")),
+                              ("two", ("robust3",))):
+        cells += [f"{percents[scenario][m]:.2f}" if percents[scenario] else "none"
+                  for m in methods]
+    for scenario in ROBUST_METHOD:
+        floor = map_floor(scenario, arrivals, services, grid_rates(scenario, grid))
+        cells.append(f"{floor[2]:.2f} ({floor[0]} of {floor[1]})" if floor else "none")
+    return cells
+
+
+def readme_exact_tables():
+    """The cells of README's exact-reference tables, in README's order."""
+    tables, rows = [], None
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("| arrivals / services | exact reference |"):
+            rows = []
+            tables.append(rows)
+        elif rows is not None and line.startswith("| "):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        elif not line.startswith("|---"):
+            rows = None
+    return tables
+
+
+@pytest.mark.filterwarnings("ignore:mapped gamma_s:RuntimeWarning")
+def test_readme_exact_tables_match_exact_means(monkeypatch):
+    """Every row of README's exact-reference tables, "Across the sweep
+    families" (default grids) and "At light load", recomputed with no
+    simulation; a family pair without an exact mean has no row."""
+    tables = readme_exact_tables()
+    assert len(tables) == 2
+    for rows, grid in zip(tables, ("default", "light load")):
+        expected = [exact_table_row(monkeypatch, *pair, grid)
+                    for pair in itertools.product(FAMILIES, FAMILIES)]
+        assert rows == [row for row in expected if row is not None]
